@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -33,19 +32,6 @@ class ConfigError(BoundforgeError):
     """Rejected run configuration (maps to exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    object: str
-    n_lo: int
-    n_hi: int
-    bound_id: str | None
-    candidates_path: str | None
-    shuffle_seed: int | None
-    fmt: str
-    out: str | None
-    timing: bool
-
-
 def _parse_n(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -60,18 +46,14 @@ def _parse_n(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cap_for(object_name: str, model_based: bool) -> int:
+def _check_cap(object_name: str, n_hi: int, model_based: bool) -> None:
     env = os.environ.get("BOUNDFORGE_MAX_N")
+    cap = (_MODEL_CAP if model_based else _VERIFY_CAP)[object_name]
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError:
             raise ConfigError(f"BOUNDFORGE_MAX_N={env!r} is not an integer") from None
-    return (_MODEL_CAP if model_based else _VERIFY_CAP)[object_name]
-
-
-def _check_cap(object_name: str, n_hi: int, model_based: bool) -> None:
-    cap = _cap_for(object_name, model_based)
     if n_hi > cap:
         raise ConfigError(
             f"n={n_hi} exceeds the cap {cap} for {object_name} "
@@ -98,24 +80,32 @@ def load_candidates(path: str, object_name: str, n: int) -> list[BoundCandidate]
     return out
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _render(args: argparse.Namespace, payload, rows: list[dict], fields: list[str],
+            text_lines: list[str]) -> None:
+    """Write the payload as json, the rows as csv, or the text lines, per --format."""
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n", extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(text_lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(args.out).write_text(text)
 
 
-def _emit_json(payload, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
-
-
-def _emit_csv(rows: list[dict], fieldnames: list[str], out: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k) for k in fieldnames})
-    _emit(buf.getvalue(), out)
+def _single_n(args: argparse.Namespace) -> int:
+    """The one n of a model-backed command, checked against its cap."""
+    lo, hi = _parse_n(args.n)
+    if lo != hi:
+        raise ConfigError(f"{args.cmd} takes a single n, not a range")
+    _check_cap(args.object, hi, model_based=True)
+    return hi
 
 
 # -- verify ---------------------------------------------------------------------
@@ -149,27 +139,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ]
     total_violations = sum(len(r.violations) for r in reports)
     rows = [r.row() for r in reports]
-    if args.format == "json":
-        _emit_json(
-            {
-                "object": object_name,
-                "n": {obj: list(rng) for obj, rng in ranges.items()},
-                "violations_total": total_violations,
-                "reports": [r.to_json() for r in reports],
-            },
-            args.out,
-        )
-    elif args.format == "csv":
-        _emit_csv(rows, ["bound", "n", "instances", "violations", "witnesses", "min_slack"], args.out)
-    else:
-        lines = [
-            f"{r['bound']:<12} n={r['n']:<3} instances={r['instances']:<6} "
-            f"violations={r['violations']:<3} witnesses={r['witnesses']:<5} "
-            f"min_slack={r['min_slack']}"
-            for r in rows
-        ]
-        lines.append(f"total violations: {total_violations}")
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {
+        "object": object_name,
+        "n": {obj: list(rng) for obj, rng in ranges.items()},
+        "violations_total": total_violations,
+        "reports": [r.to_json() for r in reports],
+    }
+    lines = [
+        f"{r['bound']:<12} n={r['n']:<3} instances={r['instances']:<6} "
+        f"violations={r['violations']:<3} witnesses={r['witnesses']:<5} "
+        f"min_slack={r['min_slack']}"
+        for r in rows
+    ]
+    lines.append(f"total violations: {total_violations}")
+    _render(args, payload, rows,
+            ["bound", "n", "instances", "violations", "witnesses", "min_slack"], lines)
     return 0 if total_violations == 0 else 1
 
 
@@ -195,36 +179,25 @@ def _strip_wall(report: selector.SelectionReport, timing: bool) -> dict:
 
 
 def cmd_select(args: argparse.Namespace) -> int:
-    lo, hi = _parse_n(args.n)
-    if lo != hi:
-        raise ConfigError("select takes a single n, not a range")
-    _check_cap(args.object, hi, model_based=True)
-    cands = _scenario_candidates(args, args.object, hi)
-    report = selector.selection(selector.ObjectScenario(args.object, hi), cands)
+    n = _single_n(args)
+    cands = _scenario_candidates(args, args.object, n)
+    report = selector.selection(selector.ObjectScenario(args.object, n), cands)
     payload = _strip_wall(report, args.timing)
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    elif args.format == "csv":
-        row = dict(payload, selected=";".join(payload["selected"]))
-        _emit_csv([row], ["selected", "posts", "labelings", "wall_ms"], args.out)
-    else:
-        _emit(
-            "selected: {}\nposts: {}\nlabelings: {}\nwall_ms: {}\n".format(
-                " ".join(payload["selected"]) or "(none)",
-                payload["posts"], payload["labelings"], payload["wall_ms"],
-            ),
-            args.out,
-        )
+    row = dict(payload, selected=";".join(payload["selected"]))
+    lines = [
+        f"selected: {' '.join(payload['selected']) or '(none)'}",
+        f"posts: {payload['posts']}",
+        f"labelings: {payload['labelings']}",
+        f"wall_ms: {payload['wall_ms']}",
+    ]
+    _render(args, payload, [row], ["selected", "posts", "labelings", "wall_ms"], lines)
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    lo, hi = _parse_n(args.n)
-    if lo != hi:
-        raise ConfigError("compare takes a single n, not a range")
-    _check_cap(args.object, hi, model_based=True)
-    cands = _scenario_candidates(args, args.object, hi)
-    scenario = selector.ObjectScenario(args.object, hi)
+    n = _single_n(args)
+    cands = _scenario_candidates(args, args.object, n)
+    scenario = selector.ObjectScenario(args.object, n)
     inc = selector.selection(scenario, cands)
     base = selector.baseline_selection(scenario, cands)
     identical = inc.selected == base.selected
@@ -233,25 +206,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "incremental": _strip_wall(inc, args.timing),
         "baseline": _strip_wall(base, args.timing),
     }
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    elif args.format == "csv":
-        rows = [
-            dict(_strip_wall(r, args.timing), engine=name,
-                 selected=";".join(r.selected))
-            for name, r in (("incremental", inc), ("baseline", base))
-        ]
-        _emit_csv(rows, ["engine", "selected", "posts", "labelings", "wall_ms"], args.out)
-    else:
-        _emit(
-            "identical: {}\nincremental: selected={} posts={} labelings={}\n"
-            "baseline:    selected={} posts={} labelings={}\n".format(
-                identical,
-                " ".join(inc.selected) or "(none)", inc.posts, inc.labelings,
-                " ".join(base.selected) or "(none)", base.posts, base.labelings,
-            ),
-            args.out,
-        )
+    engines = (("incremental", inc), ("baseline", base))
+    rows = [
+        dict(payload[name], engine=name, selected=";".join(r.selected))
+        for name, r in engines
+    ]
+    lines = [f"identical: {identical}"] + [
+        f"{name + ':':<12} selected={' '.join(r.selected) or '(none)'} "
+        f"posts={r.posts} labelings={r.labelings}"
+        for name, r in engines
+    ]
+    _render(args, payload, rows, ["engine", "selected", "posts", "labelings", "wall_ms"], lines)
     return 0 if identical else 1
 
 
@@ -259,11 +224,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_solutions(args: argparse.Namespace) -> int:
-    lo, hi = _parse_n(args.n)
-    if lo != hi:
-        raise ConfigError("solutions takes a single n, not a range")
-    n = hi
-    _check_cap(args.object, n, model_based=True)
+    n = _single_n(args)
     scenario = selector.ObjectScenario(args.object, n)
     cands = bounds_mod.catalog(args.object)
 
@@ -300,18 +261,13 @@ def cmd_solutions(args: argparse.Namespace) -> int:
         "sorted_by_nback_with_bounds": [r.isol for r in with_all],
         "nback_dominated_with_bounds": dominated,
     }
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    elif args.format == "csv":
-        _emit_csv(rows, ["isol", "sol", "nback_without", "nback_with_bounds"], args.out)
-    else:
-        lines = [
-            f"isol={r['isol']:<4} sol=[{r['sol']}] "
-            f"nback={r['nback_without']} nback_all_bounds={r['nback_with_bounds']}"
-            for r in rows
-        ]
-        lines.append(f"dominated with bounds: {dominated}")
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [
+        f"isol={r['isol']:<4} sol=[{r['sol']}] "
+        f"nback={r['nback_without']} nback_all_bounds={r['nback_with_bounds']}"
+        for r in rows
+    ]
+    lines.append(f"dominated with bounds: {dominated}")
+    _render(args, payload, rows, ["isol", "sol", "nback_without", "nback_with_bounds"], lines)
     return 0
 
 
@@ -340,15 +296,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
         "inputs": list(cand.inputs()),
         "rhs": cand.rhs.prefix(),
     }
-    if args.format == "json":
-        _emit_json(entry, args.out)
-    else:
-        rel = "<=" if cand.direction == "upper" else ">="
-        lines = [
-            f"{cand.id}: {cand.object} {cand.target} {rel} rhs({', '.join(cand.inputs())})",
-            *_render_prefix(cand.rhs.prefix()),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    rel = "<=" if cand.direction == "upper" else ">="
+    lines = [
+        f"{cand.id}: {cand.object} {cand.target} {rel} rhs({', '.join(cand.inputs())})",
+        *_render_prefix(cand.rhs.prefix()),
+    ]
+    _render(args, entry, [], [], lines)
     return 0
 
 
@@ -362,38 +315,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser, model_based: bool) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=["json", "csv", "text"], default="json")
         p.add_argument("--out", type=str, default=None)
-        if model_based:
-            p.add_argument("--timing", action="store_true",
-                           help="include wall-clock times in the report")
 
     pv = sub.add_parser("verify", help="exhaustively audit catalog bounds")
     pv.add_argument("--object", choices=["partition", "binseq"])
     pv.add_argument("--bound", type=str, default=None, help="audit a single bound id")
     pv.add_argument("--n", type=str, default=None, help="size N or range A..B")
-    common(pv, model_based=False)
+    common(pv)
 
-    ps = sub.add_parser("select", help="run the incremental selection")
-    ps.add_argument("--object", choices=["partition", "binseq"], required=True)
-    ps.add_argument("--n", type=str, required=True)
-    ps.add_argument("--candidates", type=str, default=None,
-                    help="candidate list file (default: full catalog)")
-    ps.add_argument("--shuffle-seed", type=int, default=None)
-    common(ps, model_based=True)
-
-    pc = sub.add_parser("compare", help="incremental vs baseline selection")
-    pc.add_argument("--object", choices=["partition", "binseq"], required=True)
-    pc.add_argument("--n", type=str, required=True)
-    pc.add_argument("--candidates", type=str, default=None)
-    pc.add_argument("--shuffle-seed", type=int, default=None)
-    common(pc, model_based=True)
-
-    po = sub.add_parser("solutions", help="solution/backtrack tables")
-    po.add_argument("--object", choices=["partition", "binseq"], required=True)
-    po.add_argument("--n", type=str, required=True)
-    common(po, model_based=True)
+    for name, help_text, takes_candidates in (
+        ("select", "run the incremental selection", True),
+        ("compare", "incremental vs baseline selection", True),
+        ("solutions", "solution/backtrack tables", False),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--object", choices=["partition", "binseq"], required=True)
+        p.add_argument("--n", type=str, required=True)
+        if takes_candidates:
+            p.add_argument("--candidates", type=str, default=None,
+                           help="candidate list file (default: full catalog)")
+            p.add_argument("--shuffle-seed", type=int, default=None)
+        common(p)
+        p.add_argument("--timing", action="store_true",
+                       help="include wall-clock times in the report")
 
     pe = sub.add_parser("explain", help="print one bound's expression tree")
     pe.add_argument("bound_id", type=str)
@@ -417,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.cmd](args)
-    except (ConfigError, InvalidArgumentError, FileNotFoundError) as exc:
+    except (ConfigError, InvalidArgumentError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

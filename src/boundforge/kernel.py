@@ -109,11 +109,8 @@ class Model:
         """Create a variable with domain {lo..hi}."""
         if lo > hi:
             raise InvalidDomainError(f"empty initial domain [{lo}, {hi}]")
-        return self._new_var_values(tuple(range(lo, hi + 1)))
-
-    def _new_var_values(self, values: tuple[int, ...]) -> VarRef:
         vid = len(self._doms)
-        self._doms.append(values)
+        self._doms.append(tuple(range(lo, hi + 1)))
         self._watchers.append([])
         return VarRef(self.model_id, vid)
 
@@ -127,15 +124,6 @@ class Model:
 
     def dom(self, vid: int) -> tuple[int, ...]:
         return self._doms[vid]
-
-    def is_fixed(self, vid: int) -> bool:
-        return len(self._doms[vid]) == 1
-
-    def value(self, vid: int) -> int:
-        d = self._doms[vid]
-        if len(d) != 1:
-            raise InvalidArgumentError("variable is not fixed")
-        return d[0]
 
     def snapshot(self) -> tuple[tuple[int, ...], ...]:
         """Immutable copy of every domain, for restoration checks."""
@@ -436,27 +424,23 @@ def post_lex_greater(
 # -- search ------------------------------------------------------------------
 
 
-def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
-    """Find the lexicographically smallest solution of featvars ++ xs.
+def _dfs(
+    model: Model, order: Sequence[VarRef], on_solution: Callable[[tuple[int, ...]], bool]
+) -> int:
+    """Depth-first search over ``order``, fixing left to right by increasing value.
 
-    Variables are fixed left to right, scanning each domain by increasing
-    value.  Returns the backtrack count together with the solution, or
-    ``finished=True`` with the count spent proving that none remains.  The
-    model state is restored before returning.
+    ``on_solution`` receives each solution tuple and returns True to stop the
+    search.  Returns the backtrack count; the model state is restored.
     """
-    order = [model._check_var(v) for v in featvars] + [model._check_var(v) for v in xs]
-    if not order:
-        raise InvalidArgumentError("labeling needs at least one variable")
+    vids = [model._check_var(v) for v in order]
     base = model.mark()
     nback = 0
-    sol: list[int] | None = None
 
     def dfs(k: int) -> bool:
-        nonlocal nback, sol
-        if k == len(order):
-            sol = [model.dom(v)[0] for v in order]
-            return True
-        vid = order[k]
+        nonlocal nback
+        if k == len(vids):
+            return on_solution(tuple([model.dom(v)[0] for v in vids]))
+        vid = vids[k]
         for val in model.dom(vid):
             mk = model.mark()
             if model.assign(vid, val):
@@ -467,11 +451,26 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
             model.retract_to(mk)
         return False
 
-    found = dfs(0)
+    dfs(0)
     model.retract_to(base)
+    return nback
+
+
+def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
+    """Find the lexicographically smallest solution of featvars ++ xs.
+
+    Variables are fixed left to right, scanning each domain by increasing
+    value.  Returns the backtrack count together with the solution, or
+    ``finished=True`` with the count spent proving that none remains.  The
+    model state is restored before returning.
+    """
+    order = list(featvars) + list(xs)
+    if not order:
+        raise InvalidArgumentError("labeling needs at least one variable")
+    found: list[tuple[int, ...]] = []
+    nback = _dfs(model, order, lambda sol: found.append(sol) or True)
     if found:
-        assert sol is not None
-        return LabelResult(nback, False, tuple(sol))
+        return LabelResult(nback, False, found[0])
     return LabelResult(nback, True, ())
 
 
@@ -481,21 +480,6 @@ def solve_all(model: Model, order: Sequence[VarRef]) -> list[tuple[int, ...]]:
     Depth-first in the same order/value discipline as :func:`labeling`;
     the model state is restored before returning.
     """
-    vids = [model._check_var(v) for v in order]
-    base = model.mark()
     out: list[tuple[int, ...]] = []
-
-    def dfs(k: int) -> None:
-        if k == len(vids):
-            out.append(tuple(model.dom(v)[0] for v in vids))
-            return
-        vid = vids[k]
-        for val in model.dom(vid):
-            mk = model.mark()
-            if model.assign(vid, val):
-                dfs(k + 1)
-            model.retract_to(mk)
-
-    dfs(0)
-    model.retract_to(base)
+    _dfs(model, order, lambda sol: out.append(sol) or False)
     return out

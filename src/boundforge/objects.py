@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import InvalidArgumentError, InvalidInputError
+from .errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
 from .kernel import Constraint, ConstraintHandle, Model, SumEq, VarRef
 
 PARTITION_FEATURES = ("P", "Mmin", "Mmax", "rangeM", "S")
@@ -351,6 +351,8 @@ class OccurrenceChannel(Constraint):
                     return False
         lbs = [model.dom(v)[0] for v in self.occ]
         ubs = [model.dom(v)[-1] for v in self.occ]
+        if sum(ubs) < n:
+            return False
         smin = _min_sum_squares_in_box(lbs, ubs, n)
         smax = _max_sum_squares_in_box(lbs, ubs, n)
         return model.prune_ge(self.s, smin) and model.prune_le(self.s, smax)
@@ -365,6 +367,8 @@ def _min_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
         for i, v in enumerate(vals):
             if v < ubs[i] and (best < 0 or v < vals[best]):
                 best = i
+        if best < 0:
+            raise InternalInvariantError("occurrence caps cannot hold the total")
         vals[best] += 1
         rest -= 1
     return sum(v * v for v in vals)
@@ -400,14 +404,18 @@ def post_partition(
     xvids = [model._check_var(v) for v in xs]
     occ = [model.new_var(0, n) for _ in range(n)]
     ovids = [v.id for v in occ]
-    mark = model.mark()
-    steps = [
+    return _post_all(model, [
         PrecedenceCaps(xvids),
         SumEq(ovids, None, n),
         OccurrenceChannel(xvids, ovids, fvids[0], fvids[4]),
         PrefixFeasible(fvids, _prefix_sets(partition_tuples(n), len(fvids))),
         GroundChecker(fvids, xvids, _partition_ground),
-    ]
+    ])
+
+
+def _post_all(model: Model, steps: Sequence[Constraint]) -> ConstraintHandle | None:
+    """Post every step, or roll all of them back; the last handle on success."""
+    mark = model.mark()
     handle = None
     for con in steps:
         handle = model.post_constraint(con)
@@ -433,16 +441,8 @@ def post_binseq(
     n = len(xs)
     fvids = [model._check_var(v) for v in featvars]
     xvids = [model._check_var(v) for v in xs]
-    mark = model.mark()
-    steps = [
+    return _post_all(model, [
         SumEq(xvids, fvids[0]),
         PrefixFeasible(fvids, _prefix_sets(binseq_tuples(n), len(fvids))),
         GroundChecker(fvids, xvids, lambda vals: binseq_features(vals).as_tuple()),
-    ]
-    handle = None
-    for con in steps:
-        handle = model.post_constraint(con)
-        if handle is None:
-            model.retract_to(mark)
-            return None
-    return handle
+    ])

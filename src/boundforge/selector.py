@@ -24,6 +24,7 @@ never drained.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -58,11 +59,11 @@ class Counters:
 
     posts: int = 0
     labelings: int = 0
-    events: list[tuple[str, str]] = field(default_factory=list)
+    by_tag: Counter = field(default_factory=Counter)  # postings per (tag, bound or object id)
 
     def posted(self, tag: str, name: str) -> None:
         self.posts += 1
-        self.events.append((tag, name))
+        self.by_tag[tag, name] += 1
 
 
 @dataclass(frozen=True)
@@ -134,25 +135,39 @@ def enumerate_all_solutions(
     count when the last labeling proved no solution remains.
     """
     counters = counters if counters is not None else Counters()
-    isol = 0
     records: list[SolutionRecord] = []
     prev: tuple[int, ...] | None = None
     while True:
-        mark = model.mark()
-        if isol > 0:
-            assert prev is not None
-            if post_lex_greater(model, featvars, prev) is None:
-                records.append(SolutionRecord(isol, 0, ()))
-                return records
-        res = labeling(model, featvars, xs)
-        counters.labelings += 1
-        model.retract_to(mark)
-        if res.finished:
-            records.append(SolutionRecord(isol, res.nback, ()))
+        res = _step(model, featvars, xs, prev, counters)
+        if res is None or res.finished:
+            records.append(SolutionRecord(len(records), 0 if res is None else res.nback, ()))
             return records
         prev = res.sol[: len(featvars)]
-        records.append(SolutionRecord(isol, res.nback, prev))
-        isol += 1
+        records.append(SolutionRecord(len(records), res.nback, prev))
+
+
+def _step(model, featvars, xs, prev, counters):
+    """Post featvars >lex prev (skipped when prev is None), label, retract.
+
+    Returns the labeling result, or None when the lex posting failed (the
+    failed post leaves the model unchanged).
+    """
+    mark = model.mark()
+    if prev is not None and post_lex_greater(model, featvars, prev) is None:
+        return None
+    res = labeling(model, featvars, xs)
+    counters.labelings += 1
+    model.retract_to(mark)
+    return res
+
+
+def _post(model, cands, featvars, n, counters, tag, context):
+    """Post bounds, counting each; a failed post means the catalog is unsound."""
+    for cand in cands:
+        handle = post_bound(model, cand, featvars, n)
+        counters.posted(tag, cand.id)
+        if handle is None:
+            raise CatalogSoundnessError(f"bound {cand.id} failed {context}")
 
 
 def compute_all_solutions(
@@ -166,11 +181,7 @@ def compute_all_solutions(
     """Post every candidate, enumerate, sort by (nback, isol), retract posts."""
     counters = counters if counters is not None else Counters()
     mark = model.mark()
-    for cand in candidates:
-        handle = post_bound(model, cand, featvars, n)
-        counters.posted("compute", cand.id)
-        if handle is None:
-            raise CatalogSoundnessError(f"bound {cand.id} failed on the feature box")
+    _post(model, candidates, featvars, n, counters, "compute", "on the feature box")
     records = enumerate_all_solutions(model, featvars, xs, counters)
     records.sort(key=lambda r: (r.nback, r.isol))
     model.retract_to(mark)
@@ -183,29 +194,22 @@ def compute_all_solutions(
 class _IncrementalEngine:
     """Posts on one shared model; retraction via trail marks."""
 
-    def __init__(self, model, featvars, xs, n, by_isol, counters):
+    def __init__(self, scenario, model, featvars, xs, drain, by_isol, counters):
         self.model = model
         self.featvars = featvars
         self.xs = xs
-        self.n = n
+        self.n = scenario.n
         self.by_isol = by_isol
         self.counters = counters
 
     def post_selected(self, cand: BoundCandidate) -> None:
-        handle = post_bound(self.model, cand, self.featvars, self.n)
-        self.counters.posted("prev", cand.id)
-        if handle is None:
-            raise CatalogSoundnessError(f"bound {cand.id} failed when re-posted")
+        _post(self.model, [cand], self.featvars, self.n, self.counters, "prev", "when re-posted")
 
     def mark(self):
         return self.model.mark()
 
     def post_suffix(self, cands: Sequence[BoundCandidate]) -> None:
-        for cand in cands:
-            handle = post_bound(self.model, cand, self.featvars, self.n)
-            self.counters.posted("suffix", cand.id)
-            if handle is None:
-                raise CatalogSoundnessError(f"bound {cand.id} failed when re-posted")
+        _post(self.model, cands, self.featvars, self.n, self.counters, "suffix", "when re-posted")
 
     def retract(self, mark) -> None:
         self.model.retract_to(mark)
@@ -217,9 +221,9 @@ class _IncrementalEngine:
 class _BaselineEngine:
     """Rebuilds the model from scratch for every transition-checking trial."""
 
-    def __init__(self, scenario: ObjectScenario, full_drain, by_isol, counters):
+    def __init__(self, scenario, model, featvars, xs, drain, by_isol, counters):
         self.scenario = scenario
-        self.full_drain = list(full_drain)
+        self.full_drain = list(drain)
         self.by_isol = by_isol
         self.counters = counters
         self.selected_stack: list[BoundCandidate] = []
@@ -239,11 +243,8 @@ class _BaselineEngine:
 
     def enumerate_step(self, sols: list[SolutionRecord]):
         model, featvars, xs = self.scenario.fresh(self.counters)
-        for cand in self.selected_stack + self.trial_stack:
-            handle = post_bound(model, cand, featvars, self.scenario.n)
-            self.counters.posted("baseline", cand.id)
-            if handle is None:
-                raise CatalogSoundnessError(f"bound {cand.id} failed when re-posted")
+        _post(model, self.selected_stack + self.trial_stack, featvars, self.scenario.n,
+              self.counters, "baseline", "when re-posted")
         return _drain(model, featvars, xs, self.full_drain, self.by_isol, self.counters)
 
 
@@ -254,23 +255,14 @@ def _drain(model, featvars, xs, sols, by_isol, counters):
     solution seeds the lex jump; the expected count is the stored count of
     the record one index later (the sentinel for the last real record).
     """
-    i = 0
-    while i < len(sols):
-        head = sols[i]
+    for i, head in enumerate(sols):
         succ = by_isol.get(head.isol + 1)
         if succ is None:
             raise InternalInvariantError(f"no stored record with index {head.isol + 1}")
-        mark = model.mark()
-        if post_lex_greater(model, featvars, head.sol) is None:
-            observed = 0
-        else:
-            res = labeling(model, featvars, xs)
-            counters.labelings += 1
-            observed = res.nback
-        model.retract_to(mark)
+        res = _step(model, featvars, xs, head.sol, counters)
+        observed = 0 if res is None else res.nback
         if observed != succ.nback:
             return list(sols[i:]), True
-        i += 1
     return [], False
 
 
@@ -325,60 +317,46 @@ def _select(engine, sols, bounds, prev):
 # -- entry points ----------------------------------------------------------------
 
 
-def _validate_candidates(scenario: ObjectScenario, candidates: Sequence[BoundCandidate]):
+def _run(
+    engine_cls, scenario: ObjectScenario, candidates: Sequence[BoundCandidate]
+) -> SelectionOutcome:
+    """The one selection driver; ``engine_cls`` decides how trials are posted."""
     for cand in candidates:
         if cand.object != scenario.object:
             raise InvalidArgumentError(
                 f"candidate {cand.id} targets {cand.object}, scenario is {scenario.object}"
             )
+    counters = Counters()
+    start = time.monotonic()
+    model, featvars, xs = scenario.fresh(counters)
+    records = compute_all_solutions(model, featvars, xs, candidates, scenario.n, counters)
+    selected: list[BoundCandidate] = []
+    if candidates:
+        drain = [r for r in records if r.sol]
+        by_isol = {r.isol: r for r in records}
+        engine = engine_cls(scenario, model, featvars, xs, drain, by_isol, counters)
+        selected = _select(engine, drain, list(candidates), None)
+    report = SelectionReport(
+        selected=tuple(c.id for c in selected),
+        posts=counters.posts,
+        labelings=counters.labelings,
+        wall_ms=int((time.monotonic() - start) * 1000),
+    )
+    return SelectionOutcome(report, tuple(selected), tuple(records), counters)
 
 
 def run_selection(
     scenario: ObjectScenario, candidates: Sequence[BoundCandidate]
 ) -> SelectionOutcome:
     """Incremental selection; the full outcome, for verification harnesses."""
-    _validate_candidates(scenario, candidates)
-    counters = Counters()
-    start = time.monotonic()
-    model, featvars, xs = scenario.fresh(counters)
-    records = compute_all_solutions(model, featvars, xs, candidates, scenario.n, counters)
-    selected: list[BoundCandidate] = []
-    if candidates:
-        drain = [r for r in records if r.sol]
-        by_isol = {r.isol: r for r in records}
-        engine = _IncrementalEngine(model, featvars, xs, scenario.n, by_isol, counters)
-        selected = _select(engine, drain, list(candidates), None)
-    report = SelectionReport(
-        selected=tuple(c.id for c in selected),
-        posts=counters.posts,
-        labelings=counters.labelings,
-        wall_ms=int((time.monotonic() - start) * 1000),
-    )
-    return SelectionOutcome(report, tuple(selected), tuple(records), counters)
+    return _run(_IncrementalEngine, scenario, candidates)
 
 
 def run_baseline(
     scenario: ObjectScenario, candidates: Sequence[BoundCandidate]
 ) -> SelectionOutcome:
     """Baseline selection: identical control flow, full re-posting per trial."""
-    _validate_candidates(scenario, candidates)
-    counters = Counters()
-    start = time.monotonic()
-    model, featvars, xs = scenario.fresh(counters)
-    records = compute_all_solutions(model, featvars, xs, candidates, scenario.n, counters)
-    selected: list[BoundCandidate] = []
-    if candidates:
-        drain = [r for r in records if r.sol]
-        by_isol = {r.isol: r for r in records}
-        engine = _BaselineEngine(scenario, drain, by_isol, counters)
-        selected = _select(engine, drain, list(candidates), None)
-    report = SelectionReport(
-        selected=tuple(c.id for c in selected),
-        posts=counters.posts,
-        labelings=counters.labelings,
-        wall_ms=int((time.monotonic() - start) * 1000),
-    )
-    return SelectionOutcome(report, tuple(selected), tuple(records), counters)
+    return _run(_BaselineEngine, scenario, candidates)
 
 
 def selection(scenario: ObjectScenario, candidates: Sequence[BoundCandidate]) -> SelectionReport:

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from boundforge import selector
 from boundforge.cli import main
 
@@ -186,3 +188,38 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["selected"]
+
+
+@pytest.mark.parametrize("bad", ["candidates_dir", "out_dir", "candidates_not_utf8"])
+def test_bad_file_argument_is_usage_error(bad, tmp_path, capsys):
+    argv = ["select", "--object", "partition", "--n", "4"]
+    if bad == "candidates_dir":
+        argv += ["--candidates", str(tmp_path)]
+    elif bad == "out_dir":
+        argv += ["--out", str(tmp_path)]
+    else:
+        path = tmp_path / "cands.txt"
+        path.write_bytes(b"\xff\xfeP-S-UB\n")
+        argv += ["--candidates", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--bound", "P-S-UB", "--n", "1..4"],
+        ["select", "--object", "partition", "--n", "4"],
+        ["compare", "--object", "binseq", "--n", "4"],
+        ["solutions", "--object", "binseq", "--n", "3"],
+    ],
+)
+def test_out_file_matches_stdout(argv, fmt, tmp_path, capsys):
+    argv = argv + ["--format", fmt]
+    code, out, _ = run(capsys, argv)
+    target = tmp_path / "report"
+    assert run(capsys, argv + ["--out", str(target)]) == (code, "", "")
+    assert target.read_bytes() == out.encode()

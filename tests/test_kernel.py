@@ -226,3 +226,47 @@ def test_restoration_over_nested_post_retract():
     post(m, ("le_const", b, 1))
     m.retract_to(outer)
     assert m.snapshot() == initial
+
+
+def _soup():
+    m = Model()
+    a, b, c = m.new_var(0, 2), m.new_var(0, 2), m.new_var(0, 1)
+    t = m.new_var(0, 3)
+    post(m, ("sum_eq", [a, b, c], t))
+    post(m, ("check", [a, c], lambda v: v[0] + v[1] != 2))
+    return m, [a, b], [c, t]
+
+
+def _eq_chain():
+    m = Model()
+    a, b, c = m.new_var(0, 3), m.new_var(1, 4), m.new_var(0, 2)
+    post(m, ("eq", a, b))
+    post(m, ("ge_const", c, 1))
+    return m, [a], [b, c]
+
+
+def _no_solution():
+    m = Model()
+    a, b = m.new_var(0, 2), m.new_var(0, 2)
+    post(m, ("check", [a, b], lambda v: v[0] + v[1] == 5))
+    return m, [a, b], []
+
+
+def _lex_tail():
+    m = Model()
+    a, b = m.new_var(0, 2), m.new_var(0, 2)
+    post_lex_greater(m, [a, b], [1, 1])
+    post(m, ("le_const", b, 1))
+    return m, [a, b], []
+
+
+@pytest.mark.parametrize("build", [_soup, _eq_chain, _no_solution, _lex_tail])
+def test_labeling_and_solve_all_share_one_search(build):
+    m, featvars, xs = build()
+    before = m.snapshot()
+    res = labeling(m, featvars, xs)
+    assert m.snapshot() == before
+    sols = solve_all(m, featvars + xs)
+    assert m.snapshot() == before
+    assert res.finished == (sols == [])
+    assert res.sol == (sols[0] if sols else ())

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from boundforge import kernel, objects, oracle
-from boundforge.errors import InvalidInputError
+from boundforge.errors import InternalInvariantError, InvalidInputError
 from boundforge.objects import (
     BinSeqFeatures,
     PartitionFeatures,
@@ -153,3 +153,18 @@ def test_initial_domains_match_documented_boxes():
         lo, hi = boxes[name]
         assert model.domain(var) == tuple(range(lo, hi + 1))
     assert all(model.domain(x) == tuple(range(1, n + 1)) for x in xs)
+
+
+def test_occurrence_channel_fails_when_p_closure_leaves_too_few_slots():
+    # two colors, occ[1] = 1 and P = 1: the P closure pins occ[2] to 0, so
+    # the occurrence caps hold 1 < n = 2 elements and the post must fail
+    m = kernel.Model()
+    xs = [m.new_var(1, 2) for _ in range(2)]
+    occ = [m.new_var(1, 1), m.new_var(0, 2)]
+    p, s = m.new_var(1, 1), m.new_var(0, 10)
+    before = m.snapshot()
+    con = objects.OccurrenceChannel([v.id for v in xs], [v.id for v in occ], p.id, s.id)
+    assert m.post_constraint(con) is None
+    assert m.snapshot() == before
+    with pytest.raises(InternalInvariantError):
+        objects._min_sum_squares_in_box([1, 0], [1, 0], 2)

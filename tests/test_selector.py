@@ -210,12 +210,9 @@ def test_filtering_preservation_with_selected_subset():
 
 def test_object_constraint_and_selected_posted_once():
     out = run_selection(ObjectScenario("partition", 4), catalog("partition"))
-    events = out.counters.events
-    assert sum(1 for tag, _ in events if tag == "ctr") == 1
-    prev_posts: dict[str, int] = {}
-    for tag, name in events:
-        if tag == "prev":
-            prev_posts[name] = prev_posts.get(name, 0) + 1
+    by_tag = out.counters.by_tag
+    assert sum(count for (tag, _), count in by_tag.items() if tag == "ctr") == 1
+    prev_posts = {name: count for (tag, name), count in by_tag.items() if tag == "prev"}
     assert set(prev_posts) <= set(out.report.selected)
     assert all(v == 1 for v in prev_posts.values())
     # every selected bound except possibly the last is re-posted as prev
@@ -242,7 +239,7 @@ def test_selection_state_is_restorable_to_the_entry_mark():
     records = compute_all_solutions(model, fv, xs, cands, 4, c)
     drain = [r for r in records if r.sol]
     by_isol = {r.isol: r for r in records}
-    engine = selector._IncrementalEngine(model, fv, xs, 4, by_isol, c)
+    engine = selector._IncrementalEngine(sc, model, fv, xs, drain, by_isol, c)
     selected = selector._select(engine, drain, cands, None)
     assert selected
     model.retract_to(mark)
