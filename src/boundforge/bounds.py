@@ -286,9 +286,10 @@ class BoundConstraint(Constraint):
         super().__init__(self.input_ids)
 
     def propagate(self, model: Model) -> bool:
+        doms = model._doms
         env = {"n": self.n}
         for name, vid in zip(self.input_names, self.input_ids):
-            d = model.dom(vid)
+            d = doms[vid]
             if len(d) != 1:
                 return True
             env[name] = d[0]

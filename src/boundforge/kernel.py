@@ -142,9 +142,7 @@ class Model:
             raise InvalidMarkError("mark already passed")
         self._queue.clear()
         self._inq.clear()
-        while len(self._trail) > mark.trail_len:
-            vid, old = self._trail.pop()
-            self._doms[vid] = old
+        self._undo_to(mark.trail_len)
         while len(self._constraints) > mark.ncons:
             cid = len(self._constraints) - 1
             con = self._constraints.pop()
@@ -152,6 +150,13 @@ class Model:
                 lst = self._watchers[vid]
                 while lst and lst[-1] == cid:
                     lst.pop()
+
+    def _undo_to(self, trail_len: int) -> None:
+        """Restore every domain pruned after the trail had ``trail_len`` entries."""
+        trail, doms = self._trail, self._doms
+        while len(trail) > trail_len:
+            vid, old = trail.pop()
+            doms[vid] = old
 
     # -- pruning helpers (used by propagators) ------------------------------
 
@@ -163,10 +168,11 @@ class Model:
         self._doms[vid] = new
         if not new:
             return False
+        inq, queue = self._inq, self._queue
         for cid in self._watchers[vid]:
-            if cid not in self._inq:
-                self._inq.add(cid)
-                self._queue.append(cid)
+            if cid not in inq:
+                inq.add(cid)
+                queue.append(cid)
         return True
 
     def prune_le(self, vid: int, ub: int) -> bool:
@@ -215,14 +221,15 @@ class Model:
         return None
 
     def _drain(self) -> bool:
-        while self._queue:
-            cid = self._queue.popleft()
-            self._inq.discard(cid)
-            if cid >= len(self._constraints):
+        queue, inq, cons = self._queue, self._inq, self._constraints
+        while queue:
+            cid = queue.popleft()
+            inq.discard(cid)
+            if cid >= len(cons):
                 continue
-            if not self._constraints[cid].propagate(self):
-                self._queue.clear()
-                self._inq.clear()
+            if not cons[cid].propagate(self):
+                queue.clear()
+                inq.clear()
                 return False
         return True
 
@@ -246,14 +253,15 @@ class EqVars(Constraint):
         self.a, self.b = a, b
 
     def propagate(self, model: Model) -> bool:
-        da, db = model.dom(self.a), model.dom(self.b)
+        doms = model._doms
+        da, db = doms[self.a], doms[self.b]
         lo, hi = max(da[0], db[0]), min(da[-1], db[-1])
         if lo > hi:
             return False
         for vid in (self.a, self.b):
             if not (model.prune_ge(vid, lo) and model.prune_le(vid, hi)):
                 return False
-        da, db = model.dom(self.a), model.dom(self.b)
+        da, db = doms[self.a], doms[self.b]
         if len(da) == 1 and len(db) == 1 and da[0] != db[0]:
             return False
         return True
@@ -294,21 +302,32 @@ class SumEq(Constraint):
         self.total_const = total_const
 
     def propagate(self, model: Model) -> bool:
-        lo = sum(model.dom(v)[0] for v in self.xs)
-        hi = sum(model.dom(v)[-1] for v in self.xs)
+        doms = model._doms
+        lo = hi = 0
+        for v in self.xs:
+            d = doms[v]
+            lo += d[0]
+            hi += d[-1]
         if self.total_var is not None:
             if not (model.prune_ge(self.total_var, lo) and model.prune_le(self.total_var, hi)):
                 return False
-            tlo, thi = model.dom(self.total_var)[0], model.dom(self.total_var)[-1]
+            d = doms[self.total_var]
+            tlo, thi = d[0], d[-1]
         else:
             tlo = thi = self.total_const
             if not (lo <= thi and hi >= tlo):
                 return False
+        # Both limits use the domain read before this variable's own
+        # pruning.  A prune_ge that leaves the domain non-empty keeps its
+        # maximum, so d[-1] is also the current maximum for the second test;
+        # each helper is called only when it would prune.
         for v in self.xs:
-            d = model.dom(v)
-            if not model.prune_ge(v, tlo - (hi - d[-1])):
+            d = doms[v]
+            lb = tlo - (hi - d[-1])
+            if d[0] < lb and not model.prune_ge(v, lb):
                 return False
-            if not model.prune_le(v, thi - (lo - d[0])):
+            ub = thi - (lo - d[0])
+            if d[-1] > ub and not model.prune_le(v, ub):
                 return False
         return True
 
@@ -332,8 +351,9 @@ class LexGreater(Constraint):
         self.tup = tuple(tup)
 
     def _suffix_can_exceed(self, model: Model, j: int) -> bool:
+        doms = model._doms
         for p in range(j, len(self.xs)):
-            d = model.dom(self.xs[p])
+            d = doms[self.xs[p]]
             if d[-1] > self.tup[p]:
                 return True
             if self.tup[p] not in d:
@@ -341,6 +361,7 @@ class LexGreater(Constraint):
         return False
 
     def propagate(self, model: Model) -> bool:
+        doms = model._doms
         i = 0
         k = len(self.xs)
         while True:
@@ -348,11 +369,11 @@ class LexGreater(Constraint):
                 return False
             if not model.prune_ge(self.xs[i], self.tup[i]):
                 return False
-            d = model.dom(self.xs[i])
+            d = doms[self.xs[i]]
             if d[-1] > self.tup[i]:
                 break
             i += 1
-        d = model.dom(self.xs[i])
+        d = doms[self.xs[i]]
         if d[0] == self.tup[i] and not self._suffix_can_exceed(model, i + 1):
             if not model.remove_value(self.xs[i], self.tup[i]):
                 return False
@@ -370,9 +391,10 @@ class Check(Constraint):
         self.predicate = predicate
 
     def propagate(self, model: Model) -> bool:
+        doms = model._doms
         vals = []
         for v in self.xs:
-            d = model.dom(v)
+            d = doms[v]
             if len(d) != 1:
                 return True
             vals.append(d[0])
@@ -433,26 +455,31 @@ def _dfs(
     search.  Returns the backtrack count; the model state is restored.
     """
     vids = [model._check_var(v) for v in order]
-    base = model.mark()
+    last = len(vids)
+    doms, trail = model._doms, model._trail
+    assign, undo = model.assign, model._undo_to
+    base = len(trail)
     nback = 0
 
+    # A trial posts no constraint and leaves the queue empty (a failed drain
+    # clears it), so undoing the trail restores the state exactly.
     def dfs(k: int) -> bool:
         nonlocal nback
-        if k == len(vids):
-            return on_solution(tuple([model.dom(v)[0] for v in vids]))
+        if k == last:
+            return on_solution(tuple([doms[v][0] for v in vids]))
         vid = vids[k]
-        for val in model.dom(vid):
-            mk = model.mark()
-            if model.assign(vid, val):
+        for val in doms[vid]:
+            mk = len(trail)
+            if assign(vid, val):
                 if dfs(k + 1):
                     return True
             else:
                 nback += 1
-            model.retract_to(mk)
+            undo(mk)
         return False
 
     dfs(0)
-    model.retract_to(base)
+    undo(base)
     return nback
 
 

@@ -78,48 +78,51 @@ def partition_features(sizes: Sequence[int]) -> PartitionFeatures:
         raise InvalidInputError("a partition needs at least one part")
     if any(not isinstance(s, int) or s < 1 for s in sizes):
         raise InvalidInputError(f"part sizes must be positive integers: {list(sizes)!r}")
-    n = sum(sizes)
+    return PartitionFeatures(sum(sizes), *_partition_tuple(sizes))
+
+
+def _partition_tuple(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Unchecked core of :func:`partition_features`, in PARTITION_FEATURES order."""
     mmin, mmax = min(sizes), max(sizes)
-    return PartitionFeatures(
-        n=n, P=len(sizes), Mmin=mmin, Mmax=mmax, rangeM=mmax - mmin,
-        S=sum(s * s for s in sizes),
-    )
+    return (len(sizes), mmin, mmax, mmax - mmin, sum([s * s for s in sizes]))
 
 
 def binseq_features(bits: Sequence[int]) -> BinSeqFeatures:
     """Features of a 0/1 sequence, with all-zero conventions for no stretch."""
     if any(b not in (0, 1) for b in bits):
         raise InvalidInputError(f"sequence must be 0/1: {list(bits)!r}")
-    n = len(bits)
+    return BinSeqFeatures(len(bits), *_binseq_tuple(bits))
+
+
+def _binseq_tuple(bits: Sequence[int]) -> tuple[int, ...]:
+    """Unchecked core of :func:`binseq_features`, in BINSEQ_FEATURES order.
+
+    Stretches are the maximal runs of 1s; gaps are the 0-runs strictly
+    between two stretches, so leading and trailing 0s count for neither.
+    """
     stretches: list[int] = []
     gaps: list[int] = []
-    run = 0
-    gap = 0
+    run = gap = 0
     for b in bits:
-        if b == 1:
-            if run == 0 and stretches and gap > 0:
+        if b:
+            if gap:
                 gaps.append(gap)
-            gap = 0
+                gap = 0
             run += 1
-        else:
-            if run > 0:
-                stretches.append(run)
-                run = 0
+        elif run:
+            stretches.append(run)
+            run = 0
+            gap = 1
+        elif gap:
             gap += 1
-    if run > 0:
+    if run:
         stretches.append(run)
-    g = len(stretches)
-    n1 = sum(stretches)
-    gmin = min(stretches) if g else 0
-    gmax = max(stretches) if g else 0
-    dmin = min(gaps) if gaps else 0
-    dmax = max(gaps) if gaps else 0
-    return BinSeqFeatures(
-        n=n, N1=n1, G=g, Gmin=gmin, Gmax=gmax, rangeG=gmax - gmin,
-        GS=sum(s * s for s in stretches),
-        Dmin=dmin, Dmax=dmax, rangeD=dmax - dmin,
-        DS=sum(d * d for d in gaps),
-    )
+    if not stretches:
+        return (0,) * len(BINSEQ_FEATURES)
+    gmin, gmax = min(stretches), max(stretches)
+    dmin, dmax = (min(gaps), max(gaps)) if gaps else (0, 0)
+    return (sum(stretches), len(stretches), gmin, gmax, gmax - gmin,
+            sum([s * s for s in stretches]), dmin, dmax, dmax - dmin, sum([d * d for d in gaps]))
 
 
 # -- initial feature boxes ----------------------------------------------------
@@ -200,7 +203,7 @@ def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     tuples = set()
     for code in range(1 << n):
         bits = [(code >> i) & 1 for i in range(n)]
-        tuples.add(binseq_features(bits).as_tuple())
+        tuples.add(_binseq_tuple(bits))
     return tuple(sorted(tuples))
 
 
@@ -233,9 +236,10 @@ class PrefixFeasible(Constraint):
         self.prefixes = prefixes
 
     def propagate(self, model: Model) -> bool:
+        doms = model._doms
         vals = []
         for vid in self.featvars:
-            d = model.dom(vid)
+            d = doms[vid]
             if len(d) != 1:
                 break
             vals.append(d[0])
@@ -245,7 +249,11 @@ class PrefixFeasible(Constraint):
 
 
 class GroundChecker(Constraint):
-    """When every sequence variable is fixed, pin the feature variables."""
+    """When every sequence variable is fixed, pin the feature variables.
+
+    Labeling fixes the sequence variables left to right, so the last one is
+    the one usually still open: testing it first ends most wake-ups at once.
+    """
 
     kind = "ground_checker"
 
@@ -256,14 +264,18 @@ class GroundChecker(Constraint):
         self.extract = extract
 
     def propagate(self, model: Model) -> bool:
+        doms = model._doms
+        if self.xs and len(doms[self.xs[-1]]) != 1:
+            return True
         vals = []
         for vid in self.xs:
-            d = model.dom(vid)
+            d = doms[vid]
             if len(d) != 1:
                 return True
             vals.append(d[0])
         for fvid, fval in zip(self.featvars, self.extract(vals)):
-            if not model.fix(fvid, fval):
+            d = doms[fvid]
+            if (len(d) != 1 or d[0] != fval) and not model.fix(fvid, fval):
                 return False
         return True
 
@@ -278,13 +290,14 @@ class PrecedenceCaps(Constraint):
         self.xs = tuple(xs)
 
     def propagate(self, model: Model) -> bool:
+        doms = model._doms
         if not model.prune_le(self.xs[0], 1):
             return False
-        running_ub = model.dom(self.xs[0])[-1]
+        running_ub = doms[self.xs[0]][-1]
         for vid in self.xs[1:]:
             if not model.prune_le(vid, running_ub + 1):
                 return False
-            running_ub = max(running_ub, model.dom(vid)[-1])
+            running_ub = max(running_ub, doms[vid][-1])
         return True
 
 
@@ -308,11 +321,12 @@ class OccurrenceChannel(Constraint):
         self.s = s
 
     def propagate(self, model: Model) -> bool:
+        doms = model._doms
         n = len(self.xs)
         fixed = [0] * (n + 1)
         possible = [0] * (n + 1)
         for vid in self.xs:
-            d = model.dom(vid)
+            d = doms[vid]
             if len(d) == 1:
                 fixed[d[0]] += 1
             for v in d:
@@ -323,24 +337,24 @@ class OccurrenceChannel(Constraint):
             if not model.prune_le(ovid, possible[j]):
                 return False
         for j, ovid in enumerate(self.occ, start=1):
-            od = model.dom(ovid)
+            od = doms[ovid]
             if od[-1] == fixed[j] and possible[j] > fixed[j]:
                 for vid in self.xs:
-                    if len(model.dom(vid)) > 1 and not model.remove_value(vid, j):
+                    if len(doms[vid]) > 1 and not model.remove_value(vid, j):
                         return False
             if od[0] == possible[j] and possible[j] > fixed[j]:
                 for vid in self.xs:
-                    if j in model.dom(vid) and not model.fix(vid, j):
+                    if j in doms[vid] and not model.fix(vid, j):
                         return False
-        lbs = [model.dom(v)[0] for v in self.occ]
-        ubs = [model.dom(v)[-1] for v in self.occ]
+        lbs = [doms[v][0] for v in self.occ]
+        ubs = [doms[v][-1] for v in self.occ]
         if sum(lbs) > n or sum(ubs) < n:
             return False
         pmin = sum(1 for lb in lbs if lb >= 1)
         pmax = sum(1 for ub in ubs if ub >= 1)
         if not (model.prune_ge(self.p, pmin) and model.prune_le(self.p, pmax)):
             return False
-        pd = model.dom(self.p)
+        pd = doms[self.p]
         if pd[-1] == pmin:
             for ovid, lb in zip(self.occ, lbs):
                 if lb == 0 and not model.prune_le(ovid, 0):
@@ -349,8 +363,8 @@ class OccurrenceChannel(Constraint):
             for ovid, ub in zip(self.occ, ubs):
                 if ub >= 1 and not model.prune_ge(ovid, 1):
                     return False
-        lbs = [model.dom(v)[0] for v in self.occ]
-        ubs = [model.dom(v)[-1] for v in self.occ]
+        lbs = [doms[v][0] for v in self.occ]
+        ubs = [doms[v][-1] for v in self.occ]
         if sum(ubs) < n:
             return False
         smin = _min_sum_squares_in_box(lbs, ubs, n)
@@ -429,7 +443,7 @@ def _partition_ground(vals: list[int]) -> tuple[int, ...]:
     counts: dict[int, int] = {}
     for v in vals:
         counts[v] = counts.get(v, 0) + 1
-    return partition_features(list(counts.values())).as_tuple()
+    return _partition_tuple(list(counts.values()))
 
 
 def post_binseq(
@@ -444,5 +458,5 @@ def post_binseq(
     return _post_all(model, [
         SumEq(xvids, fvids[0]),
         PrefixFeasible(fvids, _prefix_sets(binseq_tuples(n), len(fvids))),
-        GroundChecker(fvids, xvids, lambda vals: binseq_features(vals).as_tuple()),
+        GroundChecker(fvids, xvids, _binseq_tuple),
     ])

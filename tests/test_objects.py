@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import groupby
+
 import pytest
 
 from boundforge import kernel, objects, oracle
 from boundforge.errors import InternalInvariantError, InvalidInputError
 from boundforge.objects import (
+    BINSEQ_FEATURES,
     BinSeqFeatures,
+    GroundChecker,
     PartitionFeatures,
     binseq_features,
     binseq_tuples,
@@ -168,3 +173,68 @@ def test_occurrence_channel_fails_when_p_closure_leaves_too_few_slots():
     assert m.snapshot() == before
     with pytest.raises(InternalInvariantError):
         objects._min_sum_squares_in_box([1, 0], [1, 0], 2)
+
+
+def _stretches_and_gaps(bits):
+    """Independent definition: 1-runs, and the 0-runs with a 1-run on each side."""
+    runs = [(b, len(list(g))) for b, g in groupby(bits)]
+    while runs and runs[0][0] == 0:
+        runs.pop(0)
+    while runs and runs[-1][0] == 0:
+        runs.pop()
+    return [k for b, k in runs if b == 1], [k for b, k in runs if b == 0]
+
+
+def test_binseq_tuple_core_matches_definition_exhaustively():
+    for n in range(0, 13):
+        for bits in oracle.enum_binseqs(n):
+            core = objects._binseq_tuple(bits)
+            assert core == binseq_features(bits).as_tuple()
+            ones, gaps = _stretches_and_gaps(bits)
+            g_lo, g_hi = (min(ones), max(ones)) if ones else (0, 0)
+            d_lo, d_hi = (min(gaps), max(gaps)) if gaps else (0, 0)
+            assert core == (sum(ones), len(ones), g_lo, g_hi, g_hi - g_lo, sum(k * k for k in ones),
+                            d_lo, d_hi, d_hi - d_lo, sum(k * k for k in gaps))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partition_ground_core_matches_features_on_every_coloring(n):
+    model, featvars, xs = make_partition_model(n)
+    assert post_partition(model, featvars, xs) is not None
+    sols = kernel.solve_all(model, list(xs) + list(featvars))
+    assert sols
+    for s in sols:
+        sizes = list(Counter(s[:n]).values())
+        core = objects._partition_ground(list(s[:n]))
+        assert core == partition_features(sizes).as_tuple() == s[n:]
+        assert core == (len(sizes), min(sizes), max(sizes), max(sizes) - min(sizes),
+                        sum(k * k for k in sizes))
+
+
+def test_ground_checker_without_sequence_variables_pins_once_at_post():
+    m = kernel.Model()
+    fvids = [m.new_var(0, 3).id for _ in BINSEQ_FEATURES]
+    assert m.post_constraint(GroundChecker(fvids, (), objects._binseq_tuple)) is not None
+    assert m.snapshot() == ((0,),) * len(BINSEQ_FEATURES)
+
+    m = kernel.Model()
+    fvid = m.new_var(0, 3).id
+    calls = []
+    before = m.snapshot()
+    assert m.post_constraint(GroundChecker([fvid], (), lambda vals: calls.append(vals) or (5,))) is None
+    assert calls == [[]]
+    assert m.snapshot() == before
+
+
+def test_ground_checker_waits_for_every_sequence_variable():
+    m = kernel.Model()
+    fvids = [m.new_var(0, 9).id for _ in BINSEQ_FEATURES]
+    xs = [m.new_var(0, 1).id for _ in range(3)]
+    assert m.post_constraint(GroundChecker(fvids, xs, objects._binseq_tuple)) is not None
+    open_box = m.snapshot()
+    assert m.assign(xs[2], 1)  # the last one fixed first: the others are still open
+    assert m.snapshot()[: len(fvids)] == open_box[: len(fvids)]
+    assert m.assign(xs[0], 1)
+    assert m.snapshot()[: len(fvids)] == open_box[: len(fvids)]
+    assert m.assign(xs[1], 0)
+    assert m.snapshot()[: len(fvids)] == tuple((v,) for v in binseq_features([1, 0, 1]).as_tuple())
