@@ -12,6 +12,7 @@ for it, and if it occurs in none, no solution can be lost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import expr as E
@@ -35,9 +36,14 @@ class BoundCandidate:
     direction: str  # "upper" | "lower"
     rhs: E.Expr
 
+    @cached_property
+    def evaluate(self):
+        """The rhs compiled once into a closure over a feature environment."""
+        return E.compile_expr(self.rhs)
+
     def inputs(self) -> tuple[str, ...]:
         """Feature names the rhs reads, in canonical feature order."""
-        names = self.rhs.names() - {"n"}
+        names = E.names(self.rhs) - {"n"}
         order = PARTITION_FEATURES if self.object == "partition" else BINSEQ_FEATURES
         return tuple(f for f in order if f in names)
 
@@ -52,19 +58,14 @@ class BoundVerdict:
     slack: int  # rhs-lhs for upper bounds, lhs-rhs for lower; 0 marks tightness
 
 
-def _n() -> E.Feat:
-    return E.feat("n")
-
-
 def _partition_catalog() -> list[BoundCandidate]:
-    P, mmin, mmax, rng = E.feat("P"), E.feat("Mmin"), E.feat("Mmax"), E.feat("rangeM")
-    r = E.sub(_n(), E.mul(P, mmin))
-    rng_pos = E.cmp(">", rng, 0)
-    rng_zero = E.cmp("<=", rng, 0)
-    mid = E.cases((rng_pos, E.add(mmin, E.fmod(r, rng))), (rng_zero, mmin))
-    rr = E.cases((rng_pos, E.fdiv(r, rng)), (rng_zero, 0))
-    sm = E.sub(E.sq(mmax), E.sq(mmin))
-    smin = E.mul(E.sq(mmin), E.sub(P, 1))
+    r = E.sub("n", E.mul("P", "Mmin"))
+    rng_pos = E.cmp(">", "rangeM", 0)
+    rng_zero = E.cmp("<=", "rangeM", 0)
+    mid = E.cases((rng_pos, E.add("Mmin", E.fmod(r, "rangeM"))), (rng_zero, "Mmin"))
+    rr = E.cases((rng_pos, E.fdiv(r, "rangeM")), (rng_zero, 0))
+    sm = E.sub(E.sq("Mmax"), E.sq("Mmin"))
+    smin = E.mul(E.sq("Mmin"), E.sub("P", 1))
     return [
         BoundCandidate(
             "P-S-UB", "partition", "S", "upper",
@@ -72,40 +73,38 @@ def _partition_catalog() -> list[BoundCandidate]:
         ),
         BoundCandidate(
             "P-RANGE-UB1", "partition", "rangeM", "upper",
-            E.sub(_n(), E.mul(P, mmin)),
+            E.sub("n", E.mul("P", "Mmin")),
         ),
         BoundCandidate(
             "P-RANGE-UB2", "partition", "rangeM", "upper",
-            E.emin(E.sub(E.mul(P, mmax), _n()), E.sub(mmax, 1)),
+            E.emin(E.sub(E.mul("P", "Mmax"), "n"), E.sub("Mmax", 1)),
         ),
     ]
 
 
 def _binseq_catalog() -> list[BoundCandidate]:
-    n1, g = E.feat("N1"), E.feat("G")
-    gmin, gmax, rg = E.feat("Gmin"), E.feat("Gmax"), E.feat("rangeG")
-    dmin, dmax, rd = E.feat("Dmin"), E.feat("Dmax"), E.feat("rangeD")
     out = [
         BoundCandidate(
             "B-N1-UB", "binseq", "N1", "upper",
-            E.emin(E.mul(g, gmax), E.add(E.sub(_n(), g), 1)),
+            E.emin(E.mul("G", "Gmax"), E.add(E.sub("n", "G"), 1)),
         ),
         BoundCandidate(
             "B-GMAX-LB", "binseq", "Gmax", "lower",
-            E.fdiv(_n(), E.add(E.sub(_n(), n1), 1)),
+            E.fdiv("n", E.add(E.sub("n", "N1"), 1)),
         ),
         BoundCandidate(
             "B-GMAX-UB1", "binseq", "Gmax", "upper",
             E.cases(
-                (E.cmp("==", rg, E.mul(_n(), rd)), E.add(_n(), rg)),
+                (E.cmp("==", "rangeG", E.mul("n", "rangeD")), E.add("n", "rangeG")),
                 (
-                    E.cmp("!=", rg, E.mul(_n(), rd)),
+                    E.cmp("!=", "rangeG", E.mul("n", "rangeD")),
                     E.add(
                         E.fdiv(
-                            E.sub(E.sub(E.sub(E.sub(_n(), rg), rd), E.emin(rd, 1)), 1),
-                            E.add(E.emin(rd, 1), 2),
+                            E.sub(E.sub(
+                                E.sub(E.sub("n", "rangeG"), "rangeD"), E.emin("rangeD", 1)), 1),
+                            E.add(E.emin("rangeD", 1), 2),
                         ),
-                        rg,
+                        "rangeG",
                     ),
                 ),
             ),
@@ -113,31 +112,33 @@ def _binseq_catalog() -> list[BoundCandidate]:
         BoundCandidate(
             "B-DMIN-UB", "binseq", "Dmin", "upper",
             E.cases(
-                (E.cmp("<=", g, 1), 0),
-                (E.cmp(">", g, 1),
-                 E.fdiv(E.sub(E.add(E.sub(_n(), gmax), 1), g), E.sub(g, 1))),
+                (E.cmp("<=", "G", 1), 0),
+                (E.cmp(">", "G", 1),
+                 E.fdiv(E.sub(E.add(E.sub("n", "Gmax"), 1), "G"), E.sub("G", 1))),
             ),
         ),
         BoundCandidate(
             "B-DMAX-UB", "binseq", "Dmax", "upper",
             E.mul(
-                E.iverson(E.cmp(">=", g, 2)),
-                E.add(E.sub(E.sub(_n(), E.mul(g, gmin)), g), 2),
+                E.iverson(E.cmp(">=", "G", 2)),
+                E.add(E.sub(E.sub("n", E.mul("G", "Gmin")), "G"), 2),
             ),
         ),
         BoundCandidate(
-            "B-GS-LB1", "binseq", "GS", "lower", E.mul(E.sq(gmin), g),
+            "B-GS-LB1", "binseq", "GS", "lower", E.mul(E.sq("Gmin"), "G"),
         ),
         BoundCandidate(
             "B-GS-LB2", "binseq", "GS", "lower",
-            E.add(E.add(E.mul(E.mul(rg, E.add(rg, 1)), E.emin(g, 1)), rg), g),
+            E.add(
+                E.add(E.mul(E.mul("rangeG", E.add("rangeG", 1)), E.emin("G", 1)), "rangeG"), "G"
+            ),
         ),
         BoundCandidate(
             "B-GS-LB3", "binseq", "GS", "lower",
             E.emax(
                 E.sub(
-                    E.sub(E.add(E.sq(gmax), 1), E.iverson(E.cmp("==", dmin, 0))),
-                    E.iverson(E.cmp("==", gmax, 0)),
+                    E.sub(E.add(E.sq("Gmax"), 1), E.iverson(E.cmp("==", "Dmin", 0))),
+                    E.iverson(E.cmp("==", "Gmax", 0)),
                 ),
                 0,
             ),
@@ -145,74 +146,74 @@ def _binseq_catalog() -> list[BoundCandidate]:
         BoundCandidate(
             "B-GS-UB1", "binseq", "GS", "upper",
             E.cases(
-                (E.cmp("<=", g, 1), E.emax(E.add(E.sq(n1), E.sub(g, 1)), 0)),
-                (E.cmp(">", g, 1),
-                 E.emax(E.add(E.sq(E.add(E.sub(n1, g), 1)), E.sub(g, 1)), 0)),
+                (E.cmp("<=", "G", 1), E.emax(E.add(E.sq("N1"), E.sub("G", 1)), 0)),
+                (E.cmp(">", "G", 1),
+                 E.emax(E.add(E.sq(E.add(E.sub("N1", "G"), 1)), E.sub("G", 1)), 0)),
             ),
         ),
         BoundCandidate(
             "B-GS-UB2", "binseq", "GS", "upper",
             E.cases(
-                (E.both(E.cmp("==", rd, 0), E.cmp("==", E.emin(n1, 1), 1)),
-                 E.emax(E.sq(n1), 0)),
-                (E.both(E.cmp("==", rd, 0), E.cmp("==", E.emin(n1, 1), 0)), 0),
-                (E.cmp(">=", rd, 1), E.emax(E.add(E.sq(E.sub(n1, 2)), 2), 0)),
+                (E.both(E.cmp("==", "rangeD", 0), E.cmp("==", E.emin("N1", 1), 1)),
+                 E.emax(E.sq("N1"), 0)),
+                (E.both(E.cmp("==", "rangeD", 0), E.cmp("==", E.emin("N1", 1), 0)), 0),
+                (E.cmp(">=", "rangeD", 1), E.emax(E.add(E.sq(E.sub("N1", 2)), 2), 0)),
             ),
         ),
         BoundCandidate(
-            "B-DS-LB1", "binseq", "DS", "lower", E.mul(E.sq(dmin), E.sub(g, 1)),
+            "B-DS-LB1", "binseq", "DS", "lower", E.mul(E.sq("Dmin"), E.sub("G", 1)),
         ),
         BoundCandidate(
             "B-DS-LB2", "binseq", "DS", "lower",
             E.cases(
-                (E.cmp("<=", g, 1), 0),
-                (E.cmp(">", g, 1), E.emax(E.add(E.sq(E.add(rd, 1)), E.sub(g, 2)), 0)),
+                (E.cmp("<=", "G", 1), 0),
+                (E.cmp(">", "G", 1), E.emax(E.add(E.sq(E.add("rangeD", 1)), E.sub("G", 2)), 0)),
             ),
         ),
         BoundCandidate(
-            "B-DS-LB3", "binseq", "DS", "lower", E.sq(dmax),
+            "B-DS-LB3", "binseq", "DS", "lower", E.sq("Dmax"),
         ),
         BoundCandidate(
             "B-DS-UB1", "binseq", "DS", "upper",
             E.cases(
-                (E.cmp("<=", n1, 1), 0),
-                (E.cmp(">", n1, 1), E.sq(E.sub(_n(), n1))),
+                (E.cmp("<=", "N1", 1), 0),
+                (E.cmp(">", "N1", 1), E.sq(E.sub("n", "N1"))),
             ),
         ),
         BoundCandidate(
             "B-DS-UB2", "binseq", "DS", "upper",
             E.cases(
-                (E.cmp(">=", g, 2),
-                 E.emax(E.add(E.sq(E.sub(E.sub(_n(), n1), E.sub(g, 2))), E.sub(g, 2)), 0)),
-                (E.cmp("<", g, 2), E.emax(E.sub(g, 2), 0)),
+                (E.cmp(">=", "G", 2),
+                 E.emax(E.add(E.sq(E.sub(E.sub("n", "N1"), E.sub("G", 2))), E.sub("G", 2)), 0)),
+                (E.cmp("<", "G", 2), E.emax(E.sub("G", 2), 0)),
             ),
         ),
         BoundCandidate(
             "B-GMAX-UB2", "binseq", "Gmax", "upper",
             E.cases(
-                (E.both(E.cmp("==", g, 1), E.cmp("==", dmax, 0)), _n()),
-                (E.both(E.cmp("!=", g, 1), E.cmp("==", dmax, 0)), E.emin(g, 1)),
-                (E.both(E.cmp("!=", g, 1), E.cmp(">=", dmax, 1)),
+                (E.both(E.cmp("==", "G", 1), E.cmp("==", "Dmax", 0)), "n"),
+                (E.both(E.cmp("!=", "G", 1), E.cmp("==", "Dmax", 0)), E.emin("G", 1)),
+                (E.both(E.cmp("!=", "G", 1), E.cmp(">=", "Dmax", 1)),
                  E.add(
-                     E.sub(E.sub(E.sub(_n(), dmax), E.mul(E.sub(g, 2), dmin)), g),
-                     E.emin(g, 1),
+                     E.sub(E.sub(E.sub("n", "Dmax"), E.mul(E.sub("G", 2), "Dmin")), "G"),
+                     E.emin("G", 1),
                  )),
             ),
         ),
         BoundCandidate(
             "B-GS-UB3", "binseq", "GS", "upper",
             E.cases(
-                (E.both(E.cmp("==", g, 1), E.cmp("==", dmax, 0)), E.emax(E.sq(_n()), 0)),
-                (E.both(E.cmp("!=", g, 1), E.cmp("==", dmax, 0)),
-                 E.emax(E.add(E.sq(E.emin(g, 1)), E.sub(g, 1)), 0)),
-                (E.both(E.cmp("!=", g, 1), E.cmp(">=", dmax, 1)),
+                (E.both(E.cmp("==", "G", 1), E.cmp("==", "Dmax", 0)), E.emax(E.sq("n"), 0)),
+                (E.both(E.cmp("!=", "G", 1), E.cmp("==", "Dmax", 0)),
+                 E.emax(E.add(E.sq(E.emin("G", 1)), E.sub("G", 1)), 0)),
+                (E.both(E.cmp("!=", "G", 1), E.cmp(">=", "Dmax", 1)),
                  E.emax(
                      E.add(
                          E.sq(E.add(
-                             E.sub(E.sub(E.sub(_n(), dmax), E.mul(E.sub(g, 2), dmin)), g),
+                             E.sub(E.sub(E.sub("n", "Dmax"), E.mul(E.sub("G", 2), "Dmin")), "G"),
                              1,
                          )),
-                         E.sub(g, 1),
+                         E.sub("G", 1),
                      ),
                      0,
                  )),
@@ -260,13 +261,13 @@ def eval_rhs(bound: BoundCandidate, features, n: int | None = None) -> int:
     ``features`` is a feature dataclass or a name->value mapping of the
     non-target features (the target may be present; it is ignored).
     """
-    return bound.rhs.eval(_env_of(features, n))
+    return bound.evaluate(_env_of(features, n))
 
 
 def verify_on(bound: BoundCandidate, features, n: int | None = None) -> BoundVerdict:
     """Check one bound on one ground feature tuple; pure, never mutates."""
     env = _env_of(features, n)
-    rhs = bound.rhs.eval(env)
+    rhs = bound.evaluate(env)
     lhs = env[bound.target]
     slack = rhs - lhs if bound.direction == "upper" else lhs - rhs
     return BoundVerdict(holds=slack >= 0, lhs=lhs, rhs=rhs, slack=slack)
@@ -278,11 +279,12 @@ class BoundConstraint(Constraint):
     kind = "bound"
 
     def __init__(self, bound: BoundCandidate, featvar_ids: Mapping[str, int], n: int):
-        self.bound = bound
         self.n = n
         self.input_ids = tuple(featvar_ids[f] for f in bound.inputs())
         self.input_names = bound.inputs()
         self.target_id = featvar_ids[bound.target]
+        self.evaluate = bound.evaluate
+        self.upper = bound.direction == "upper"
         super().__init__(self.input_ids)
 
     def propagate(self, model: Model) -> bool:
@@ -294,12 +296,12 @@ class BoundConstraint(Constraint):
                 return True
             env[name] = d[0]
         try:
-            rhs = self.bound.rhs.eval(env)
+            rhs = self.evaluate(env)
         except E.NoCaseMatched:
             # guards are exhaustive on feasible tuples, so this fixed input
             # combination occurs in no solution; failing the subtree is sound
             return False
-        if self.bound.direction == "upper":
+        if self.upper:
             return model.prune_le(self.target_id, rhs)
         return model.prune_ge(self.target_id, rhs)
 
@@ -331,7 +333,7 @@ def decoy(object_name: str, feature: str, n: int) -> BoundCandidate:
         object=object_name,
         target=feature,
         direction="upper",
-        rhs=E.const(boxes[feature][1]),
+        rhs=boxes[feature][1],
     )
 
 
@@ -343,7 +345,7 @@ def catalog_json() -> list[dict]:
             "object": b.object,
             "target": b.target,
             "direction": b.direction,
-            "rhs": b.rhs.prefix(),
+            "rhs": b.rhs,
         }
         for b in _CATALOG
     ]

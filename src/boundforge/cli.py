@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import oracle, selector
+from . import expr, oracle, selector
 from .bounds import BoundCandidate
 from .errors import BoundforgeError, InvalidArgumentError
 
@@ -276,9 +276,9 @@ def cmd_solutions(args: argparse.Namespace) -> int:
 
 def _render_prefix(node, indent: int = 0) -> list[str]:
     pad = "  " * indent
-    if not isinstance(node, list):
+    if not isinstance(node, tuple):
         return [f"{pad}{node}"]
-    head, rest = node[0], node[1:]
+    head, rest = expr.parts(node)
     lines = [f"{pad}({head}"]
     for child in rest:
         lines.extend(_render_prefix(child, indent + 1))
@@ -294,12 +294,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
         "target": cand.target,
         "direction": cand.direction,
         "inputs": list(cand.inputs()),
-        "rhs": cand.rhs.prefix(),
+        "rhs": cand.rhs,
     }
     rel = "<=" if cand.direction == "upper" else ">="
     lines = [
         f"{cand.id}: {cand.object} {cand.target} {rel} rhs({', '.join(cand.inputs())})",
-        *_render_prefix(cand.rhs.prefix()),
+        *_render_prefix(cand.rhs),
     ]
     _render(args, entry, [], [], lines)
     return 0

@@ -1,21 +1,27 @@
-"""Guarded integer expression trees used by the bound catalog.
+"""Guarded integer expressions used by the bound catalog, as prefix data.
 
-Expressions are evaluated over an environment mapping feature names (plus
-``n``) to integers.  Division and modulo are Euclidean: the divisor must be
-strictly positive, the remainder is non-negative, and a negative numerator
-(possible only on infeasible mid-search assignments) floors toward
-minus infinity, which is exactly Python's ``//`` / ``%`` for positive
-divisors.
+An expression is an ``int`` (a constant), a ``str`` (a feature name or
+``n``) or a tuple ``(op, *args)``.  ``("cases", (guard, expr), ...)`` holds
+its arms as pairs; an arm is the only tuple whose head is not an operator
+name.  ``compile_expr`` turns an expression into one closure over an
+environment mapping feature names (plus ``n``) to integers.
+
+Division and modulo are Euclidean: the divisor must be strictly positive,
+the remainder is non-negative, and a negative numerator (possible only on
+infeasible mid-search assignments) floors toward minus infinity, which is
+exactly Python's ``//`` / ``%`` for positive divisors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Union
+from functools import reduce
+from operator import itemgetter
+from typing import Callable, Mapping, Union
 
 from .errors import CatalogError
 
 Env = Mapping[str, int]
+Expr = Union[int, str, tuple]
 
 
 class NoCaseMatched(CatalogError):
@@ -27,247 +33,126 @@ class NoCaseMatched(CatalogError):
     """
 
 
-@dataclass(frozen=True)
-class Const:
-    value: int
-
-    def eval(self, env: Env) -> int:
-        return self.value
-
-    def prefix(self):
-        return self.value
-
-    def names(self) -> frozenset[str]:
-        return frozenset()
+def _divisor(b: int, op: str) -> int:
+    if b <= 0:
+        raise CatalogError(f"non-positive divisor {b} in {op}")
+    return b
 
 
-@dataclass(frozen=True)
-class Feat:
-    name: str
-
-    def eval(self, env: Env) -> int:
-        return env[self.name]
-
-    def prefix(self):
-        return self.name
-
-    def names(self) -> frozenset[str]:
-        return frozenset((self.name,))
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*", "div", "mod"
-    lhs: "Expr"
-    rhs: "Expr"
-
-    def eval(self, env: Env) -> int:
-        a, b = self.lhs.eval(env), self.rhs.eval(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if b <= 0:
-            raise CatalogError(f"non-positive divisor {b} in {self.op}")
-        if self.op == "div":
-            return a // b
-        if self.op == "mod":
-            return a % b
-        raise CatalogError(f"unknown operator {self.op!r}")
-
-    def prefix(self):
-        return [self.op, self.lhs.prefix(), self.rhs.prefix()]
-
-    def names(self) -> frozenset[str]:
-        return self.lhs.names() | self.rhs.names()
+# operands are evaluated left to right; "min", "max" and "and" fold left
+# over any number of operands, every other binary operator takes exactly two
+_BINARY = {
+    "+": lambda a, b: lambda env: a(env) + b(env),
+    "-": lambda a, b: lambda env: a(env) - b(env),
+    "*": lambda a, b: lambda env: a(env) * b(env),
+    "div": lambda a, b: lambda env: a(env) // _divisor(b(env), "div"),
+    "mod": lambda a, b: lambda env: a(env) % _divisor(b(env), "mod"),
+    "min": lambda a, b: lambda env: min(a(env), b(env)),
+    "max": lambda a, b: lambda env: max(a(env), b(env)),
+    "==": lambda a, b: lambda env: a(env) == b(env),
+    "!=": lambda a, b: lambda env: a(env) != b(env),
+    "<": lambda a, b: lambda env: a(env) < b(env),
+    "<=": lambda a, b: lambda env: a(env) <= b(env),
+    ">": lambda a, b: lambda env: a(env) > b(env),
+    ">=": lambda a, b: lambda env: a(env) >= b(env),
+    "and": lambda a, b: lambda env: a(env) and b(env),
+}
+_VARIADIC = ("min", "max", "and")
+_UNARY = {
+    "sq": lambda a: lambda env: (v := a(env)) * v,
+    "iverson": lambda c: lambda env: 1 if c(env) else 0,
+}
 
 
-@dataclass(frozen=True)
-class Square:
-    arg: "Expr"
-
-    def eval(self, env: Env) -> int:
-        v = self.arg.eval(env)
-        return v * v
-
-    def prefix(self):
-        return ["sq", self.arg.prefix()]
-
-    def names(self) -> frozenset[str]:
-        return self.arg.names()
-
-
-@dataclass(frozen=True)
-class MinMax:
-    op: str  # "min" | "max"
-    args: tuple["Expr", ...]
-
-    def eval(self, env: Env) -> int:
-        vals = [a.eval(env) for a in self.args]
-        return min(vals) if self.op == "min" else max(vals)
-
-    def prefix(self):
-        return [self.op] + [a.prefix() for a in self.args]
-
-    def names(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for a in self.args:
-            out |= a.names()
-        return out
-
-
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # "==", "!=", "<", "<=", ">", ">="
-    lhs: "Expr"
-    rhs: "Expr"
-
-    def holds(self, env: Env) -> bool:
-        a, b = self.lhs.eval(env), self.rhs.eval(env)
-        if self.op == "==":
-            return a == b
-        if self.op == "!=":
-            return a != b
-        if self.op == "<":
-            return a < b
-        if self.op == "<=":
-            return a <= b
-        if self.op == ">":
-            return a > b
-        if self.op == ">=":
-            return a >= b
-        raise CatalogError(f"unknown comparison {self.op!r}")
-
-    def prefix(self):
-        return [self.op, self.lhs.prefix(), self.rhs.prefix()]
-
-    def names(self) -> frozenset[str]:
-        return self.lhs.names() | self.rhs.names()
-
-
-@dataclass(frozen=True)
-class And:
-    parts: tuple[Cmp, ...]
-
-    def holds(self, env: Env) -> bool:
-        return all(p.holds(env) for p in self.parts)
-
-    def prefix(self):
-        return ["and"] + [p.prefix() for p in self.parts]
-
-    def names(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for p in self.parts:
-            out |= p.names()
-        return out
-
-
-Guard = Union[Cmp, And]
-
-
-@dataclass(frozen=True)
-class Iverson:
-    cond: Guard
-
-    def eval(self, env: Env) -> int:
-        return 1 if self.cond.holds(env) else 0
-
-    def prefix(self):
-        return ["iverson", self.cond.prefix()]
-
-    def names(self) -> frozenset[str]:
-        return self.cond.names()
-
-
-@dataclass(frozen=True)
-class Cases:
-    """First-match case split; guards must be exhaustive on feasible tuples."""
-
-    cases: tuple[tuple[Guard, "Expr"], ...]
-
-    def eval(self, env: Env) -> int:
-        for guard, expr in self.cases:
-            if guard.holds(env):
-                return expr.eval(env)
+def _cases(arms: tuple) -> Callable[[Env], int]:
+    def evaluate(env: Env) -> int:
+        for guard, expr in arms:
+            if guard(env):
+                return expr(env)
         raise NoCaseMatched(f"no case matched environment {dict(env)!r}")
 
-    def matching(self, env: Env) -> int:
-        """Number of guards that hold (exhaustiveness/exclusivity checks)."""
-        return sum(1 for guard, _ in self.cases if guard.holds(env))
-
-    def prefix(self):
-        return ["cases"] + [[g.prefix(), e.prefix()] for g, e in self.cases]
-
-    def names(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for g, e in self.cases:
-            out |= g.names() | e.names()
-        return out
+    return evaluate
 
 
-Expr = Union[Const, Feat, BinOp, Square, MinMax, Iverson, Cases]
+def compile_expr(node: Expr) -> Callable[[Env], int]:
+    """One closure evaluating ``node``; unknown operators fail here, not later."""
+    if isinstance(node, int):
+        return lambda env: node
+    if isinstance(node, str):
+        return itemgetter(node)
+    op, *args = node
+    if op == "cases":
+        return _cases(tuple((compile_expr(g), compile_expr(e)) for g, e in args))
+    fns = [compile_expr(a) for a in args]
+    if op in _UNARY and len(fns) == 1:
+        return _UNARY[op](fns[0])
+    if op in _BINARY and (len(fns) == 2 or op in _VARIADIC and fns):
+        return reduce(_BINARY[op], fns)
+    if op in _UNARY or op in _BINARY:
+        raise CatalogError(f"{op} cannot take {len(fns)} operands")
+    raise CatalogError(f"unknown operator {op!r}")
+
+
+def parts(node: tuple) -> tuple[str, tuple]:
+    """``(op, args)`` of a tuple node; a cases arm gives ``("case", (guard, expr))``."""
+    return (node[0], node[1:]) if isinstance(node[0], str) else ("case", node)
+
+
+def names(node: Expr) -> frozenset[str]:
+    """The feature names (and ``n``) an expression reads."""
+    if isinstance(node, int):
+        return frozenset()
+    if isinstance(node, str):
+        return frozenset((node,))
+    return frozenset().union(*map(names, parts(node)[1]))
 
 
 # -- small builders, so catalog definitions read close to their formulas ------
 
 
-def feat(name: str) -> Feat:
-    return Feat(name)
+def add(a, b) -> tuple:
+    return ("+", a, b)
 
 
-def const(v: int) -> Const:
-    return Const(v)
+def sub(a, b) -> tuple:
+    return ("-", a, b)
 
 
-def _wrap(x) -> Expr:
-    return x if not isinstance(x, int) else Const(x)
+def mul(a, b) -> tuple:
+    return ("*", a, b)
 
 
-def add(a, b) -> BinOp:
-    return BinOp("+", _wrap(a), _wrap(b))
+def fdiv(a, b) -> tuple:
+    return ("div", a, b)
 
 
-def sub(a, b) -> BinOp:
-    return BinOp("-", _wrap(a), _wrap(b))
+def fmod(a, b) -> tuple:
+    return ("mod", a, b)
 
 
-def mul(a, b) -> BinOp:
-    return BinOp("*", _wrap(a), _wrap(b))
+def sq(a) -> tuple:
+    return ("sq", a)
 
 
-def fdiv(a, b) -> BinOp:
-    return BinOp("div", _wrap(a), _wrap(b))
+def emin(*args) -> tuple:
+    return ("min", *args)
 
 
-def fmod(a, b) -> BinOp:
-    return BinOp("mod", _wrap(a), _wrap(b))
+def emax(*args) -> tuple:
+    return ("max", *args)
 
 
-def sq(a) -> Square:
-    return Square(_wrap(a))
+def cmp(op: str, a, b) -> tuple:
+    return (op, a, b)
 
 
-def emin(*args) -> MinMax:
-    return MinMax("min", tuple(_wrap(a) for a in args))
+def both(*guards: tuple) -> tuple:
+    return ("and", *guards)
 
 
-def emax(*args) -> MinMax:
-    return MinMax("max", tuple(_wrap(a) for a in args))
+def iverson(cond: tuple) -> tuple:
+    return ("iverson", cond)
 
 
-def cmp(op: str, a, b) -> Cmp:
-    return Cmp(op, _wrap(a), _wrap(b))
-
-
-def both(*parts: Cmp) -> And:
-    return And(tuple(parts))
-
-
-def iverson(cond: Guard) -> Iverson:
-    return Iverson(cond)
-
-
-def cases(*pairs: tuple[Guard, "Expr | int"]) -> Cases:
-    return Cases(tuple((g, _wrap(e)) for g, e in pairs))
+def cases(*pairs: tuple) -> tuple:
+    return ("cases", *pairs)

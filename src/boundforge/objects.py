@@ -25,6 +25,19 @@ from .kernel import Constraint, ConstraintHandle, Model, SumEq, VarRef
 PARTITION_FEATURES = ("P", "Mmin", "Mmax", "rangeM", "S")
 BINSEQ_FEATURES = ("N1", "G", "Gmin", "Gmax", "rangeG", "GS", "Dmin", "Dmax", "rangeD", "DS")
 
+# largest n whose feasible feature tuples are enumerated (Python 3.11 on a
+# 2-core host: 7 s for the 2**n sequences at n=20, 3 s for the p(n)
+# partitions at n=50, each about 4x more per step of 2 or 10)
+MAX_N = {"partition": 50, "binseq": 20}
+
+
+def check_size(object_name: str, n: int) -> None:
+    """Refuse an n above the object's enumeration ceiling."""
+    if n > MAX_N[object_name]:
+        raise InvalidArgumentError(
+            f"{object_name} n={n} exceeds the enumeration ceiling {MAX_N[object_name]}"
+        )
+
 
 @dataclass(frozen=True)
 class PartitionFeatures:
@@ -193,6 +206,7 @@ def _iter_part_sizes(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]
 @lru_cache(maxsize=None)
 def partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All feasible partition feature tuples for this n, lexicographically sorted."""
+    check_size("partition", n)
     tuples = {partition_features(sizes).as_tuple() for sizes in _iter_part_sizes(n)}
     return tuple(sorted(tuples))
 
@@ -200,6 +214,7 @@ def partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All feasible binary-sequence feature tuples for this n, sorted."""
+    check_size("binseq", n)
     tuples = set()
     for code in range(1 << n):
         bits = [(code >> i) & 1 for i in range(n)]
@@ -416,13 +431,14 @@ def post_partition(
     n = len(xs)
     fvids = [model._check_var(v) for v in featvars]
     xvids = [model._check_var(v) for v in xs]
+    prefixes = _prefix_sets(partition_tuples(n), len(fvids))  # refuses n before any new var
     occ = [model.new_var(0, n) for _ in range(n)]
     ovids = [v.id for v in occ]
     return _post_all(model, [
         PrecedenceCaps(xvids),
         SumEq(ovids, None, n),
         OccurrenceChannel(xvids, ovids, fvids[0], fvids[4]),
-        PrefixFeasible(fvids, _prefix_sets(partition_tuples(n), len(fvids))),
+        PrefixFeasible(fvids, prefixes),
         GroundChecker(fvids, xvids, _partition_ground),
     ])
 

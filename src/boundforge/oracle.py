@@ -13,7 +13,7 @@ from typing import Iterator
 
 from .bounds import BoundCandidate, verify_on
 from .errors import InvalidArgumentError
-from .objects import binseq_features, partition_features
+from .objects import binseq_features, check_size, partition_features
 
 
 def enum_partitions(n: int) -> list[tuple[int, ...]]:
@@ -77,6 +77,7 @@ class AuditReport:
 def audit(bound: BoundCandidate, n: int) -> AuditReport:
     """Evaluate a bound on every object of size n; collect violations and
     slack-0 witnesses."""
+    check_size(bound.object, n)
     report = AuditReport(bound_id=bound.id, n=n, instances=0)
     if bound.object == "partition":
         feature_iter = (partition_features(list(sizes)) for sizes in enum_partitions(n))

@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from itertools import product
 
 import pytest
 
 from boundforge import expr, oracle
-from boundforge.bounds import by_id, catalog, catalog_json, decoy, eval_rhs, post_bound, verify_on
+from boundforge.bounds import (
+    BoundCandidate,
+    by_id,
+    catalog,
+    catalog_json,
+    decoy,
+    eval_rhs,
+    post_bound,
+    verify_on,
+)
 from boundforge.errors import CatalogError, InvalidArgumentError
 from boundforge.expr import NoCaseMatched
 from boundforge.objects import (
@@ -32,14 +43,14 @@ def test_catalog_shape():
     assert [b.id for b in cat] == CATALOG_IDS
     assert by_id("P-S-UB").target == "S"
     assert by_id("P-S-UB").direction == "upper"
-    assert by_id("B-DS-LB3").rhs.prefix() == ["sq", "Dmax"]
+    assert by_id("B-DS-LB3").rhs == ("sq", "Dmax")
     with pytest.raises(InvalidArgumentError):
         by_id("NOPE")
 
 
 def test_target_never_appears_in_its_own_rhs():
     for b in catalog():
-        assert b.target not in b.rhs.names()
+        assert b.target not in expr.names(b.rhs)
 
 
 def _penv(n, p, mmin, mmax, rng):
@@ -145,16 +156,94 @@ def test_unmatched_guard_is_catalog_error_on_eval_and_failure_on_post():
 
 def test_euclidean_division_conventions():
     with pytest.raises(CatalogError):
-        expr.fdiv(expr.const(4), expr.const(0)).eval({})
+        expr.compile_expr(expr.fdiv(4, 0))({})
     # negative numerators floor toward -inf with non-negative remainder
-    assert expr.fdiv(expr.const(-7), expr.const(3)).eval({}) == -3
-    assert expr.fmod(expr.const(-7), expr.const(3)).eval({}) == 2
+    assert expr.compile_expr(expr.fdiv(-7, 3))({}) == -3
+    assert expr.compile_expr(expr.fmod(-7, 3))({}) == 2
 
 
 def test_iverson_is_zero_or_one():
-    node = expr.iverson(expr.cmp("==", expr.feat("G"), 0))
-    assert node.eval({"G": 0}) == 1
-    assert node.eval({"G": 5}) == 0
+    node = expr.compile_expr(expr.iverson(expr.cmp("==", "G", 0)))
+    assert node({"G": 0}) == 1
+    assert node({"G": 5}) == 0
+
+
+def test_unknown_operator_and_bad_arity_fail_at_compile_time():
+    with pytest.raises(CatalogError, match="unknown operator 'pow'"):
+        expr.compile_expr(("pow", 1, 2))
+    with pytest.raises(CatalogError):
+        expr.compile_expr(("-", 1, 2, 3))
+    with pytest.raises(CatalogError):
+        expr.compile_expr(("sq",))
+
+
+def test_compiled_operators_keep_order_short_circuit_and_first_match():
+    seen = []
+
+    class Env(dict):
+        def __getitem__(self, key):
+            seen.append(key)
+            return super().__getitem__(key)
+
+    env = Env(a=1, b=0, c=2)
+    # both operands are evaluated, left to right, before the divisor is checked
+    with pytest.raises(CatalogError, match="non-positive divisor 0 in mod"):
+        expr.compile_expr(expr.fmod("a", "b"))(env)
+    assert seen == ["a", "b"]
+    seen.clear()
+    # "and" stops at the first false part
+    guard = expr.both(expr.cmp("==", "b", 1), expr.cmp("==", "c", 2))
+    assert expr.compile_expr(expr.iverson(guard))(env) == 0
+    assert seen == ["b"]
+    # the first guard that holds wins, later guards are never evaluated
+    split = expr.cases((expr.cmp(">=", "c", 2), "a"), (expr.cmp(">=", "b", 0), "b"))
+    seen.clear()
+    assert expr.compile_expr(split)(env) == 1
+    assert seen == ["c", "a"]
+    assert expr.compile_expr(expr.emin("c", "a", 3))(env) == 1
+    assert expr.compile_expr(expr.emax("c", "a", 3))(env) == 3
+    with pytest.raises(NoCaseMatched, match="no case matched environment"):
+        expr.compile_expr(expr.cases((expr.cmp("<", "c", 0), 0)))(env)
+    assert expr.names(split) == {"a", "b", "c"}
+
+
+def test_rhs_is_compiled_once_and_left_out_of_equality():
+    b = by_id("B-GS-UB2")
+    assert b.evaluate is b.evaluate
+    twin = BoundCandidate(b.id, b.object, b.target, b.direction, b.rhs)
+    assert twin == b and hash(twin) == hash(b) and twin.evaluate is not b.evaluate
+
+
+def test_catalog_json_and_rhs_values_are_pinned():
+    """The catalog JSON and every rhs outcome on a small grid, as sha256 digests.
+
+    Taken when each expression node was its own class; a change to any
+    formula, operator or error message moves them.
+    """
+    doc = json.dumps(catalog_json(), sort_keys=True).encode()
+    assert hashlib.sha256(doc).hexdigest() == (
+        "7530b482ec8d1eed4777cd0b235f83fc56f1f1b29ab461d4c6b56f4a632022e8"
+    )
+    digest, outcomes = hashlib.sha256(), {"value": 0, "NCM": 0, "CE": 0}
+    for b in catalog():
+        inputs = b.inputs()
+        for n in range(1, 9):
+            for vals in product(range(-1, 5), repeat=len(inputs)):
+                env = {"n": n, **dict(zip(inputs, vals))}
+                try:
+                    out = eval_rhs(b, env)
+                    outcomes["value"] += 1
+                except NoCaseMatched:
+                    out = "NCM"
+                    outcomes["NCM"] += 1
+                except CatalogError as exc:
+                    out = "CE:" + str(exc)
+                    outcomes["CE"] += 1
+                digest.update(f"{b.id}|{sorted(env.items())}|{out};".encode())
+    assert outcomes == {"value": 16978, "NCM": 1016, "CE": 6}
+    assert digest.hexdigest() == (
+        "487bef7603293a6075dc02112a80ca9c83602910696474d697b295dd359122ec"
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -166,28 +255,33 @@ def test_catalog_soundness_small(n):
 
 
 def test_guard_exhaustiveness_and_exclusivity():
-    def walk(node, env):
-        if isinstance(node, expr.Cases):
-            assert node.matching(env) == 1
-            for _, e in node.cases:
-                walk(e, env)
-            return
-        for attr in ("lhs", "rhs", "arg"):
-            child = getattr(node, attr, None)
-            if child is not None and hasattr(child, "eval"):
-                walk(child, env)
-        for child in getattr(node, "args", ()):
-            walk(child, env)
+    def case_splits(node):
+        """The compiled guards of every case split inside ``node``."""
+        if not isinstance(node, tuple):
+            return []
+        if node[0] == "cases":
+            arms = node[1:]
+            out = [[expr.compile_expr(g) for g, _ in arms]]
+            for _, e in arms:
+                out += case_splits(e)
+            return out
+        return [split for child in node[1:] for split in case_splits(child)]
 
+    def check(b, env):
+        for guards in splits[b.id]:
+            assert sum(1 for guard in guards if guard(env)) == 1
+
+    splits = {b.id: case_splits(b.rhs) for b in catalog()}
+    assert sum(map(len, splits.values())) == 11  # ten case-split bounds, P-S-UB holds two
     for n in range(1, 9):
         for sizes in oracle.enum_partitions(n):
             env = partition_features(list(sizes)).env()
             for b in catalog("partition"):
-                walk(b.rhs, env)
+                check(b, env)
         for bits in oracle.enum_binseqs(n):
             env = binseq_features(list(bits)).env()
             for b in catalog("binseq"):
-                walk(b.rhs, env)
+                check(b, env)
 
 
 def test_observed_tightness_report():

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from boundforge import selector
+from boundforge import bounds, selector
 from boundforge.cli import main
 
 
@@ -165,6 +165,22 @@ def test_explain_text_and_json(capsys):
     assert payload["inputs"] == ["P", "Mmin", "Mmax", "rangeM"]
 
 
+CASE_SPLIT_BOUNDS = {
+    "P-S-UB", "B-GMAX-UB1", "B-DMIN-UB", "B-GS-UB1", "B-GS-UB2",
+    "B-DS-LB2", "B-DS-UB1", "B-DS-UB2", "B-GMAX-UB2", "B-GS-UB3",
+}
+
+
+@pytest.mark.parametrize("bound", [b.id for b in bounds.catalog()])
+def test_explain_text_prints_every_node_as_a_tree(capsys, bound):
+    code, out, _ = run(capsys, ["explain", bound])
+    assert code == 0
+    assert "[" not in out and "'" not in out
+    lines = [line.strip() for line in out.splitlines()[1:]]
+    assert sum(line.startswith("(") for line in lines) == lines.count(")")
+    assert ("(case" in lines) == (bound in CASE_SPLIT_BOUNDS)
+
+
 def test_explain_unknown_bound(capsys):
     code, _, err = run(capsys, ["explain", "B-NOPE"])
     assert code == 2
@@ -178,6 +194,17 @@ def test_max_n_cap_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("BOUNDFORGE_MAX_N", "5")
     code, out, _ = run(capsys, ["select", "--object", "binseq", "--n", "5"])
     assert code == 0
+
+
+def test_max_n_above_the_enumeration_ceiling_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("BOUNDFORGE_MAX_N", "40")
+    code, out, err = run(capsys, ["select", "--object", "binseq", "--n", "40"])
+    assert (code, out) == (2, "")
+    assert "binseq n=40 exceeds the enumeration ceiling 20" in err
+    monkeypatch.setenv("BOUNDFORGE_MAX_N", "60")
+    code, out, err = run(capsys, ["verify", "--bound", "P-S-UB", "--n", "51"])
+    assert (code, out) == (2, "")
+    assert "partition n=51 exceeds the enumeration ceiling 50" in err
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -8,7 +8,7 @@ from itertools import groupby
 import pytest
 
 from boundforge import kernel, objects, oracle
-from boundforge.errors import InternalInvariantError, InvalidInputError
+from boundforge.errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
 from boundforge.objects import (
     BINSEQ_FEATURES,
     BinSeqFeatures,
@@ -238,3 +238,16 @@ def test_ground_checker_waits_for_every_sequence_variable():
     assert m.snapshot()[: len(fvids)] == open_box[: len(fvids)]
     assert m.assign(xs[1], 0)
     assert m.snapshot()[: len(fvids)] == tuple((v,) for v in binseq_features([1, 0, 1]).as_tuple())
+
+
+def test_tuple_tables_refuse_n_above_the_enumeration_ceiling():
+    assert objects.MAX_N == {"partition": 50, "binseq": 20}
+    with pytest.raises(InvalidArgumentError, match="binseq n=21 exceeds"):
+        binseq_tuples(21)
+    with pytest.raises(InvalidArgumentError, match="partition n=51 exceeds"):
+        partition_tuples(51)
+    model, featvars, xs = make_partition_model(60)
+    before = model.snapshot()
+    with pytest.raises(InvalidArgumentError, match="partition n=60 exceeds"):
+        post_partition(model, featvars, xs)
+    assert model.snapshot() == before  # refused before any hidden variable is made

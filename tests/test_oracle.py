@@ -134,3 +134,10 @@ def test_maximizer_middle_part_structure(n):
         assert len(middles) == expected, (n, p, mmin, mmax, sizes)
         if expected:
             assert middles[0] == mmin + leftover % rng
+
+
+def test_audit_refuses_n_above_the_enumeration_ceiling():
+    with pytest.raises(InvalidArgumentError, match="binseq n=21 exceeds"):
+        oracle.audit(by_id("B-GS-UB1"), 21)
+    with pytest.raises(InvalidArgumentError, match="partition n=51 exceeds"):
+        oracle.audit(by_id("P-S-UB"), 51)

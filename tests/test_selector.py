@@ -249,3 +249,8 @@ def test_selection_state_is_restorable_to_the_entry_mark():
 def test_scenario_rejects_foreign_candidates():
     with pytest.raises(InvalidArgumentError):
         selection(ObjectScenario("partition", 4), catalog("binseq")[:1])
+
+
+def test_selection_refuses_n_above_the_enumeration_ceiling():
+    with pytest.raises(InvalidArgumentError, match="binseq n=40 exceeds"):
+        run_selection(ObjectScenario("binseq", 40), catalog("binseq"))
