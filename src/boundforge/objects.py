@@ -32,10 +32,20 @@ MAX_N = {"partition": 50, "binseq": 20}
 
 
 def check_size(object_name: str, n: int) -> None:
-    """Refuse an n above the object's enumeration ceiling."""
-    if n > MAX_N[object_name]:
+    """Refuse an n below 1 (partitions) or 0 (sequences), or above the
+    object's enumeration ceiling.
+
+    Every table cache keyed by n checks this first, so none of them can
+    hold more than 50 partition and 21 binseq entries.
+    """
+    ceiling = MAX_N[object_name]
+    if object_name == "partition" and n < 1:
+        raise InvalidArgumentError("partitions need n >= 1")
+    if n < 0:
+        raise InvalidArgumentError("sequences need n >= 0")
+    if n > ceiling:
         raise InvalidArgumentError(
-            f"{object_name} n={n} exceeds the enumeration ceiling {MAX_N[object_name]}"
+            f"{object_name} n={n} exceeds the enumeration ceiling {ceiling}"
         )
 
 

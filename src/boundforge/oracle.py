@@ -3,11 +3,18 @@
 Everything here enumerates objects exhaustively and evaluates definitions
 directly; nothing depends on the constraint kernel, so model behaviour and
 catalog formulas can both be audited against it.
+
+An audit still extracts the features of every object of its size, but it
+evaluates each distinct feature tuple once and weights it by how many
+objects share it.  The enumeration is kept in a per-process table cache,
+one entry per (object, n); the audit results stay pure.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -74,24 +81,40 @@ class AuditReport:
         return out
 
 
-def audit(bound: BoundCandidate, n: int) -> AuditReport:
-    """Evaluate a bound on every object of size n; collect violations and
-    slack-0 witnesses."""
-    check_size(bound.object, n)
-    report = AuditReport(bound_id=bound.id, n=n, instances=0)
-    if bound.object == "partition":
+@lru_cache(maxsize=None)
+def _feature_table(object_name: str, n: int) -> tuple[tuple, array]:
+    """Enumerate the objects of size n once per process.
+
+    Returns the distinct feature dataclasses in order of first occurrence,
+    and, per object in enumeration order, the index of its features there.
+    """
+    check_size(object_name, n)
+    if object_name == "partition":
         feature_iter = (partition_features(list(sizes)) for sizes in enum_partitions(n))
     else:
         feature_iter = (binseq_features(list(bits)) for bits in enum_binseqs(n))
-    for feats in feature_iter:
-        report.instances += 1
-        verdict = verify_on(bound, feats)
-        if report.min_slack is None or verdict.slack < report.min_slack:
-            report.min_slack = verdict.slack
+    index: dict = {}
+    order = array("I", (index.setdefault(feats, len(index)) for feats in feature_iter))
+    return tuple(index), order
+
+
+def audit(bound: BoundCandidate, n: int) -> AuditReport:
+    """Evaluate a bound on every object of size n; collect violations and
+    slack-0 witnesses, in enumeration order and with repeats.
+
+    Each distinct feature tuple is evaluated once and weighted by how many
+    objects share it.
+    """
+    distinct, order = _feature_table(bound.object, n)
+    rows = [(feats.as_tuple(), verify_on(bound, feats)) for feats in distinct]
+    report = AuditReport(bound_id=bound.id, n=n, instances=len(order),
+                         min_slack=min(verdict.slack for _, verdict in rows))
+    for i in order:
+        tup, verdict = rows[i]
         if not verdict.holds:
-            report.violations.append((feats.as_tuple(), verdict.lhs, verdict.rhs))
+            report.violations.append((tup, verdict.lhs, verdict.rhs))
         elif verdict.slack == 0:
-            report.witnesses.append(feats.as_tuple())
+            report.witnesses.append(tup)
     return report
 
 

@@ -251,3 +251,20 @@ def test_tuple_tables_refuse_n_above_the_enumeration_ceiling():
     with pytest.raises(InvalidArgumentError, match="partition n=60 exceeds"):
         post_partition(model, featvars, xs)
     assert model.snapshot() == before  # refused before any hidden variable is made
+
+
+@pytest.mark.parametrize(
+    "table,n,message",
+    [
+        (binseq_tuples, -1, "sequences need n >= 0"),
+        (binseq_tuples, -5, "sequences need n >= 0"),
+        (partition_tuples, 0, "partitions need n >= 1"),
+        (partition_tuples, -2, "partitions need n >= 1"),
+    ],
+    ids=["binseq-1", "binseq-5", "partition0", "partition-2"],
+)
+def test_tuple_tables_refuse_n_below_the_smallest_size(table, n, message):
+    before = table.cache_info().currsize
+    with pytest.raises(InvalidArgumentError, match=message):
+        table(n)
+    assert table.cache_info().currsize == before

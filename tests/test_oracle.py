@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from boundforge import oracle
-from boundforge.bounds import by_id
-from boundforge.errors import InvalidArgumentError
-from boundforge.objects import partition_features
+from boundforge.bounds import BoundCandidate, by_id, catalog, decoy, verify_on
+from boundforge.errors import CatalogError, InvalidArgumentError
+from boundforge.objects import binseq_features, binseq_tuples, partition_features, partition_tuples
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30, 10: 42}
 
@@ -141,3 +141,103 @@ def test_audit_refuses_n_above_the_enumeration_ceiling():
         oracle.audit(by_id("B-GS-UB1"), 21)
     with pytest.raises(InvalidArgumentError, match="partition n=51 exceeds"):
         oracle.audit(by_id("P-S-UB"), 51)
+
+
+@pytest.mark.parametrize(
+    "object_name,n,message",
+    [("binseq", -1, "sequences need n >= 0"), ("partition", 0, "partitions need n >= 1"),
+     ("partition", -2, "partitions need n >= 1")],
+    ids=["binseq-1", "partition0", "partition-2"],
+)
+def test_audit_refuses_n_below_the_smallest_size_and_caches_nothing(object_name, n, message):
+    bound = next(b for b in catalog() if b.object == object_name)
+    before = oracle._feature_table.cache_info().currsize
+    with pytest.raises(InvalidArgumentError, match=message):
+        oracle.audit(bound, n)
+    with pytest.raises(InvalidArgumentError, match=message):
+        oracle._feature_table(object_name, n)
+    assert oracle._feature_table.cache_info().currsize == before
+
+
+# -- the table-backed audit against the per-instance loop it replaced ---------
+
+AUDIT_SIZES = {"binseq": range(0, 11), "partition": range(1, 10)}
+
+
+def _reference_audit(bound, n):
+    """Evaluate the bound on every enumerated object, one at a time."""
+    report = oracle.AuditReport(bound_id=bound.id, n=n, instances=0)
+    if bound.object == "partition":
+        feature_iter = (partition_features(list(s)) for s in oracle.enum_partitions(n))
+    else:
+        feature_iter = (binseq_features(list(bits)) for bits in oracle.enum_binseqs(n))
+    for feats in feature_iter:
+        report.instances += 1
+        verdict = verify_on(bound, feats)
+        if report.min_slack is None or verdict.slack < report.min_slack:
+            report.min_slack = verdict.slack
+        if not verdict.holds:
+            report.violations.append((feats.as_tuple(), verdict.lhs, verdict.rhs))
+        elif verdict.slack == 0:
+            report.witnesses.append(feats.as_tuple())
+    return report
+
+
+def _tightened(bound):
+    op = "-" if bound.direction == "upper" else "+"
+    return BoundCandidate(bound.id + ":tight", bound.object, bound.target, bound.direction,
+                          (op, bound.rhs, 1))
+
+
+def _audit_cases():
+    for bound in catalog():
+        yield bound
+        yield _tightened(bound)
+    yield decoy("binseq", "GS", 6)
+    yield decoy("partition", "S", 5)
+
+
+@pytest.mark.parametrize("bound", list(_audit_cases()), ids=lambda b: b.id)
+def test_audit_equals_the_per_instance_reference(bound):
+    for n in AUDIT_SIZES[bound.object]:
+        assert oracle.audit(bound, n) == _reference_audit(bound, n), n
+
+
+def test_audit_cases_reach_violations_and_repeated_witnesses():
+    reports = [oracle.audit(b, n) for b in _audit_cases() for n in AUDIT_SIZES[b.object]]
+    assert any(len(r.violations) > len(set(r.violations)) for r in reports)
+    assert any(len(r.witnesses) > len(set(r.witnesses)) for r in reports)
+    assert any(r.violations and r.witnesses for r in reports)
+
+
+@pytest.mark.parametrize(
+    "divisor",
+    # G is 0 on the all-zero sequence; 3 - N1 is 0 at N1 = 3 and -1 at N1 = 4,
+    # and the error names the divisor, so the first object that raises decides it
+    ["G", ("-", 3, "N1")],
+)
+def test_audit_raises_like_the_reference_when_the_rhs_raises(divisor):
+    bound = BoundCandidate("div", "binseq", "N1", "upper", ("div", "n", divisor))
+    for n in (4, 7):
+        with pytest.raises(CatalogError) as expected:
+            _reference_audit(bound, n)
+        with pytest.raises(CatalogError) as got:
+            oracle.audit(bound, n)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+@pytest.mark.parametrize(
+    "object_name,n",
+    [("binseq", n) for n in range(0, 15)] + [("partition", n) for n in range(1, 11)],
+)
+def test_feature_table_agrees_with_the_tuple_tables(object_name, n):
+    distinct, order = oracle._feature_table(object_name, n)
+    if object_name == "binseq":
+        tuples, count = binseq_tuples(n), 2**n
+    else:
+        tuples, count = partition_tuples(n), len(oracle.enum_partitions(n))
+    assert len(distinct) == len(set(distinct))
+    assert {f.as_tuple() for f in distinct} == set(tuples)
+    assert all(f.n == n for f in distinct)
+    assert len(order) == count
+    assert set(order) == set(range(len(distinct)))
