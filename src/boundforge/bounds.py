@@ -41,6 +41,7 @@ class BoundCandidate:
         """The rhs compiled once into a closure over a feature environment."""
         return E.compile_expr(self.rhs)
 
+    @cached_property
     def inputs(self) -> tuple[str, ...]:
         """Feature names the rhs reads, in canonical feature order."""
         names = E.names(self.rhs) - {"n"}
@@ -280,9 +281,10 @@ class BoundConstraint(Constraint):
 
     def __init__(self, bound: BoundCandidate, featvar_ids: Mapping[str, int], n: int):
         self.n = n
-        self.input_ids = tuple(featvar_ids[f] for f in bound.inputs())
-        self.input_names = bound.inputs()
+        self.input_names = bound.inputs
+        self.input_ids = tuple(featvar_ids[f] for f in self.input_names)
         self.target_id = featvar_ids[bound.target]
+        self.footprint = self.input_ids + (self.target_id,)
         self.evaluate = bound.evaluate
         self.upper = bound.direction == "upper"
         super().__init__(self.input_ids)

@@ -293,12 +293,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
         "object": cand.object,
         "target": cand.target,
         "direction": cand.direction,
-        "inputs": list(cand.inputs()),
+        "inputs": list(cand.inputs),
         "rhs": cand.rhs,
     }
     rel = "<=" if cand.direction == "upper" else ">="
     lines = [
-        f"{cand.id}: {cand.object} {cand.target} {rel} rhs({', '.join(cand.inputs())})",
+        f"{cand.id}: {cand.object} {cand.target} {rel} rhs({', '.join(cand.inputs)})",
         *_render_prefix(cand.rhs),
     ]
     _render(args, entry, [], [], lines)

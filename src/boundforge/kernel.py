@@ -11,6 +11,9 @@ i.e. propagation (including any check that fires on newly fixed variables)
 wipes out a domain right after the assignment.  Unwinding a decision
 because its subtree was exhausted is not counted.  Proving exhaustion
 therefore costs exactly the number of failed value trials in the search.
+A :class:`LeafMemo` changes how a labeling reaches its count, never the
+count: it replays a subtree's stored count, and counts a trial that the
+owner's prefix check is certain to fail without making it.
 
 Propagation strength is fixed and documented per constraint class; it is
 part of the observable behaviour (backtrack counts), not an optimization
@@ -58,7 +61,7 @@ class ConstraintHandle:
     scope: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelResult:
     """Outcome of one labeling run.
 
@@ -80,6 +83,9 @@ class Constraint:
     """
 
     kind = "constraint"
+    # every variable the propagator reads or prunes, declared only by the
+    # kinds whose scope is exactly that (see LeafMemo.applies)
+    footprint: tuple[int, ...] | None = None
 
     def __init__(self, watched: Sequence[int]):
         self.watched = tuple(watched)
@@ -102,6 +108,7 @@ class Model:
         self._watchers: list[list[int]] = []
         self._queue: deque[int] = deque()
         self._inq: set[int] = set()
+        self.leaf_memo: LeafMemo | None = None  # attached by an object post
 
     # -- variables ---------------------------------------------------------
 
@@ -143,6 +150,8 @@ class Model:
         self._queue.clear()
         self._inq.clear()
         self._undo_to(mark.trail_len)
+        if self.leaf_memo is not None and mark.ncons < self.leaf_memo.owned.stop:
+            self.leaf_memo = None
         while len(self._constraints) > mark.ncons:
             cid = len(self._constraints) - 1
             con = self._constraints.pop()
@@ -347,7 +356,7 @@ class LexGreater(Constraint):
         if len(xs) != len(tup):
             raise InvalidArgumentError("lex-greater arity mismatch")
         super().__init__(tuple(xs))
-        self.xs = tuple(xs)
+        self.xs = self.footprint = tuple(xs)
         self.tup = tuple(tup)
 
     def _suffix_can_exceed(self, model: Model, j: int) -> bool:
@@ -446,13 +455,60 @@ def post_lex_greater(
 # -- search ------------------------------------------------------------------
 
 
+@dataclass(eq=False)
+class LeafMemo:
+    """Leaf memo at the split of a labeling between two groups of variables.
+
+    An object post attaches one to its model.  Labeling fixes every one of
+    ``featvars`` before any of ``xs``; from then on only the owner's
+    constraints (indices ``owned``) wake, so the rest of the search, its
+    failed trials and its first solution, depends only on the fixed tuple
+    and on the domains of ``inner`` (every non-feature variable the owner
+    reads).  ``table``, shared by every model of one owner kind and size,
+    maps each tuple to (``inner`` domains, failed trials, witness over
+    ``xs`` or None), so each such subtree is searched once.
+
+    ``prefixes[k]`` holds every length-k feature prefix that some solution
+    extends, closed under prefixes.  The owner posts a check that fails any
+    other prefix, so such a trial is counted as one failure without being
+    made.
+    """
+
+    featvars: tuple[int, ...]
+    xs: tuple[int, ...]
+    inner: tuple[int, ...]
+    owned: range
+    prefixes: tuple[frozenset, ...]
+    table: dict
+
+    def applies(self, model: Model, vids: Sequence[int]) -> bool:
+        """True when labeling ``vids`` may use the memo: they are featvars
+        then xs, and every constraint the owner did not post declares a
+        footprint inside featvars, so none wakes below the split."""
+        k = len(self.featvars)
+        if tuple(vids[:k]) != self.featvars or tuple(vids[k:]) != self.xs:
+            return False
+        feats = set(self.featvars)
+        owned = self.owned
+        return all(
+            i in owned or (con.footprint is not None and feats.issuperset(con.footprint))
+            for i, con in enumerate(model._constraints)
+        )
+
+
 def _dfs(
-    model: Model, order: Sequence[VarRef], on_solution: Callable[[tuple[int, ...]], bool]
+    model: Model,
+    order: Sequence[VarRef],
+    on_solution: Callable[[tuple[int, ...]], bool],
+    memo: LeafMemo | None = None,
 ) -> int:
     """Depth-first search over ``order``, fixing left to right by increasing value.
 
     ``on_solution`` receives each solution tuple and returns True to stop the
     search.  Returns the backtrack count; the model state is restored.
+    ``memo`` (labeling only: its ``on_solution`` stops at the first
+    solution) is used when it applies to this search, and gives the same
+    count and solution as searching without it.
     """
     vids = [model._check_var(v) for v in order]
     last = len(vids)
@@ -460,25 +516,52 @@ def _dfs(
     assign, undo = model.assign, model._undo_to
     base = len(trail)
     nback = 0
+    if memo is not None and not memo.applies(model, vids):
+        memo = None
+    cut, prefixes = (len(memo.featvars), memo.prefixes) if memo is not None else (-1, ())
+    found: tuple[int, ...] = ()
+
+    def split(key: tuple[int, ...]) -> bool:
+        nonlocal nback
+        state = tuple([doms[v] for v in memo.inner])
+        hit = memo.table.get(key)
+        if hit is not None and hit[0] == state:
+            nback += hit[1]
+            return hit[2] is not None and on_solution(key + hit[2])
+        before = nback
+        stop = dfs(cut, None)
+        if hit is None:
+            memo.table[key] = (state, nback - before, found[cut:] if stop else None)
+        return stop
 
     # A trial posts no constraint and leaves the queue empty (a failed drain
-    # clears it), so undoing the trail restores the state exactly.
-    def dfs(k: int) -> bool:
-        nonlocal nback
+    # clears it), so undoing the trail restores the state exactly.  Above the
+    # split, ``prefix`` holds the fixed feature values; below it, None.
+    def dfs(k: int, prefix: tuple[int, ...] | None) -> bool:
+        nonlocal nback, found
         if k == last:
-            return on_solution(tuple([doms[v][0] for v in vids]))
+            found = tuple([doms[v][0] for v in vids])
+            return on_solution(found)
+        if k == cut and prefix is not None:
+            return split(prefix)
         vid = vids[k]
         for val in doms[vid]:
+            nxt = prefix
+            if k < cut:
+                nxt = prefix + (val,)
+                if nxt not in prefixes[k + 1]:
+                    nback += 1  # the owner's prefix check would fail this trial
+                    continue
             mk = len(trail)
             if assign(vid, val):
-                if dfs(k + 1):
+                if dfs(k + 1, nxt):
                     return True
             else:
                 nback += 1
             undo(mk)
         return False
 
-    dfs(0)
+    dfs(0, ())
     undo(base)
     return nback
 
@@ -495,7 +578,7 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
     if not order:
         raise InvalidArgumentError("labeling needs at least one variable")
     found: list[tuple[int, ...]] = []
-    nback = _dfs(model, order, lambda sol: found.append(sol) or True)
+    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo)
     if found:
         return LabelResult(nback, False, found[0])
     return LabelResult(nback, True, ())

@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
-from .kernel import Constraint, ConstraintHandle, Model, SumEq, VarRef
+from .kernel import Constraint, ConstraintHandle, LeafMemo, Model, SumEq, VarRef
 
 PARTITION_FEATURES = ("P", "Mmin", "Mmax", "rangeM", "S")
 BINSEQ_FEATURES = ("N1", "G", "Gmin", "Gmax", "rangeG", "GS", "Dmin", "Dmax", "rangeD", "DS")
@@ -444,7 +444,7 @@ def post_partition(
     prefixes = _prefix_sets(partition_tuples(n), len(fvids))  # refuses n before any new var
     occ = [model.new_var(0, n) for _ in range(n)]
     ovids = [v.id for v in occ]
-    return _post_all(model, [
+    return _post_object(model, "partition", fvids, xvids, xvids + ovids, prefixes, [
         PrecedenceCaps(xvids),
         SumEq(ovids, None, n),
         OccurrenceChannel(xvids, ovids, fvids[0], fvids[4]),
@@ -453,8 +453,30 @@ def post_partition(
     ])
 
 
-def _post_all(model: Model, steps: Sequence[Constraint]) -> ConstraintHandle | None:
-    """Post every step, or roll all of them back; the last handle on success."""
+# one leaf memo table per (object, n), shared by every model of the process;
+# its keys are feasible feature tuples, so it holds at most
+# len(binseq_tuples(n)) or len(partition_tuples(n)) entries
+_LEAF_TABLES: dict[tuple[str, int], dict] = {}
+
+
+def _post_object(
+    model: Model,
+    object_name: str,
+    fvids: list[int],
+    xvids: list[int],
+    inner: list[int],
+    prefixes: tuple[frozenset, ...],
+    steps: Sequence[Constraint],
+) -> ConstraintHandle | None:
+    """Post every step, or roll all of them back; the last handle on success.
+
+    On success the model gets the object's leaf memo, if every sequence
+    variable had its ``make_*_model`` domain at post time; otherwise it
+    gets none, and labeling searches every subtree.
+    """
+    n = len(xvids)
+    canonical = tuple(range(1, n + 1)) if object_name == "partition" else (0, 1)
+    fresh = all(model._doms[v] == canonical for v in xvids)
     mark = model.mark()
     handle = None
     for con in steps:
@@ -462,6 +484,13 @@ def _post_all(model: Model, steps: Sequence[Constraint]) -> ConstraintHandle | N
         if handle is None:
             model.retract_to(mark)
             return None
+    model.leaf_memo = None
+    if fresh:
+        model.leaf_memo = LeafMemo(
+            tuple(fvids), tuple(xvids), tuple(inner),
+            range(mark.ncons, len(model._constraints)), prefixes,
+            _LEAF_TABLES.setdefault((object_name, n), {}),
+        )
     return handle
 
 
@@ -481,8 +510,9 @@ def post_binseq(
     n = len(xs)
     fvids = [model._check_var(v) for v in featvars]
     xvids = [model._check_var(v) for v in xs]
-    return _post_all(model, [
+    prefixes = _prefix_sets(binseq_tuples(n), len(fvids))
+    return _post_object(model, "binseq", fvids, xvids, xvids, prefixes, [
         SumEq(xvids, fvids[0]),
-        PrefixFeasible(fvids, _prefix_sets(binseq_tuples(n), len(fvids))),
+        PrefixFeasible(fvids, prefixes),
         GroundChecker(fvids, xvids, _binseq_tuple),
     ])

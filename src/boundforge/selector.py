@@ -44,7 +44,7 @@ from .objects import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionRecord:
     """One enumerated feature solution; the sentinel has an empty sol."""
 

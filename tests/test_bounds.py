@@ -214,6 +214,13 @@ def test_rhs_is_compiled_once_and_left_out_of_equality():
     assert twin == b and hash(twin) == hash(b) and twin.evaluate is not b.evaluate
 
 
+def test_inputs_are_computed_once_and_left_out_of_equality():
+    b = by_id("B-GS-UB2")
+    assert b.inputs == ("N1", "rangeD") and b.inputs is b.inputs
+    twin = BoundCandidate(b.id, b.object, b.target, b.direction, b.rhs)
+    assert twin == b and hash(twin) == hash(b) and twin.inputs is not b.inputs
+
+
 def test_catalog_json_and_rhs_values_are_pinned():
     """The catalog JSON and every rhs outcome on a small grid, as sha256 digests.
 
@@ -226,7 +233,7 @@ def test_catalog_json_and_rhs_values_are_pinned():
     )
     digest, outcomes = hashlib.sha256(), {"value": 0, "NCM": 0, "CE": 0}
     for b in catalog():
-        inputs = b.inputs()
+        inputs = b.inputs
         for n in range(1, 9):
             for vals in product(range(-1, 5), repeat=len(inputs)):
                 env = {"n": n, **dict(zip(inputs, vals))}

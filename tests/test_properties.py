@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boundforge import objects
+from boundforge.bounds import catalog, post_bound
 from boundforge.kernel import Constraint, Model, SumEq, labeling, solve_all
 
 
@@ -82,3 +85,86 @@ def test_sum_eq_matches_two_sum_reference_and_brute_force(boxes, total):
     else:
         expected = [v for v in product(*ranges) if sum(v) == total[1]]
     assert (solve_all(m, order) if handle is not None else []) == expected
+
+
+class _RandomDrainModel(Model):
+    """Drains its queue by popping a seeded random queued constraint."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self._rng = random.Random(seed)
+
+    def _drain(self):
+        queue, inq, cons = self._queue, self._inq, self._constraints
+        while queue:
+            i = self._rng.randrange(len(queue))
+            cid = queue[i]
+            del queue[i]
+            inq.discard(cid)
+            if cid >= len(cons):
+                continue
+            if not cons[cid].propagate(self):
+                queue.clear()
+                inq.clear()
+                return False
+        return True
+
+
+# features, feature boxes, sequence box, object post, feasible tuples
+_OBJECTS = {
+    "binseq": (objects.BINSEQ_FEATURES, objects.binseq_initial_domains, lambda n: (0, 1),
+               objects.post_binseq, objects.binseq_tuples),
+    "partition": (objects.PARTITION_FEATURES, objects.partition_initial_domains, lambda n: (1, n),
+                  objects.post_partition, objects.partition_tuples),
+}
+
+
+def _object_model(model, object_name, n):
+    """``make_*_model`` over a given (possibly random-drain) model, posted."""
+    names, boxes, xbox, post_object, _ = _OBJECTS[object_name]
+    box = boxes(n)
+    featvars = [model.new_var(*box[name]) for name in names]
+    xs = [model.new_var(*xbox(n)) for _ in range(n)]
+    assert post_object(model, featvars, xs) is not None
+    return featvars, xs
+
+
+def _trace(model, object_name, n, cands, prefix):
+    """Post the bounds, fix the feature prefix; the outcome and state of each step."""
+    featvars, xs = _object_model(model, object_name, n)
+    steps = [model.snapshot()]
+    for cand in cands:
+        if post_bound(model, cand, featvars, n) is None:
+            return steps + ["post failed"], None
+        steps.append(model.snapshot())
+    for var, val in zip(featvars, prefix):
+        if not model.assign(var.id, val):  # which domain a failure empties may vary
+            return steps + ["assign failed"], None
+        steps.append(model.snapshot())
+    return steps, (featvars, xs)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data(), object_name=st.sampled_from(sorted(_OBJECTS)), seed=st.integers(0, 2**32))
+def test_fixpoints_and_labeling_do_not_depend_on_queue_order(data, object_name, seed):
+    n = data.draw(st.integers(1, 6), label="n")
+    cat = catalog(object_name)
+    cands = data.draw(st.lists(st.sampled_from(cat), max_size=len(cat)), label="bounds")
+    tup = data.draw(st.sampled_from(_OBJECTS[object_name][4](n)), label="tuple")
+    k = data.draw(st.integers(0, len(tup)), label="prefix length")
+    bump = data.draw(st.integers(-1, 1), label="bump") if k else 0
+    prefix = tup[: k - 1] + (tup[k - 1] + bump,) if k else ()
+
+    fifo = Model()
+    fifo_steps, fifo_vars = _trace(fifo, object_name, n, cands, prefix)
+    shuffled = _RandomDrainModel(seed)
+    shuffled_steps, shuffled_vars = _trace(shuffled, object_name, n, cands, prefix)
+    assert shuffled_steps == fifo_steps
+    if fifo_vars is None:
+        return
+    shuffled.leaf_memo = None  # the shared memo holds FIFO results only
+    expected = labeling(shuffled, *shuffled_vars)
+    assert labeling(fifo, *fifo_vars) == expected
+    fifo.leaf_memo = None
+    assert labeling(fifo, *fifo_vars) == expected
+    assert shuffled.snapshot() == fifo.snapshot() == fifo_steps[-1]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from boundforge import bounds, selector
 from boundforge.bounds import catalog, decoy, post_bound
 from boundforge.errors import InternalInvariantError, InvalidArgumentError
-from boundforge.kernel import Model, post
+from boundforge.kernel import LabelResult, Model, post
 from boundforge.selector import (
     Counters,
     ObjectScenario,
@@ -254,3 +255,10 @@ def test_scenario_rejects_foreign_candidates():
 def test_selection_refuses_n_above_the_enumeration_ceiling():
     with pytest.raises(InvalidArgumentError, match="binseq n=40 exceeds"):
         run_selection(ObjectScenario("binseq", 40), catalog("binseq"))
+
+
+def test_records_and_label_results_are_frozen_and_slotted():
+    for value in (SolutionRecord(0, 2, (1,)), LabelResult(2, False, (1,))):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.nback = 3
