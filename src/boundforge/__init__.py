@@ -2,7 +2,7 @@
 bounds for partitions and binary sequences, and the incremental selection of
 the most-filtering bounds, all audited by an exhaustive brute-force oracle."""
 
-from .bounds import BoundCandidate, BoundVerdict, catalog, decoy, eval_rhs, post_bound, verify_on
+from .bounds import BoundCandidate, BoundVerdict, catalog, decoy, post_bound, verify_on
 from .kernel import (
     ConstraintHandle,
     LabelResult,
@@ -29,10 +29,10 @@ from .selector import (
     ObjectScenario,
     SelectionReport,
     SolutionRecord,
-    baseline_selection,
     compute_all_solutions,
     enumerate_all_solutions,
-    selection,
+    run_baseline,
+    run_selection,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +52,6 @@ __all__ = [
     "TrailMark",
     "VarRef",
     "audit",
-    "baseline_selection",
     "binseq_features",
     "catalog",
     "compute_all_solutions",
@@ -60,7 +59,6 @@ __all__ = [
     "enum_binseqs",
     "enum_partitions",
     "enumerate_all_solutions",
-    "eval_rhs",
     "labeling",
     "make_binseq_model",
     "make_partition_model",
@@ -72,7 +70,8 @@ __all__ = [
     "post_bound",
     "post_lex_greater",
     "post_partition",
-    "selection",
+    "run_baseline",
+    "run_selection",
     "solve_all",
     "verify_on",
 ]

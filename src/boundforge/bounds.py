@@ -2,9 +2,12 @@
 
 Each candidate bounds one feature of an object (partition or binary
 sequence) by a guarded integer expression over the remaining features and
-n.  Posted on a model, a candidate waits until every input feature is
-fixed, then prunes the target's domain to one side of the evaluated
-right-hand side.  That pruning is sound for arbitrary fixed inputs: if the
+n.  The rhs is compiled once against the object's fixed layout,
+``("n",) + FEATURES[object]``: slot 0 holds n and the next slots the
+features in canonical order, exactly ``(feats.n,) + feats.as_tuple()``.
+That layout is the only form in which features reach an rhs.  Posted on a
+model, a candidate waits until every input feature is fixed, then prunes
+the target's domain to one side of the evaluated right-hand side.  That pruning is sound for arbitrary fixed inputs: if the
 input combination occurs in some feasible tuple the inequality is proven
 for it, and if it occurs in none, no solution can be lost.
 """
@@ -13,22 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import expr as E
 from .errors import InvalidArgumentError
 from .kernel import Constraint, ConstraintHandle, Model, VarRef
-from .objects import (
-    BINSEQ_FEATURES,
-    PARTITION_FEATURES,
-    binseq_initial_domains,
-    partition_initial_domains,
-)
+from .objects import FEATURES, binseq_initial_domains, partition_initial_domains
 
 
 @dataclass(frozen=True)
 class BoundCandidate:
-    """One guarded arithmetic bound on a single feature."""
+    """One guarded arithmetic bound on a single feature.
+
+    Checked when built: an unknown object, direction or target raises
+    :class:`InvalidArgumentError`, and an rhs naming anything outside the
+    object's layout raises :class:`CatalogError` from the compile.
+    """
 
     id: str
     object: str  # "partition" | "binseq"
@@ -36,17 +39,26 @@ class BoundCandidate:
     direction: str  # "upper" | "lower"
     rhs: E.Expr
 
+    def __post_init__(self):
+        if self.object not in FEATURES:
+            raise InvalidArgumentError(f"unknown object {self.object!r}")
+        if self.direction not in ("upper", "lower"):
+            raise InvalidArgumentError(f"unknown direction {self.direction!r}")
+        if self.target not in FEATURES[self.object]:
+            raise InvalidArgumentError(f"unknown feature {self.target!r} for {self.object}")
+        self.evaluate  # compile now, so a bad rhs fails here and not at first use
+
     @cached_property
     def evaluate(self):
-        """The rhs compiled once into a closure over a feature environment."""
-        return E.compile_expr(self.rhs)
+        """The rhs compiled once into a closure over the ``("n",) +
+        FEATURES[object]`` slots."""
+        return E.compile_expr(self.rhs, ("n",) + FEATURES[self.object])
 
     @cached_property
     def inputs(self) -> tuple[str, ...]:
         """Feature names the rhs reads, in canonical feature order."""
-        names = E.names(self.rhs) - {"n"}
-        order = PARTITION_FEATURES if self.object == "partition" else BINSEQ_FEATURES
-        return tuple(f for f in order if f in names)
+        names = E.names(self.rhs)
+        return tuple(f for f in FEATURES[self.object] if f in names)
 
 
 @dataclass(frozen=True)
@@ -232,7 +244,7 @@ def catalog(object_name: str | None = None) -> list[BoundCandidate]:
     """The 20 catalog bounds, optionally filtered to one object."""
     if object_name is None:
         return list(_CATALOG)
-    if object_name not in ("partition", "binseq"):
+    if object_name not in FEATURES:
         raise InvalidArgumentError(f"unknown object {object_name!r}")
     return [b for b in _CATALOG if b.object == object_name]
 
@@ -244,61 +256,48 @@ def by_id(bound_id: str) -> BoundCandidate:
         raise InvalidArgumentError(f"unknown bound id {bound_id!r}") from None
 
 
-def _env_of(features, n: int | None) -> dict[str, int]:
-    if hasattr(features, "env"):
-        env = features.env()
-    else:
-        env = dict(features)
-    if n is not None:
-        env["n"] = n
-    if "n" not in env:
-        raise InvalidArgumentError("feature environment needs n")
-    return env
-
-
-def eval_rhs(bound: BoundCandidate, features, n: int | None = None) -> int:
-    """Evaluate the bound's rhs on a valid feature tuple.
-
-    ``features`` is a feature dataclass or a name->value mapping of the
-    non-target features (the target may be present; it is ignored).
-    """
-    return bound.evaluate(_env_of(features, n))
-
-
-def verify_on(bound: BoundCandidate, features, n: int | None = None) -> BoundVerdict:
-    """Check one bound on one ground feature tuple; pure, never mutates."""
-    env = _env_of(features, n)
-    rhs = bound.evaluate(env)
-    lhs = env[bound.target]
+def verify_on(bound: BoundCandidate, features) -> BoundVerdict:
+    """Check one bound on one ground feature tuple, a feature dataclass of
+    the bound's object; pure, never mutates."""
+    lhs = getattr(features, bound.target)
+    rhs = bound.evaluate((features.n,) + features.as_tuple())
     slack = rhs - lhs if bound.direction == "upper" else lhs - rhs
     return BoundVerdict(holds=slack >= 0, lhs=lhs, rhs=rhs, slack=slack)
 
 
 class BoundConstraint(Constraint):
-    """Check-on-fix propagator: once every rhs input is fixed, prune the target."""
+    """Check-on-fix propagator: once every rhs input is fixed, prune the target.
+
+    It keeps one slot list in the bound's layout, n in slot 0, and writes
+    only the slots the rhs reads; the others are never read.  The list
+    belongs to this constraint, so to one model.
+    """
 
     kind = "bound"
 
-    def __init__(self, bound: BoundCandidate, featvar_ids: Mapping[str, int], n: int):
-        self.n = n
-        self.input_names = bound.inputs
-        self.input_ids = tuple(featvar_ids[f] for f in self.input_names)
-        self.target_id = featvar_ids[bound.target]
+    def __init__(self, bound: BoundCandidate, featvar_ids: Sequence[int], n: int):
+        features = FEATURES[bound.object]
+        at = [features.index(f) for f in bound.inputs]
+        self.input_ids = tuple(featvar_ids[i] for i in at)
+        self.target_id = featvar_ids[features.index(bound.target)]
         self.footprint = self.input_ids + (self.target_id,)
+        # (slot, vid), last input first: labeling fixes features left to
+        # right, so the last input is the one usually still open
+        self.reads = tuple((i + 1, featvar_ids[i]) for i in reversed(at))
+        self.slots = [n] + [0] * len(features)
         self.evaluate = bound.evaluate
         self.upper = bound.direction == "upper"
         super().__init__(self.input_ids)
 
     def propagate(self, model: Model) -> bool:
-        doms = model._doms
-        env = {"n": self.n}
-        for name, vid in zip(self.input_names, self.input_ids):
+        doms, slots = model._doms, self.slots
+        for slot, vid in self.reads:
             d = doms[vid]
             if len(d) != 1:
                 return True
-            env[name] = d[0]
+            slots[slot] = d[0]
         try:
-            rhs = self.evaluate(env)
+            rhs = self.evaluate(slots)
         except E.NoCaseMatched:
             # guards are exhaustive on feasible tuples, so this fixed input
             # combination occurs in no solution; failing the subtree is sound
@@ -312,13 +311,13 @@ def post_bound(
     model: Model, bound: BoundCandidate, featvars: Sequence[VarRef], n: int
 ) -> ConstraintHandle | None:
     """Post one bound over the object's feature variables (canonical order)."""
-    order = PARTITION_FEATURES if bound.object == "partition" else BINSEQ_FEATURES
-    if len(featvars) != len(order):
+    width = len(FEATURES[bound.object])
+    if len(featvars) != width:
         raise InvalidArgumentError(
-            f"{bound.id} needs {len(order)} feature variables, got {len(featvars)}"
+            f"{bound.id} needs {width} feature variables, got {len(featvars)}"
         )
-    ids = {name: model._check_var(v) for name, v in zip(order, featvars)}
-    return model.post_constraint(BoundConstraint(bound, ids, n))
+    vids = [model._check_var(v) for v in featvars]
+    return model.post_constraint(BoundConstraint(bound, vids, n))
 
 
 def decoy(object_name: str, feature: str, n: int) -> BoundCandidate:

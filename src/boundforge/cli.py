@@ -181,7 +181,7 @@ def _strip_wall(report: selector.SelectionReport, timing: bool) -> dict:
 def cmd_select(args: argparse.Namespace) -> int:
     n = _single_n(args)
     cands = _scenario_candidates(args, args.object, n)
-    report = selector.selection(selector.ObjectScenario(args.object, n), cands)
+    report = selector.run_selection(selector.ObjectScenario(args.object, n), cands).report
     payload = _strip_wall(report, args.timing)
     row = dict(payload, selected=";".join(payload["selected"]))
     lines = [
@@ -198,8 +198,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     n = _single_n(args)
     cands = _scenario_candidates(args, args.object, n)
     scenario = selector.ObjectScenario(args.object, n)
-    inc = selector.selection(scenario, cands)
-    base = selector.baseline_selection(scenario, cands)
+    inc = selector.run_selection(scenario, cands).report
+    base = selector.run_baseline(scenario, cands).report
     identical = inc.selected == base.selected
     payload = {
         "identical": identical,

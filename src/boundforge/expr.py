@@ -3,8 +3,11 @@
 An expression is an ``int`` (a constant), a ``str`` (a feature name or
 ``n``) or a tuple ``(op, *args)``.  ``("cases", (guard, expr), ...)`` holds
 its arms as pairs; an arm is the only tuple whose head is not an operator
-name.  ``compile_expr`` turns an expression into one closure over an
-environment mapping feature names (plus ``n``) to integers.
+name.  ``compile_expr(node, layout)`` turns an expression into one closure
+over a sequence of integer slots, where ``layout`` names the slots in
+order: each name compiles to a read of its own slot, so evaluating builds
+no name -> value mapping.  A name outside the layout, like an unknown
+operator, fails at compile time.
 
 Division and modulo are Euclidean: the divisor must be strictly positive,
 the remainder is non-negative, and a negative numerator (possible only on
@@ -16,16 +19,15 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import itemgetter
-from typing import Callable, Mapping, Union
+from typing import Callable, Sequence, Union
 
 from .errors import CatalogError
 
-Env = Mapping[str, int]
 Expr = Union[int, str, tuple]
 
 
 class NoCaseMatched(CatalogError):
-    """No guard of a case-split matched the environment.
+    """No guard of a case-split matched the slot values.
 
     Impossible on feasible feature tuples (guards are exhaustive there);
     reachable mid-search on infeasible fixed prefixes, where the caller may
@@ -64,26 +66,30 @@ _UNARY = {
 }
 
 
-def _cases(arms: tuple) -> Callable[[Env], int]:
-    def evaluate(env: Env) -> int:
+def _cases(arms: tuple, layout: Sequence[str]) -> Callable[[Sequence[int]], int]:
+    def evaluate(env: Sequence[int]) -> int:
         for guard, expr in arms:
             if guard(env):
                 return expr(env)
-        raise NoCaseMatched(f"no case matched environment {dict(env)!r}")
+        raise NoCaseMatched(f"no case matched environment {dict(zip(layout, env))!r}")
 
     return evaluate
 
 
-def compile_expr(node: Expr) -> Callable[[Env], int]:
-    """One closure evaluating ``node``; unknown operators fail here, not later."""
+def compile_expr(node: Expr, layout: Sequence[str]) -> Callable[[Sequence[int]], int]:
+    """One closure evaluating ``node`` on slots named by ``layout``; unknown
+    operators and names fail here, not later."""
     if isinstance(node, int):
         return lambda env: node
     if isinstance(node, str):
-        return itemgetter(node)
+        if node not in layout:
+            raise CatalogError(f"unknown name {node!r}")
+        return itemgetter(layout.index(node))
     op, *args = node
     if op == "cases":
-        return _cases(tuple((compile_expr(g), compile_expr(e)) for g, e in args))
-    fns = [compile_expr(a) for a in args]
+        return _cases(tuple((compile_expr(g, layout), compile_expr(e, layout))
+                            for g, e in args), layout)
+    fns = [compile_expr(a, layout) for a in args]
     if op in _UNARY and len(fns) == 1:
         return _UNARY[op](fns[0])
     if op in _BINARY and (len(fns) == 2 or op in _VARIADIC and fns):

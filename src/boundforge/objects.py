@@ -24,6 +24,9 @@ from .kernel import Constraint, ConstraintHandle, LeafMemo, Model, SumEq, VarRef
 
 PARTITION_FEATURES = ("P", "Mmin", "Mmax", "rangeM", "S")
 BINSEQ_FEATURES = ("N1", "G", "Gmin", "Gmax", "rangeG", "GS", "Dmin", "Dmax", "rangeD", "DS")
+# each object's features in canonical order: the order of its feature
+# variables, of ``as_tuple()`` and, after n, of the slots an rhs reads
+FEATURES = {"partition": PARTITION_FEATURES, "binseq": BINSEQ_FEATURES}
 
 # largest n whose feasible feature tuples are enumerated (Python 3.11 on a
 # 2-core host: 7 s for the 2**n sequences at n=20, 3 s for the p(n)
@@ -63,10 +66,6 @@ class PartitionFeatures:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.P, self.Mmin, self.Mmax, self.rangeM, self.S)
 
-    def env(self) -> dict[str, int]:
-        return {"n": self.n, "P": self.P, "Mmin": self.Mmin, "Mmax": self.Mmax,
-                "rangeM": self.rangeM, "S": self.S}
-
 
 @dataclass(frozen=True)
 class BinSeqFeatures:
@@ -87,12 +86,6 @@ class BinSeqFeatures:
     def as_tuple(self) -> tuple[int, ...]:
         return (self.N1, self.G, self.Gmin, self.Gmax, self.rangeG,
                 self.GS, self.Dmin, self.Dmax, self.rangeD, self.DS)
-
-    def env(self) -> dict[str, int]:
-        out = {"n": self.n}
-        for name, val in zip(BINSEQ_FEATURES, self.as_tuple()):
-            out[name] = val
-        return out
 
 
 def partition_features(sizes: Sequence[int]) -> PartitionFeatures:

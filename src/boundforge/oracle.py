@@ -4,6 +4,15 @@ Everything here enumerates objects exhaustively and evaluates definitions
 directly; nothing depends on the constraint kernel, so model behaviour and
 catalog formulas can both be audited against it.
 
+``enum_partitions`` and ``enum_binseqs`` deliberately duplicate the
+enumerations behind ``objects.partition_tuples`` and
+``objects.binseq_tuples``.  Those tables feed the models' prefix check
+(``PrefixFeasible``) and leaf memo, and
+``test_feature_table_agrees_with_the_tuple_tables`` is the only
+independent check of them: with one shared enumerator, an object it
+dropped would be missing from the models and from the oracle alike, and
+no audit could notice.
+
 An audit still extracts the features of every object of its size, but it
 evaluates each distinct feature tuple once and weights it by how many
 objects share it.  The enumeration is kept in a per-process table cache,

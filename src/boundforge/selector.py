@@ -357,15 +357,3 @@ def run_baseline(
 ) -> SelectionOutcome:
     """Baseline selection: identical control flow, full re-posting per trial."""
     return _run(_BaselineEngine, scenario, candidates)
-
-
-def selection(scenario: ObjectScenario, candidates: Sequence[BoundCandidate]) -> SelectionReport:
-    """Run the incremental selection and return its report."""
-    return run_selection(scenario, candidates).report
-
-
-def baseline_selection(
-    scenario: ObjectScenario, candidates: Sequence[BoundCandidate]
-) -> SelectionReport:
-    """Run the baseline selection and return its report."""
-    return run_baseline(scenario, candidates).report

@@ -15,13 +15,13 @@ from boundforge.bounds import (
     catalog,
     catalog_json,
     decoy,
-    eval_rhs,
     post_bound,
     verify_on,
 )
 from boundforge.errors import CatalogError, InvalidArgumentError
 from boundforge.expr import NoCaseMatched
 from boundforge.objects import (
+    FEATURES,
     binseq_features,
     make_binseq_model,
     make_partition_model,
@@ -53,13 +53,21 @@ def test_target_never_appears_in_its_own_rhs():
         assert b.target not in expr.names(b.rhs)
 
 
+def _evaluate(bound, env):
+    """The rhs on a name -> value env holding n and every input: the env is
+    laid out as ``("n",) + FEATURES[object]``, with 0 in the features the rhs
+    does not read."""
+    assert {"n", *bound.inputs} <= env.keys()
+    return bound.evaluate([env["n"]] + [env.get(f, 0) for f in FEATURES[bound.object]])
+
+
 def _penv(n, p, mmin, mmax, rng):
     return {"n": n, "P": p, "Mmin": mmin, "Mmax": mmax, "rangeM": rng}
 
 
 def test_sum_squares_upper_bound_examples():
     # leftover 5 over range 3: one middle part of size 3, one full step
-    assert eval_rhs(by_id("P-S-UB"), _penv(8, 3, 1, 4, 3)) == 26
+    assert _evaluate(by_id("P-S-UB"), _penv(8, 3, 1, 4, 3)) == 26
     best = max(
         partition_features(list(s)).S
         for s in oracle.enum_partitions(8)
@@ -67,7 +75,7 @@ def test_sum_squares_upper_bound_examples():
     )
     assert best == 26
     # equal parts collapse to Mmin^2 * P
-    assert eval_rhs(by_id("P-S-UB"), _penv(6, 3, 2, 2, 0)) == 12
+    assert _evaluate(by_id("P-S-UB"), _penv(6, 3, 2, 2, 0)) == 12
 
 
 def _first_binseq_with(n, pred):
@@ -79,26 +87,26 @@ def _first_binseq_with(n, pred):
 
 def test_binseq_bound_examples_with_exhaustive_attainment():
     f = binseq_features([1, 1, 0, 1, 0, 1])
-    assert eval_rhs(by_id("B-N1-UB"), f) == 4 == f.N1
+    assert verify_on(by_id("B-N1-UB"), f).rhs == 4 == f.N1
     best = max(
         g.N1 for bits in oracle.enum_binseqs(6)
         for g in [binseq_features(list(bits))] if g.G == 3 and g.Gmax == 2
     )
     assert best == 4
 
-    assert eval_rhs(by_id("B-GMAX-LB"), {"n": 6, "N1": 4}) == 2
+    assert _evaluate(by_id("B-GMAX-LB"), {"n": 6, "N1": 4}) == 2
     assert binseq_features([1, 1, 0, 1, 0, 1]).Gmax == 2
 
-    assert eval_rhs(by_id("B-DMIN-UB"), {"n": 6, "G": 2, "Gmax": 2}) == 3
+    assert _evaluate(by_id("B-DMIN-UB"), {"n": 6, "G": 2, "Gmax": 2}) == 3
     assert binseq_features([1, 1, 0, 0, 0, 1]).Dmin == 3
 
-    assert eval_rhs(by_id("B-DS-UB1"), {"n": 6, "N1": 2}) == 16
+    assert _evaluate(by_id("B-DS-UB1"), {"n": 6, "N1": 2}) == 16
     assert binseq_features([1, 0, 0, 0, 0, 1]).DS == 16
 
-    assert eval_rhs(by_id("B-GS-UB1"), {"n": 6, "G": 3, "N1": 4}) == 6
+    assert _evaluate(by_id("B-GS-UB1"), {"n": 6, "G": 3, "N1": 4}) == 6
     assert binseq_features([1, 1, 0, 1, 0, 1]).GS == 6
 
-    assert eval_rhs(by_id("B-GMAX-UB2"), {"n": 7, "G": 3, "Dmax": 2, "Dmin": 1}) == 2
+    assert _evaluate(by_id("B-GMAX-UB2"), {"n": 7, "G": 3, "Dmax": 2, "Dmin": 1}) == 2
     assert binseq_features([1, 0, 1, 0, 0, 1, 1]).Gmax == 2
 
 
@@ -144,7 +152,7 @@ def test_unmatched_guard_is_catalog_error_on_eval_and_failure_on_post():
     # G=1 with a positive largest inter-distance occurs in no sequence
     bad = {"n": 7, "G": 1, "Dmax": 2, "Dmin": 0}
     with pytest.raises(NoCaseMatched):
-        eval_rhs(by_id("B-GMAX-UB2"), bad)
+        _evaluate(by_id("B-GMAX-UB2"), bad)
 
     model, featvars, xs = make_binseq_model(7)
     assert post_bound(model, by_id("B-GMAX-UB2"), featvars, 7) is not None
@@ -154,56 +162,114 @@ def test_unmatched_guard_is_catalog_error_on_eval_and_failure_on_post():
     assert not model.assign(dmax.id, 2)  # infeasible combination fails the subtree
 
 
+def test_unmatched_guard_message_lists_the_feature_tuple_in_layout_order():
+    never = BoundCandidate("t", "binseq", "N1", "upper", expr.cases((expr.cmp("<", "G", 0), 0)))
+    with pytest.raises(NoCaseMatched) as exc:
+        verify_on(never, binseq_features([1, 0, 1]))
+    assert str(exc.value) == (
+        "no case matched environment {'n': 3, 'N1': 2, 'G': 2, 'Gmin': 1, 'Gmax': 1, "
+        "'rangeG': 0, 'GS': 2, 'Dmin': 1, 'Dmax': 1, 'rangeD': 0, 'DS': 1}"
+    )
+    never = BoundCandidate("t", "partition", "S", "upper", expr.cases((expr.cmp("<", "P", 0), 0)))
+    with pytest.raises(NoCaseMatched) as exc:
+        verify_on(never, partition_features([3, 1, 1]))
+    assert str(exc.value) == (
+        "no case matched environment {'n': 5, 'P': 3, 'Mmin': 1, 'Mmax': 3, 'rangeM': 2, 'S': 11}"
+    )
+
+
+def test_misspelled_direction_is_refused_when_built():
+    f = binseq_features([1, 1, 0, 1])  # GS = 5 <= N1^2 = 9
+    v = verify_on(BoundCandidate("t", "binseq", "GS", "upper", ("sq", "N1")), f)
+    assert (v.holds, v.slack) == (True, 4)
+    with pytest.raises(InvalidArgumentError, match="unknown direction 'uper'"):
+        BoundCandidate("t", "binseq", "GS", "uper", ("sq", "N1"))
+
+
+def test_unknown_object_is_refused_when_built():
+    with pytest.raises(InvalidArgumentError, match="unknown object 'foo'"):
+        BoundCandidate("t", "foo", "GS", "upper", ("sq", "N1"))
+    with pytest.raises(InvalidArgumentError, match="unknown object 'foo'"):
+        decoy("foo", "GS", 6)
+
+
+def test_unknown_rhs_name_is_refused_when_built():
+    with pytest.raises(CatalogError, match="unknown name 'Nq'"):
+        BoundCandidate("t", "binseq", "GS", "upper", ("+", "Nq", 1))
+    # another object's feature is outside the layout too
+    with pytest.raises(CatalogError, match="unknown name 'P'"):
+        BoundCandidate("t", "binseq", "GS", "upper", ("+", "P", 1))
+
+
+def test_unknown_target_is_refused_when_built():
+    with pytest.raises(InvalidArgumentError, match="unknown feature 'Gq' for binseq"):
+        BoundCandidate("t", "binseq", "Gq", "upper", ("sq", "N1"))
+    with pytest.raises(InvalidArgumentError, match="unknown feature 'n' for binseq"):
+        BoundCandidate("t", "binseq", "n", "upper", ("sq", "N1"))
+
+
 def test_euclidean_division_conventions():
     with pytest.raises(CatalogError):
-        expr.compile_expr(expr.fdiv(4, 0))({})
+        expr.compile_expr(expr.fdiv(4, 0), ())(())
     # negative numerators floor toward -inf with non-negative remainder
-    assert expr.compile_expr(expr.fdiv(-7, 3))({}) == -3
-    assert expr.compile_expr(expr.fmod(-7, 3))({}) == 2
+    assert expr.compile_expr(expr.fdiv(-7, 3), ())(()) == -3
+    assert expr.compile_expr(expr.fmod(-7, 3), ())(()) == 2
 
 
 def test_iverson_is_zero_or_one():
-    node = expr.compile_expr(expr.iverson(expr.cmp("==", "G", 0)))
-    assert node({"G": 0}) == 1
-    assert node({"G": 5}) == 0
+    node = expr.compile_expr(expr.iverson(expr.cmp("==", "G", 0)), ("G",))
+    assert node((0,)) == 1
+    assert node((5,)) == 0
 
 
 def test_unknown_operator_and_bad_arity_fail_at_compile_time():
     with pytest.raises(CatalogError, match="unknown operator 'pow'"):
-        expr.compile_expr(("pow", 1, 2))
+        expr.compile_expr(("pow", 1, 2), ())
     with pytest.raises(CatalogError):
-        expr.compile_expr(("-", 1, 2, 3))
+        expr.compile_expr(("-", 1, 2, 3), ())
     with pytest.raises(CatalogError):
-        expr.compile_expr(("sq",))
+        expr.compile_expr(("sq",), ())
+
+
+def test_unknown_name_fails_at_compile_time():
+    with pytest.raises(CatalogError, match="unknown name 'Nq'"):
+        expr.compile_expr(("+", "Nq", 1), ("n", "N1"))
+    # a name reads its own slot of the layout
+    assert expr.compile_expr(("-", "N1", "n"), ("n", "N1"))((2, 7)) == 5
 
 
 def test_compiled_operators_keep_order_short_circuit_and_first_match():
     seen = []
+    layout = ("a", "b", "c")
 
-    class Env(dict):
-        def __getitem__(self, key):
-            seen.append(key)
-            return super().__getitem__(key)
+    class Slots(tuple):
+        def __getitem__(self, i):
+            seen.append(layout[i])
+            return super().__getitem__(i)
 
-    env = Env(a=1, b=0, c=2)
+    env = Slots((1, 0, 2))
+
+    def compile_expr(node):
+        return expr.compile_expr(node, layout)
+
     # both operands are evaluated, left to right, before the divisor is checked
     with pytest.raises(CatalogError, match="non-positive divisor 0 in mod"):
-        expr.compile_expr(expr.fmod("a", "b"))(env)
+        compile_expr(expr.fmod("a", "b"))(env)
     assert seen == ["a", "b"]
     seen.clear()
     # "and" stops at the first false part
     guard = expr.both(expr.cmp("==", "b", 1), expr.cmp("==", "c", 2))
-    assert expr.compile_expr(expr.iverson(guard))(env) == 0
+    assert compile_expr(expr.iverson(guard))(env) == 0
     assert seen == ["b"]
     # the first guard that holds wins, later guards are never evaluated
     split = expr.cases((expr.cmp(">=", "c", 2), "a"), (expr.cmp(">=", "b", 0), "b"))
     seen.clear()
-    assert expr.compile_expr(split)(env) == 1
+    assert compile_expr(split)(env) == 1
     assert seen == ["c", "a"]
-    assert expr.compile_expr(expr.emin("c", "a", 3))(env) == 1
-    assert expr.compile_expr(expr.emax("c", "a", 3))(env) == 3
+    assert compile_expr(expr.emin("c", "a", 3))(env) == 1
+    assert compile_expr(expr.emax("c", "a", 3))(env) == 3
     with pytest.raises(NoCaseMatched, match="no case matched environment"):
-        expr.compile_expr(expr.cases((expr.cmp("<", "c", 0), 0)))(env)
+        compile_expr(expr.cases((expr.cmp("<", "c", 0), 0)))(env)
     assert expr.names(split) == {"a", "b", "c"}
 
 
@@ -238,7 +304,7 @@ def test_catalog_json_and_rhs_values_are_pinned():
             for vals in product(range(-1, 5), repeat=len(inputs)):
                 env = {"n": n, **dict(zip(inputs, vals))}
                 try:
-                    out = eval_rhs(b, env)
+                    out = _evaluate(b, env)
                     outcomes["value"] += 1
                 except NoCaseMatched:
                     out = "NCM"
@@ -262,31 +328,33 @@ def test_catalog_soundness_small(n):
 
 
 def test_guard_exhaustiveness_and_exclusivity():
-    def case_splits(node):
+    def case_splits(node, layout):
         """The compiled guards of every case split inside ``node``."""
         if not isinstance(node, tuple):
             return []
         if node[0] == "cases":
             arms = node[1:]
-            out = [[expr.compile_expr(g) for g, _ in arms]]
+            out = [[expr.compile_expr(g, layout) for g, _ in arms]]
             for _, e in arms:
-                out += case_splits(e)
+                out += case_splits(e, layout)
             return out
-        return [split for child in node[1:] for split in case_splits(child)]
+        return [split for child in node[1:] for split in case_splits(child, layout)]
 
     def check(b, env):
         for guards in splits[b.id]:
             assert sum(1 for guard in guards if guard(env)) == 1
 
-    splits = {b.id: case_splits(b.rhs) for b in catalog()}
+    splits = {b.id: case_splits(b.rhs, ("n",) + FEATURES[b.object]) for b in catalog()}
     assert sum(map(len, splits.values())) == 11  # ten case-split bounds, P-S-UB holds two
     for n in range(1, 9):
         for sizes in oracle.enum_partitions(n):
-            env = partition_features(list(sizes)).env()
+            f = partition_features(list(sizes))
+            env = (f.n,) + f.as_tuple()
             for b in catalog("partition"):
                 check(b, env)
         for bits in oracle.enum_binseqs(n):
-            env = binseq_features(list(bits)).env()
+            f = binseq_features(list(bits))
+            env = (f.n,) + f.as_tuple()
             for b in catalog("binseq"):
                 check(b, env)
 
@@ -305,7 +373,7 @@ def test_observed_tightness_report():
 def test_decoy_is_vacuous_and_validated():
     d = decoy("binseq", "GS", 6)
     assert d.id == "decoy:GS"
-    assert eval_rhs(d, {"n": 6}) == 36
+    assert _evaluate(d, {"n": 6}) == 36
     for bits in oracle.enum_binseqs(6):
         assert verify_on(d, binseq_features(list(bits))).holds
     with pytest.raises(InvalidArgumentError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -123,15 +124,16 @@ def test_compare_identical_exit_zero(capsys):
 
 
 def test_compare_mutant_selector_exit_one(monkeypatch, capsys):
-    real = selector.selection
+    real = selector.run_selection
 
     def mutant(scenario, cands):
-        report = real(scenario, cands)
-        return selector.SelectionReport(
+        outcome = real(scenario, cands)
+        report = outcome.report
+        return dataclasses.replace(outcome, report=selector.SelectionReport(
             report.selected[:-1], report.posts, report.labelings, report.wall_ms
-        )
+        ))
 
-    monkeypatch.setattr(selector, "selection", mutant)
+    monkeypatch.setattr(selector, "run_selection", mutant)
     code, out, _ = run(capsys, ["compare", "--object", "partition", "--n", "4"])
     assert code == 1
     assert json.loads(out)["identical"] is False

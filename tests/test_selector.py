@@ -15,12 +15,10 @@ from boundforge.selector import (
     Counters,
     ObjectScenario,
     SolutionRecord,
-    baseline_selection,
     compute_all_solutions,
     enumerate_all_solutions,
     run_baseline,
     run_selection,
-    selection,
     split_mid,
     _drain,
 )
@@ -132,8 +130,8 @@ def test_drain_rejects_record_without_successor():
 
 
 def test_selection_with_no_candidates_selects_nothing():
-    assert selection(ObjectScenario("binseq", 3), []).selected == ()
-    assert baseline_selection(ObjectScenario("binseq", 3), []).selected == ()
+    assert run_selection(ObjectScenario("binseq", 3), []).report.selected == ()
+    assert run_baseline(ObjectScenario("binseq", 3), []).report.selected == ()
 
 
 def test_select_one_requires_candidates():
@@ -249,7 +247,7 @@ def test_selection_state_is_restorable_to_the_entry_mark():
 
 def test_scenario_rejects_foreign_candidates():
     with pytest.raises(InvalidArgumentError):
-        selection(ObjectScenario("partition", 4), catalog("binseq")[:1])
+        run_selection(ObjectScenario("partition", 4), catalog("binseq")[:1])
 
 
 def test_selection_refuses_n_above_the_enumeration_ceiling():
