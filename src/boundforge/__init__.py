@@ -10,9 +10,7 @@ from .kernel import (
     TrailMark,
     VarRef,
     labeling,
-    post,
     post_lex_greater,
-    solve_all,
 )
 from .objects import (
     BinSeqFeatures,
@@ -65,13 +63,11 @@ __all__ = [
     "max_sum_squares",
     "omax_omin_bounds",
     "partition_features",
-    "post",
     "post_binseq",
     "post_bound",
     "post_lex_greater",
     "post_partition",
     "run_baseline",
     "run_selection",
-    "solve_all",
     "verify_on",
 ]

@@ -29,8 +29,9 @@ class BoundCandidate:
     """One guarded arithmetic bound on a single feature.
 
     Checked when built: an unknown object, direction or target raises
-    :class:`InvalidArgumentError`, and an rhs naming anything outside the
-    object's layout raises :class:`CatalogError` from the compile.
+    :class:`InvalidArgumentError`, and an rhs that is malformed or names
+    anything outside the object's layout raises :class:`CatalogError` from
+    the compile.
     """
 
     id: str
@@ -50,8 +51,8 @@ class BoundCandidate:
 
     @cached_property
     def evaluate(self):
-        """The rhs compiled once into a closure over the ``("n",) +
-        FEATURES[object]`` slots."""
+        """The rhs compiled once into one generated function over the
+        ``("n",) + FEATURES[object]`` slots."""
         return E.compile_expr(self.rhs, ("n",) + FEATURES[self.object])
 
     @cached_property
@@ -274,6 +275,7 @@ class BoundConstraint(Constraint):
     """
 
     kind = "bound"
+    on_fix = True
 
     def __init__(self, bound: BoundCandidate, featvar_ids: Sequence[int], n: int):
         features = FEATURES[bound.object]

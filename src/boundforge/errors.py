@@ -17,16 +17,12 @@ class InvalidMarkError(BoundforgeError):
     """Trail mark is stale or belongs to another model."""
 
 
-class UnsupportedConstraintError(BoundforgeError):
-    """Constraint kind not known to the kernel."""
-
-
 class InvalidInputError(BoundforgeError):
     """Ground data rejected by a feature extractor."""
 
 
 class CatalogError(BoundforgeError):
-    """A catalog expression is internally inconsistent (bad guard, bad divisor)."""
+    """A catalog expression is malformed or inconsistent (bad node, guard or divisor)."""
 
 
 class CatalogSoundnessError(BoundforgeError):

@@ -18,6 +18,19 @@ owner's prefix check is certain to fail without making it.
 Propagation strength is fixed and documented per constraint class; it is
 part of the observable behaviour (backtrack counts), not an optimization
 detail.
+
+Wake-ups follow the modification events a propagator reads (Schulte and
+Stuckey, "Efficient Constraint Propagation Engines", TOPLAS 2008).  A kind
+that declares ``on_fix`` depends only on which of its watched variables
+are fixed and on their values; the model files it in a second
+per-variable watcher list that only a fix wakes.  Those kinds are the
+check-on-fix ones: ``bounds.BoundConstraint`` and the object checks
+``objects.PrefixFeasible`` and ``objects.GroundChecker``.  A domain that
+narrows without becoming fixed changes nothing such a propagator reads,
+and it has run since the last fix of any of its variables (that fix woke
+it), so the skipped wake-up would have returned True without pruning.
+Skipping it moves the propagator in the queue, never the fixpoint, a
+failure, or a backtrack count.
 """
 
 from __future__ import annotations
@@ -31,7 +44,6 @@ from .errors import (
     InvalidArgumentError,
     InvalidDomainError,
     InvalidMarkError,
-    UnsupportedConstraintError,
 )
 
 
@@ -78,11 +90,14 @@ class Constraint:
     """Base class for propagators.
 
     ``watched`` lists the variable ids whose domain changes re-schedule the
-    propagator.  ``propagate`` prunes through the model helpers and returns
-    False exactly when it wiped out a domain.
+    propagator.  A kind that sets ``on_fix`` is re-scheduled only when one of
+    them becomes fixed, so its outcome may depend only on the fixed ones.
+    ``propagate`` prunes through the model helpers and returns False exactly
+    when it wiped out a domain.
     """
 
     kind = "constraint"
+    on_fix = False
     # every variable the propagator reads or prunes, declared only by the
     # kinds whose scope is exactly that (see LeafMemo.applies)
     footprint: tuple[int, ...] | None = None
@@ -105,7 +120,9 @@ class Model:
         self._doms: list[tuple[int, ...]] = []
         self._trail: list[tuple[int, tuple[int, ...]]] = []
         self._constraints: list[Constraint] = []
+        # per variable: constraints woken by any change, and by a fix only
         self._watchers: list[list[int]] = []
+        self._fix_watchers: list[list[int]] = []
         self._queue: deque[int] = deque()
         self._inq: set[int] = set()
         self.leaf_memo: LeafMemo | None = None  # attached by an object post
@@ -119,6 +136,7 @@ class Model:
         vid = len(self._doms)
         self._doms.append(tuple(range(lo, hi + 1)))
         self._watchers.append([])
+        self._fix_watchers.append([])
         return VarRef(self.model_id, vid)
 
     def _check_var(self, v: VarRef) -> int:
@@ -155,8 +173,9 @@ class Model:
         while len(self._constraints) > mark.ncons:
             cid = len(self._constraints) - 1
             con = self._constraints.pop()
+            watchers = self._fix_watchers if con.on_fix else self._watchers
             for vid in set(con.watched):
-                lst = self._watchers[vid]
+                lst = watchers[vid]
                 while lst and lst[-1] == cid:
                     lst.pop()
 
@@ -182,6 +201,11 @@ class Model:
             if cid not in inq:
                 inq.add(cid)
                 queue.append(cid)
+        if len(new) == 1:
+            for cid in self._fix_watchers[vid]:
+                if cid not in inq:
+                    inq.add(cid)
+                    queue.append(cid)
         return True
 
     def prune_le(self, vid: int, ub: int) -> bool:
@@ -219,8 +243,9 @@ class Model:
         mark = self.mark()
         cid = len(self._constraints)
         self._constraints.append(con)
+        watchers = self._fix_watchers if con.on_fix else self._watchers
         for vid in con.watched:
-            self._watchers[vid].append(cid)
+            watchers[vid].append(cid)
         if cid not in self._inq:
             self._inq.add(cid)
             self._queue.append(cid)
@@ -250,52 +275,6 @@ class Model:
 
 
 # -- concrete constraints ----------------------------------------------------
-
-
-class EqVars(Constraint):
-    """a = b, bounds-consistent hull intersection, eager check when fixed."""
-
-    kind = "eq"
-
-    def __init__(self, a: int, b: int):
-        super().__init__((a, b))
-        self.a, self.b = a, b
-
-    def propagate(self, model: Model) -> bool:
-        doms = model._doms
-        da, db = doms[self.a], doms[self.b]
-        lo, hi = max(da[0], db[0]), min(da[-1], db[-1])
-        if lo > hi:
-            return False
-        for vid in (self.a, self.b):
-            if not (model.prune_ge(vid, lo) and model.prune_le(vid, hi)):
-                return False
-        da, db = doms[self.a], doms[self.b]
-        if len(da) == 1 and len(db) == 1 and da[0] != db[0]:
-            return False
-        return True
-
-
-class LeConst(Constraint):
-    kind = "le_const"
-
-    def __init__(self, a: int, c: int):
-        super().__init__((a,))
-        self.a, self.c = a, c
-
-    def propagate(self, model: Model) -> bool:
-        return model.prune_le(self.a, self.c)
-
-
-class GeConst(Constraint):
-    kind = "ge_const"
-
-    def __init__(self, a: int, c: int):
-        super().__init__((a,))
-        self.a, self.c = a, c
-
-    def propagate(self, model: Model) -> bool:
-        return model.prune_ge(self.a, self.c)
 
 
 class SumEq(Constraint):
@@ -370,74 +349,28 @@ class LexGreater(Constraint):
         return False
 
     def propagate(self, model: Model) -> bool:
-        doms = model._doms
+        doms, xs, tup = model._doms, self.xs, self.tup
+        k = len(xs)
         i = 0
-        k = len(self.xs)
         while True:
             if i == k:
                 return False
-            if not model.prune_ge(self.xs[i], self.tup[i]):
-                return False
-            d = doms[self.xs[i]]
-            if d[-1] > self.tup[i]:
+            vid, t = xs[i], tup[i]
+            d = doms[vid]
+            if d[0] < t:  # prune_ge would change nothing otherwise
+                if not model.prune_ge(vid, t):
+                    return False
+                d = doms[vid]
+            if d[-1] > t:
                 break
             i += 1
-        d = doms[self.xs[i]]
-        if d[0] == self.tup[i] and not self._suffix_can_exceed(model, i + 1):
-            if not model.remove_value(self.xs[i], self.tup[i]):
+        if d[0] == t and not self._suffix_can_exceed(model, i + 1):
+            if not model.remove_value(vid, t):
                 return False
         return True
 
 
-class Check(Constraint):
-    """Predicate over a scope, checked only once every scope variable is fixed."""
-
-    kind = "check"
-
-    def __init__(self, xs: Sequence[int], predicate: Callable[[tuple[int, ...]], bool]):
-        super().__init__(tuple(xs))
-        self.xs = tuple(xs)
-        self.predicate = predicate
-
-    def propagate(self, model: Model) -> bool:
-        doms = model._doms
-        vals = []
-        for v in self.xs:
-            d = doms[v]
-            if len(d) != 1:
-                return True
-            vals.append(d[0])
-        return bool(self.predicate(tuple(vals)))
-
-
 # -- posting API -------------------------------------------------------------
-
-
-def post(model: Model, spec: tuple) -> ConstraintHandle | None:
-    """Post a constraint described by a (kind, args...) tuple.
-
-    Returns the handle, or None when posting failed (the model is then
-    unchanged).  Unknown kinds raise :class:`UnsupportedConstraintError`.
-    """
-    kind = spec[0]
-    if kind == "eq":
-        return model.post_constraint(EqVars(model._check_var(spec[1]), model._check_var(spec[2])))
-    if kind == "le_const":
-        return model.post_constraint(LeConst(model._check_var(spec[1]), spec[2]))
-    if kind == "ge_const":
-        return model.post_constraint(GeConst(model._check_var(spec[1]), spec[2]))
-    if kind == "sum_eq":
-        xs = [model._check_var(v) for v in spec[1]]
-        total = spec[2]
-        if isinstance(total, VarRef):
-            return model.post_constraint(SumEq(xs, model._check_var(total)))
-        return model.post_constraint(SumEq(xs, None, int(total)))
-    if kind == "lex_greater":
-        return post_lex_greater(model, spec[1], spec[2])
-    if kind == "check":
-        xs = [model._check_var(v) for v in spec[1]]
-        return model.post_constraint(Check(xs, spec[2]))
-    raise UnsupportedConstraintError(f"unknown constraint kind {kind!r}")
 
 
 def post_lex_greater(
@@ -582,14 +515,3 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
     if found:
         return LabelResult(nback, False, found[0])
     return LabelResult(nback, True, ())
-
-
-def solve_all(model: Model, order: Sequence[VarRef]) -> list[tuple[int, ...]]:
-    """Exhaustively enumerate every solution over ``order`` (test utility).
-
-    Depth-first in the same order/value discipline as :func:`labeling`;
-    the model state is restored before returning.
-    """
-    out: list[tuple[int, ...]] = []
-    _dfs(model, order, lambda sol: out.append(sol) or False)
-    return out

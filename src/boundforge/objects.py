@@ -247,6 +247,7 @@ class PrefixFeasible(Constraint):
     """
 
     kind = "prefix_feasible"
+    on_fix = True
 
     def __init__(self, featvars: Sequence[int], prefixes: tuple[frozenset, ...]):
         super().__init__(tuple(featvars))
@@ -274,6 +275,7 @@ class GroundChecker(Constraint):
     """
 
     kind = "ground_checker"
+    on_fix = True
 
     def __init__(self, featvars: Sequence[int], xs: Sequence[int], extract):
         super().__init__(tuple(xs))

@@ -1,0 +1,131 @@
+"""Test-only constraint kinds, a tuple-spec posting front end and an
+exhaustive enumerator over the kernel's one depth-first search.
+
+Nothing in the library needs these; the kernel tests, the acceptance
+fixtures and a few cross-checks do.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+from boundforge.errors import BoundforgeError
+from boundforge.kernel import (
+    Constraint,
+    ConstraintHandle,
+    Model,
+    SumEq,
+    VarRef,
+    _dfs,
+    post_lex_greater,
+)
+
+
+class UnsupportedConstraintError(BoundforgeError):
+    """Constraint kind not known to :func:`post`."""
+
+
+class EqVars(Constraint):
+    """a = b, bounds-consistent hull intersection, eager check when fixed."""
+
+    kind = "eq"
+
+    def __init__(self, a: int, b: int):
+        super().__init__((a, b))
+        self.a, self.b = a, b
+
+    def propagate(self, model: Model) -> bool:
+        doms = model._doms
+        da, db = doms[self.a], doms[self.b]
+        lo, hi = max(da[0], db[0]), min(da[-1], db[-1])
+        if lo > hi:
+            return False
+        for vid in (self.a, self.b):
+            if not (model.prune_ge(vid, lo) and model.prune_le(vid, hi)):
+                return False
+        da, db = doms[self.a], doms[self.b]
+        if len(da) == 1 and len(db) == 1 and da[0] != db[0]:
+            return False
+        return True
+
+
+class LeConst(Constraint):
+    kind = "le_const"
+
+    def __init__(self, a: int, c: int):
+        super().__init__((a,))
+        self.a, self.c = a, c
+
+    def propagate(self, model: Model) -> bool:
+        return model.prune_le(self.a, self.c)
+
+
+class GeConst(Constraint):
+    kind = "ge_const"
+
+    def __init__(self, a: int, c: int):
+        super().__init__((a,))
+        self.a, self.c = a, c
+
+    def propagate(self, model: Model) -> bool:
+        return model.prune_ge(self.a, self.c)
+
+
+class Check(Constraint):
+    """Predicate over a scope, checked only once every scope variable is fixed."""
+
+    kind = "check"
+    on_fix = True
+
+    def __init__(self, xs: Sequence[int], predicate: Callable[[tuple[int, ...]], bool]):
+        super().__init__(tuple(xs))
+        self.xs = tuple(xs)
+        self.predicate = predicate
+
+    def propagate(self, model: Model) -> bool:
+        doms = model._doms
+        vals = []
+        for v in self.xs:
+            d = doms[v]
+            if len(d) != 1:
+                return True
+            vals.append(d[0])
+        return bool(self.predicate(tuple(vals)))
+
+
+def post(model: Model, spec: tuple) -> ConstraintHandle | None:
+    """Post a constraint described by a (kind, args...) tuple.
+
+    Returns the handle, or None when posting failed (the model is then
+    unchanged).  Unknown kinds raise :class:`UnsupportedConstraintError`.
+    """
+    kind = spec[0]
+    if kind == "eq":
+        return model.post_constraint(EqVars(model._check_var(spec[1]), model._check_var(spec[2])))
+    if kind == "le_const":
+        return model.post_constraint(LeConst(model._check_var(spec[1]), spec[2]))
+    if kind == "ge_const":
+        return model.post_constraint(GeConst(model._check_var(spec[1]), spec[2]))
+    if kind == "sum_eq":
+        xs = [model._check_var(v) for v in spec[1]]
+        total = spec[2]
+        if isinstance(total, VarRef):
+            return model.post_constraint(SumEq(xs, model._check_var(total)))
+        return model.post_constraint(SumEq(xs, None, int(total)))
+    if kind == "lex_greater":
+        return post_lex_greater(model, spec[1], spec[2])
+    if kind == "check":
+        xs = [model._check_var(v) for v in spec[1]]
+        return model.post_constraint(Check(xs, spec[2]))
+    raise UnsupportedConstraintError(f"unknown constraint kind {kind!r}")
+
+
+def solve_all(model: Model, order: Sequence[VarRef]) -> list[tuple[int, ...]]:
+    """Exhaustively enumerate every solution over ``order``.
+
+    Depth-first in the same order/value discipline as ``kernel.labeling``
+    (it is the same search); the model state is restored before returning.
+    """
+    out: list[tuple[int, ...]] = []
+    _dfs(model, order, lambda sol: out.append(sol) or False)
+    return out

@@ -16,7 +16,7 @@ import pytest
 
 from boundforge import oracle, selector
 from boundforge.bounds import catalog, decoy, post_bound
-from boundforge.kernel import LabelResult, Model, labeling, post, post_lex_greater, solve_all
+from boundforge.kernel import LabelResult, Model, labeling, post_lex_greater
 from boundforge.objects import partition_features
 from boundforge.selector import (
     Counters,
@@ -28,6 +28,8 @@ from boundforge.selector import (
     run_selection,
     split_mid,
 )
+
+from kernel_helpers import post, solve_all
 
 PARTITION_AUDIT_N = 10
 BINSEQ_AUDIT_N = 14

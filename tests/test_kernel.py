@@ -10,9 +10,10 @@ from boundforge.errors import (
     InvalidArgumentError,
     InvalidDomainError,
     InvalidMarkError,
-    UnsupportedConstraintError,
 )
-from boundforge.kernel import LabelResult, Model, labeling, post, post_lex_greater, solve_all
+from boundforge.kernel import LabelResult, Model, labeling, post_lex_greater
+
+from kernel_helpers import UnsupportedConstraintError, post, solve_all
 
 
 def test_new_var_ranges():

@@ -14,9 +14,11 @@ import pytest
 
 from boundforge import objects, selector
 from boundforge.bounds import catalog
-from boundforge.kernel import LabelResult, labeling, post, solve_all
+from boundforge.kernel import LabelResult, labeling
 from boundforge.objects import binseq_tuples, make_binseq_model, partition_tuples, post_binseq
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
+
+from kernel_helpers import post, solve_all
 
 BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
 

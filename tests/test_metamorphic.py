@@ -26,6 +26,11 @@ def _fresh(object_name, n):
     return ObjectScenario(object_name, n).fresh(Counters())
 
 
+def _watchers(model):
+    """Copies of both per-variable watcher lists."""
+    return [list(lst) for lst in model._watchers], [list(lst) for lst in model._fix_watchers]
+
+
 def _apply(model, featvars, xs, n, op) -> bool:
     kind, arg, val = op
     if kind == "bound":
@@ -40,28 +45,31 @@ def _apply(model, featvars, xs, n, op) -> bool:
 def test_retract_to_restores_every_mark_of_a_random_interleaving(data, object_name):
     """Posts of bounds and lex constraints, assignments, marks and retractions
     in random order: each ``retract_to`` gives back the exact domains and
-    constraint count of its mark, and labeling then equals labeling on a
-    fresh model that replays the operations still in effect."""
+    constraint count of its mark, both watcher lists as they were at the
+    mark, and labeling then equals labeling on a fresh model that replays
+    the operations still in effect."""
     n = data.draw(st.integers(1, 6), label="n")
     cat = catalog(object_name)
     tuples = _TUPLES[object_name](n)
     model, featvars, xs = _fresh(object_name, n)
     ops = []  # the successful operations since the object post, in order
-    marks = [(model.mark(), model.snapshot(), len(model._constraints), 0)]
+    marks = [(model.mark(), model.snapshot(), len(model._constraints), 0, _watchers(model))]
     failed = False  # a failed assign leaves an empty domain until a retract
     for _ in range(data.draw(st.integers(1, 16), label="steps")):
         kinds = ["retract"] if failed else ["bound", "bound", "lex", "assign", "assign", "mark",
                                             "retract"]
         kind = data.draw(st.sampled_from(kinds), label="op")
         if kind == "mark":
-            marks.append((model.mark(), model.snapshot(), len(model._constraints), len(ops)))
+            marks.append((model.mark(), model.snapshot(), len(model._constraints), len(ops),
+                          _watchers(model)))
             continue
         if kind == "retract":
             i = data.draw(st.integers(0, len(marks) - 1), label="mark")
-            mark, snap, ncons, nops = marks[i]
+            mark, snap, ncons, nops, watchers = marks[i]
             model.retract_to(mark)
             assert model.snapshot() == snap
             assert len(model._constraints) == ncons
+            assert _watchers(model) == watchers
             del marks[i + 1:], ops[nops:]
             failed = False
             replay, rvars, rxs = _fresh(object_name, n)

@@ -24,6 +24,8 @@ from boundforge.objects import (
     post_partition,
 )
 
+from kernel_helpers import solve_all
+
 
 def test_partition_features_examples():
     assert partition_features([4, 1]) == PartitionFeatures(5, 2, 1, 4, 3, 17)
@@ -101,7 +103,7 @@ def _model_tuples(object_name: str, n: int) -> tuple[set, list]:
     else:
         model, featvars, xs = make_binseq_model(n)
         assert post_binseq(model, featvars, xs) is not None
-    sols = kernel.solve_all(model, list(xs) + list(featvars))
+    sols = solve_all(model, list(xs) + list(featvars))
     return {s[n:] for s in sols}, sols
 
 
@@ -201,7 +203,7 @@ def test_binseq_tuple_core_matches_definition_exhaustively():
 def test_partition_ground_core_matches_features_on_every_coloring(n):
     model, featvars, xs = make_partition_model(n)
     assert post_partition(model, featvars, xs) is not None
-    sols = kernel.solve_all(model, list(xs) + list(featvars))
+    sols = solve_all(model, list(xs) + list(featvars))
     assert sols
     for s in sols:
         sizes = list(Counter(s[:n]).values())

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from boundforge import objects
 from boundforge.bounds import catalog, post_bound
-from boundforge.kernel import Constraint, Model, SumEq, labeling, solve_all
+from boundforge.kernel import Constraint, Model, SumEq, labeling, post_lex_greater
+
+from kernel_helpers import solve_all
 
 
 class _TwoSumSumEq(Constraint):
@@ -168,3 +170,72 @@ def test_fixpoints_and_labeling_do_not_depend_on_queue_order(data, object_name, 
     fifo.leaf_memo = None
     assert labeling(fifo, *fifo_vars) == expected
     assert shuffled.snapshot() == fifo.snapshot() == fifo_steps[-1]
+
+
+class _WakeOnEveryChangeModel(Model):
+    """Ignores ``on_fix``: files every constraint in the change list."""
+
+    def post_constraint(self, con):
+        con.on_fix = False  # shadows the class declaration, for post and retract alike
+        return super().post_constraint(con)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data(), object_name=st.sampled_from(sorted(_OBJECTS)))
+def test_waking_check_on_fix_kinds_only_on_fixes_changes_nothing(data, object_name):
+    n = data.draw(st.integers(1, 6), label="n")
+    cat = catalog(object_name)
+    cands = data.draw(st.lists(st.sampled_from(cat), max_size=len(cat)), label="bounds")
+    tuples = _OBJECTS[object_name][4](n)
+    lex = data.draw(st.none() | st.sampled_from(tuples), label="lex tuple")
+    # an extra sum over feature variables: a kind besides the bounds that
+    # narrows feature domains without fixing them
+    width = len(_OBJECTS[object_name][0])
+    scope = data.draw(st.none() | st.lists(st.integers(0, width - 1), min_size=1, max_size=3,
+                                           unique=True), label="sum scope")
+    if scope is not None:
+        total = data.draw(st.sampled_from([None] + [i for i in range(width) if i not in scope]),
+                          label="sum total")
+        const = data.draw(st.integers(0, 2 * n), label="sum constant")
+    tup = data.draw(st.sampled_from(tuples), label="tuple")
+    prefix = tup[: data.draw(st.integers(0, len(tup)), label="prefix length")]
+    # then some sequence variables, so domains also narrow without a fix
+    xbox = _OBJECTS[object_name][2](n)
+    fixes = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(*xbox)), max_size=n),
+                      label="sequence fixes")
+
+    def trace(model):
+        featvars, xs = _object_model(model, object_name, n)
+        steps = [model.snapshot()]
+        for cand in cands:
+            if post_bound(model, cand, featvars, n) is None:
+                return steps + ["post failed"], None
+            steps.append(model.snapshot())
+        if scope is not None:
+            tvid = None if total is None else featvars[total].id
+            if model.post_constraint(SumEq([featvars[i].id for i in scope], tvid, const)) is None:
+                return steps + ["sum post failed"], None
+            steps.append(model.snapshot())
+        if lex is not None:
+            if post_lex_greater(model, featvars, lex) is None:
+                return steps + ["lex post failed"], None
+            steps.append(model.snapshot())
+        for var, val in list(zip(featvars, prefix)) + [(xs[i], val) for i, val in fixes]:
+            if not model.assign(var.id, val):
+                return steps + ["assign failed"], None
+            steps.append(model.snapshot())
+        return steps, (featvars, xs)
+
+    real = Model()
+    real_steps, real_vars = trace(real)
+    every = _WakeOnEveryChangeModel()
+    every_steps, every_vars = trace(every)
+    assert every_steps == real_steps
+    if real_vars is None:
+        return
+    every.leaf_memo = None  # memo-free, so it owes nothing to entries the real models stored
+    expected = labeling(every, *every_vars)
+    assert labeling(real, *real_vars) == expected
+    real.leaf_memo = None
+    assert labeling(real, *real_vars) == expected
+    assert every.snapshot() == real.snapshot() == real_steps[-1]

@@ -10,7 +10,7 @@ import pytest
 from boundforge import bounds, selector
 from boundforge.bounds import catalog, decoy, post_bound
 from boundforge.errors import InternalInvariantError, InvalidArgumentError
-from boundforge.kernel import LabelResult, Model, post
+from boundforge.kernel import LabelResult, Model
 from boundforge.selector import (
     Counters,
     ObjectScenario,
@@ -22,6 +22,8 @@ from boundforge.selector import (
     split_mid,
     _drain,
 )
+
+from kernel_helpers import post
 
 
 def test_split_mid_fixtures():
