@@ -271,7 +271,10 @@ class BoundConstraint(Constraint):
 
     It keeps one slot list in the bound's layout, n in slot 0, and writes
     only the slots the rhs reads; the others are never read.  The list
-    belongs to this constraint, so to one model.
+    belongs to this constraint, so to one model.  ``acted`` counts the
+    calls that pruned the target or failed; a call that returns at an
+    unfixed input or finds the target already inside the bound leaves it
+    alone.  The selector's step memo reads it.
     """
 
     kind = "bound"
@@ -287,8 +290,10 @@ class BoundConstraint(Constraint):
         # right, so the last input is the one usually still open
         self.reads = tuple((i + 1, featvar_ids[i]) for i in reversed(at))
         self.slots = [n] + [0] * len(features)
+        self.bound = bound
         self.evaluate = bound.evaluate
         self.upper = bound.direction == "upper"
+        self.acted = 0
         super().__init__(self.input_ids)
 
     def propagate(self, model: Model) -> bool:
@@ -303,10 +308,23 @@ class BoundConstraint(Constraint):
         except E.NoCaseMatched:
             # guards are exhaustive on feasible tuples, so this fixed input
             # combination occurs in no solution; failing the subtree is sound
+            self.acted += 1
             return False
+        target = doms[self.target_id]
         if self.upper:
+            if target and target[-1] <= rhs:
+                return True
+            self.acted += 1
             return model.prune_le(self.target_id, rhs)
+        if target and target[0] >= rhs:
+            return True
+        self.acted += 1
         return model.prune_ge(self.target_id, rhs)
+
+
+def posted_bounds(model: Model) -> list[BoundConstraint]:
+    """The bound constraints posted on ``model``, in posting order."""
+    return [con for con in model._constraints if type(con) is BoundConstraint]
 
 
 def post_bound(
@@ -318,7 +336,7 @@ def post_bound(
         raise InvalidArgumentError(
             f"{bound.id} needs {width} feature variables, got {len(featvars)}"
         )
-    vids = [model._check_var(v) for v in featvars]
+    vids = [model.var_id(v) for v in featvars]
     return model.post_constraint(BoundConstraint(bound, vids, n))
 
 

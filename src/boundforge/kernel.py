@@ -139,13 +139,15 @@ class Model:
         self._fix_watchers.append([])
         return VarRef(self.model_id, vid)
 
-    def _check_var(self, v: VarRef) -> int:
+    def var_id(self, v: VarRef) -> int:
+        """The id of ``v`` in this model, for posting a propagator over it;
+        a variable of another model raises :class:`InvalidArgumentError`."""
         if v.model_id != self.model_id:
             raise InvalidArgumentError("variable belongs to another model")
         return v.id
 
     def domain(self, v: VarRef) -> tuple[int, ...]:
-        return self._doms[self._check_var(v)]
+        return self._doms[self.var_id(v)]
 
     def dom(self, vid: int) -> tuple[int, ...]:
         return self._doms[vid]
@@ -381,7 +383,7 @@ def post_lex_greater(
         raise InvalidArgumentError(
             f"lex-greater arity mismatch: {len(xs)} vars vs {len(tup)} values"
         )
-    vids = [model._check_var(v) for v in xs]
+    vids = [model.var_id(v) for v in xs]
     return model.post_constraint(LexGreater(vids, tuple(tup)))
 
 
@@ -443,7 +445,7 @@ def _dfs(
     solution) is used when it applies to this search, and gives the same
     count and solution as searching without it.
     """
-    vids = [model._check_var(v) for v in order]
+    vids = [model.var_id(v) for v in order]
     last = len(vids)
     doms, trail = model._doms, model._trail
     assign, undo = model.assign, model._undo_to

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
 from .kernel import Constraint, ConstraintHandle, LeafMemo, Model, SumEq, VarRef
@@ -223,6 +224,22 @@ def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
         bits = [(code >> i) & 1 for i in range(n)]
         tuples.add(_binseq_tuple(bits))
     return tuple(sorted(tuples))
+
+
+@lru_cache(maxsize=None)
+def canonical_tuples(object_name: str, n: int) -> Mapping[tuple[int, ...], tuple[int, ...]]:
+    """Each feasible feature tuple of the object at this n, mapped to itself.
+
+    A holder of many equal tuples (the selection records of every run in
+    the process) can keep this one object per tuple.  It holds exactly
+    ``len(partition_tuples(n))`` or ``len(binseq_tuples(n))`` entries, is
+    read-only, and an object or n the tuple tables refuse is refused
+    before anything is cached.
+    """
+    if object_name not in FEATURES:
+        raise InvalidArgumentError(f"unknown object {object_name!r}")
+    tuples = partition_tuples(n) if object_name == "partition" else binseq_tuples(n)
+    return MappingProxyType({t: t for t in tuples})
 
 
 @lru_cache(maxsize=None)
@@ -434,8 +451,8 @@ def post_partition(
     if len(featvars) != len(PARTITION_FEATURES):
         raise InvalidArgumentError("partition takes 5 feature variables")
     n = len(xs)
-    fvids = [model._check_var(v) for v in featvars]
-    xvids = [model._check_var(v) for v in xs]
+    fvids = [model.var_id(v) for v in featvars]
+    xvids = [model.var_id(v) for v in xs]
     prefixes = _prefix_sets(partition_tuples(n), len(fvids))  # refuses n before any new var
     occ = [model.new_var(0, n) for _ in range(n)]
     ovids = [v.id for v in occ]
@@ -503,8 +520,8 @@ def post_binseq(
     if len(featvars) != len(BINSEQ_FEATURES):
         raise InvalidArgumentError("binseq takes 10 feature variables")
     n = len(xs)
-    fvids = [model._check_var(v) for v in featvars]
-    xvids = [model._check_var(v) for v in xs]
+    fvids = [model.var_id(v) for v in featvars]
+    xvids = [model.var_id(v) for v in xs]
     prefixes = _prefix_sets(binseq_tuples(n), len(fvids))
     return _post_object(model, "binseq", fvids, xvids, xvids, prefixes, [
         SumEq(xvids, fvids[0]),

@@ -19,6 +19,13 @@ transition check for a head record posts lex-greater of its own solution
 and compares the observed count against the stored count of record i+1;
 the final record's successor is the sentinel.  The sentinel itself is
 never drained.
+
+Each run keeps a :class:`StepMemo`, shared by its compute phase and its
+engine.  The drain checks the same transition under one candidate subset
+after another, and a step whose outcome cannot differ from an earlier
+search of it is answered from that search.  ``labelings`` still counts
+every step the algorithm takes, searched or answered, so every count and
+record is the one a memo-free run gives.
 """
 
 from __future__ import annotations
@@ -26,9 +33,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from .bounds import BoundCandidate, post_bound
+from .bounds import BoundCandidate, post_bound, posted_bounds
 from .errors import (
     CatalogSoundnessError,
     InfeasibleModelError,
@@ -37,6 +44,7 @@ from .errors import (
 )
 from .kernel import Model, VarRef, labeling, post_lex_greater
 from .objects import (
+    canonical_tuples,
     make_binseq_model,
     make_partition_model,
     post_binseq,
@@ -126,27 +134,45 @@ def enumerate_all_solutions(
     featvars: Sequence[VarRef],
     xs: Sequence[VarRef],
     counters: Counters | None = None,
+    memo: StepMemo | None = None,
 ) -> list[SolutionRecord]:
     """Enumerate all feature solutions in ascending lex order.
 
     Each step posts feature-vars >lex previous-solution, labels, and
     retracts the lex constraint.  The terminal sentinel carries 0
     backtracks when the lex posting itself failed, or the full exhaustion
-    count when the last labeling proved no solution remains.
+    count when the last labeling proved no solution remains.  With a
+    ``memo``, steps go through it and each record holds the memo's
+    canonical object for its tuple.
     """
     counters = counters if counters is not None else Counters()
+    tuples = memo.tuples if memo is not None else {}
     records: list[SolutionRecord] = []
     prev: tuple[int, ...] | None = None
     while True:
-        res = _step(model, featvars, xs, prev, counters)
+        res = _step(model, featvars, xs, prev, counters, memo)
         if res is None or res.finished:
             records.append(SolutionRecord(len(records), 0 if res is None else res.nback, ()))
             return records
         prev = res.sol[: len(featvars)]
+        prev = tuples.get(prev, prev)
         records.append(SolutionRecord(len(records), res.nback, prev))
 
 
-def _step(model, featvars, xs, prev, counters):
+def _step(model, featvars, xs, prev, counters, memo):
+    """One step of the algorithm, searched or answered by ``memo``.
+
+    ``labelings`` counts every step whose lex post succeeds, whether it
+    was searched here or answered from an earlier search.
+    """
+    res = _search(model, featvars, xs, prev) if memo is None else memo.step(
+        model, featvars, xs, prev)
+    if res is not None:
+        counters.labelings += 1
+    return res
+
+
+def _search(model, featvars, xs, prev):
     """Post featvars >lex prev (skipped when prev is None), label, retract.
 
     Returns the labeling result, or None when the lex posting failed (the
@@ -156,9 +182,64 @@ def _step(model, featvars, xs, prev, counters):
     if prev is not None and post_lex_greater(model, featvars, prev) is None:
         return None
     res = labeling(model, featvars, xs)
-    counters.labelings += 1
     model.retract_to(mark)
     return res
+
+
+class StepMemo:
+    """The steps one selection run has searched, to answer its repeats.
+
+    The drain searches the same transition, the step out of one ``prev``,
+    under one candidate subset after another.  Each searched step is kept
+    under its ``prev`` with its outcome (the labeling result, or None when
+    the lex post failed), the set of bounds posted, the set of those that
+    acted (pruned or failed, lex post included: ``BoundConstraint.acted``
+    moved) and the model's domains when it began.  A later step from the
+    same ``prev`` is answered with that outcome, without posting or
+    labeling, when its domains at the start are equal to the stored ones
+    and its posted set lies between the stored acted set and the stored
+    posted set.
+
+    That is sound because the propagators are monotone and a fixpoint does
+    not depend on propagation order: a posted bound that never pruned or
+    failed during a step can be taken away without changing any state the
+    step visits, so every fixpoint, failure and count stays the same.  A
+    bound that pruned only when it was posted acted before the step began;
+    the domain check is what sees it.  Equal candidates post equal
+    propagators, so they share one bit of the posted and acted sets.
+
+    One memo belongs to one run and one object size; it is never shared.
+    """
+
+    def __init__(self, candidates: Sequence[BoundCandidate], tuples: Mapping):
+        bits: dict[BoundCandidate, int] = {}
+        # by identity, so no step hashes a candidate; ``candidates`` outlives
+        # the memo, so no identity is reused while it is in use
+        self.bit = {id(c): bits.setdefault(c, 1 << len(bits)) for c in candidates}
+        self.tuples = tuples  # canonical feature tuples, see enumerate_all_solutions
+        self.steps: dict[tuple[int, ...] | None, list] = {}
+
+    def step(self, model, featvars, xs, prev):
+        """The outcome of the step from ``prev`` on ``model`` as it stands:
+        a stored one when the conditions above hold, else searched and stored."""
+        cons = posted_bounds(model)
+        bit = self.bit
+        posted = 0
+        for con in cons:
+            posted |= bit[id(con.bound)]
+        state = model.snapshot()
+        entries = self.steps.setdefault(prev, [])
+        for stored, acted, stored_state, res in entries:
+            if not (acted & ~posted or posted & ~stored) and state == stored_state:
+                return res
+        before = [con.acted for con in cons]
+        res = _search(model, featvars, xs, prev)
+        acted = 0
+        for con, count in zip(cons, before):
+            if con.acted != count:
+                acted |= bit[id(con.bound)]
+        entries.append((posted, acted, state, res))
+        return res
 
 
 def _post(model, cands, featvars, n, counters, tag, context):
@@ -177,12 +258,13 @@ def compute_all_solutions(
     candidates: Sequence[BoundCandidate],
     n: int,
     counters: Counters | None = None,
+    memo: StepMemo | None = None,
 ) -> list[SolutionRecord]:
     """Post every candidate, enumerate, sort by (nback, isol), retract posts."""
     counters = counters if counters is not None else Counters()
     mark = model.mark()
     _post(model, candidates, featvars, n, counters, "compute", "on the feature box")
-    records = enumerate_all_solutions(model, featvars, xs, counters)
+    records = enumerate_all_solutions(model, featvars, xs, counters, memo)
     records.sort(key=lambda r: (r.nback, r.isol))
     model.retract_to(mark)
     return records
@@ -194,13 +276,14 @@ def compute_all_solutions(
 class _IncrementalEngine:
     """Posts on one shared model; retraction via trail marks."""
 
-    def __init__(self, scenario, model, featvars, xs, drain, by_isol, counters):
+    def __init__(self, scenario, model, featvars, xs, drain, by_isol, counters, memo=None):
         self.model = model
         self.featvars = featvars
         self.xs = xs
         self.n = scenario.n
         self.by_isol = by_isol
         self.counters = counters
+        self.memo = memo
 
     def post_selected(self, cand: BoundCandidate) -> None:
         _post(self.model, [cand], self.featvars, self.n, self.counters, "prev", "when re-posted")
@@ -215,17 +298,19 @@ class _IncrementalEngine:
         self.model.retract_to(mark)
 
     def enumerate_step(self, sols: list[SolutionRecord]):
-        return _drain(self.model, self.featvars, self.xs, sols, self.by_isol, self.counters)
+        return _drain(self.model, self.featvars, self.xs, sols, self.by_isol, self.counters,
+                      self.memo)
 
 
 class _BaselineEngine:
     """Rebuilds the model from scratch for every transition-checking trial."""
 
-    def __init__(self, scenario, model, featvars, xs, drain, by_isol, counters):
+    def __init__(self, scenario, model, featvars, xs, drain, by_isol, counters, memo=None):
         self.scenario = scenario
         self.full_drain = list(drain)
         self.by_isol = by_isol
         self.counters = counters
+        self.memo = memo
         self.selected_stack: list[BoundCandidate] = []
         self.trial_stack: list[BoundCandidate] = []
 
@@ -245,10 +330,11 @@ class _BaselineEngine:
         model, featvars, xs = self.scenario.fresh(self.counters)
         _post(model, self.selected_stack + self.trial_stack, featvars, self.scenario.n,
               self.counters, "baseline", "when re-posted")
-        return _drain(model, featvars, xs, self.full_drain, self.by_isol, self.counters)
+        return _drain(model, featvars, xs, self.full_drain, self.by_isol, self.counters,
+                      self.memo)
 
 
-def _drain(model, featvars, xs, sols, by_isol, counters):
+def _drain(model, featvars, xs, sols, by_isol, counters, memo=None):
     """Check successive solution transitions until one needs more backtracks.
 
     Returns (remaining records, missing_bound).  The head record's own
@@ -259,7 +345,7 @@ def _drain(model, featvars, xs, sols, by_isol, counters):
         succ = by_isol.get(head.isol + 1)
         if succ is None:
             raise InternalInvariantError(f"no stored record with index {head.isol + 1}")
-        res = _step(model, featvars, xs, head.sol, counters)
+        res = _step(model, featvars, xs, head.sol, counters, memo)
         observed = 0 if res is None else res.nback
         if observed != succ.nback:
             return list(sols[i:]), True
@@ -329,12 +415,13 @@ def _run(
     counters = Counters()
     start = time.monotonic()
     model, featvars, xs = scenario.fresh(counters)
-    records = compute_all_solutions(model, featvars, xs, candidates, scenario.n, counters)
+    memo = StepMemo(candidates, canonical_tuples(scenario.object, scenario.n))
+    records = compute_all_solutions(model, featvars, xs, candidates, scenario.n, counters, memo)
     selected: list[BoundCandidate] = []
     if candidates:
         drain = [r for r in records if r.sol]
         by_isol = {r.isol: r for r in records}
-        engine = engine_cls(scenario, model, featvars, xs, drain, by_isol, counters)
+        engine = engine_cls(scenario, model, featvars, xs, drain, by_isol, counters, memo)
         selected = _select(engine, drain, list(candidates), None)
     report = SelectionReport(
         selected=tuple(c.id for c in selected),

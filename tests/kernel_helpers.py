@@ -101,21 +101,21 @@ def post(model: Model, spec: tuple) -> ConstraintHandle | None:
     """
     kind = spec[0]
     if kind == "eq":
-        return model.post_constraint(EqVars(model._check_var(spec[1]), model._check_var(spec[2])))
+        return model.post_constraint(EqVars(model.var_id(spec[1]), model.var_id(spec[2])))
     if kind == "le_const":
-        return model.post_constraint(LeConst(model._check_var(spec[1]), spec[2]))
+        return model.post_constraint(LeConst(model.var_id(spec[1]), spec[2]))
     if kind == "ge_const":
-        return model.post_constraint(GeConst(model._check_var(spec[1]), spec[2]))
+        return model.post_constraint(GeConst(model.var_id(spec[1]), spec[2]))
     if kind == "sum_eq":
-        xs = [model._check_var(v) for v in spec[1]]
+        xs = [model.var_id(v) for v in spec[1]]
         total = spec[2]
         if isinstance(total, VarRef):
-            return model.post_constraint(SumEq(xs, model._check_var(total)))
+            return model.post_constraint(SumEq(xs, model.var_id(total)))
         return model.post_constraint(SumEq(xs, None, int(total)))
     if kind == "lex_greater":
         return post_lex_greater(model, spec[1], spec[2])
     if kind == "check":
-        xs = [model._check_var(v) for v in spec[1]]
+        xs = [model.var_id(v) for v in spec[1]]
         return model.post_constraint(Check(xs, spec[2]))
     raise UnsupportedConstraintError(f"unknown constraint kind {kind!r}")
 

@@ -11,6 +11,7 @@ from boundforge import bounds, selector
 from boundforge.bounds import catalog, decoy, post_bound
 from boundforge.errors import InternalInvariantError, InvalidArgumentError
 from boundforge.kernel import LabelResult, Model
+from boundforge.objects import MAX_N, binseq_tuples, canonical_tuples
 from boundforge.selector import (
     Counters,
     ObjectScenario,
@@ -262,3 +263,23 @@ def test_records_and_label_results_are_frozen_and_slotted():
         assert not hasattr(value, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
             value.nback = 3
+
+
+def test_records_of_separate_runs_share_one_tuple_per_feature_tuple():
+    table = canonical_tuples("binseq", 6)
+    assert len(table) == len(binseq_tuples(6))
+    first = run_selection(ObjectScenario("binseq", 6), catalog("binseq"))
+    second = run_baseline(ObjectScenario("binseq", 6), list(reversed(catalog("binseq"))))
+    sols = {r.sol: r.sol for r in first.records if r.sol}
+    assert len(sols) == len(first.records) - 1
+    for rec in second.records:
+        if rec.sol:
+            assert rec.sol is sols[rec.sol] is table[rec.sol]
+
+
+def test_canonical_tuples_refuse_what_the_tuple_tables_refuse():
+    before = canonical_tuples.cache_info().currsize
+    for object_name, n in (("binseq", MAX_N["binseq"] + 1), ("partition", 0), ("triangle", 3)):
+        with pytest.raises(InvalidArgumentError):
+            canonical_tuples(object_name, n)
+    assert canonical_tuples.cache_info().currsize == before
