@@ -61,6 +61,13 @@ class BoundCandidate:
         names = E.names(self.rhs)
         return tuple(f for f in FEATURES[self.object] if f in names)
 
+    @cached_property
+    def layout(self) -> tuple[tuple[int, ...], int]:
+        """Positions in ``FEATURES[object]`` of the inputs, in canonical
+        order, and of the target, computed once for every post."""
+        features = FEATURES[self.object]
+        return tuple(features.index(f) for f in self.inputs), features.index(self.target)
+
 
 @dataclass(frozen=True)
 class BoundVerdict:
@@ -275,21 +282,25 @@ class BoundConstraint(Constraint):
     calls that pruned the target or failed; a call that returns at an
     unfixed input or finds the target already inside the bound leaves it
     alone.  The selector's step memo reads it.
+
+    The last input is read first and is the ``trigger``: a fix wakes the
+    constraint only once that input is fixed.
     """
 
     kind = "bound"
     on_fix = True
 
     def __init__(self, bound: BoundCandidate, featvar_ids: Sequence[int], n: int):
-        features = FEATURES[bound.object]
-        at = [features.index(f) for f in bound.inputs]
-        self.input_ids = tuple(featvar_ids[i] for i in at)
-        self.target_id = featvar_ids[features.index(bound.target)]
+        at, target = bound.layout
+        self.input_ids = tuple([featvar_ids[i] for i in at])
+        self.target_id = featvar_ids[target]
         self.footprint = self.input_ids + (self.target_id,)
         # (slot, vid), last input first: labeling fixes features left to
         # right, so the last input is the one usually still open
-        self.reads = tuple((i + 1, featvar_ids[i]) for i in reversed(at))
-        self.slots = [n] + [0] * len(features)
+        self.reads = tuple([(i + 1, featvar_ids[i]) for i in reversed(at)])
+        if at:
+            self.trigger = featvar_ids[at[-1]]
+        self.slots = [n] + [0] * len(FEATURES[bound.object])
         self.bound = bound
         self.evaluate = bound.evaluate
         self.upper = bound.direction == "upper"
@@ -336,8 +347,7 @@ def post_bound(
         raise InvalidArgumentError(
             f"{bound.id} needs {width} feature variables, got {len(featvars)}"
         )
-    vids = [model.var_id(v) for v in featvars]
-    return model.post_constraint(BoundConstraint(bound, vids, n))
+    return model.post_constraint(BoundConstraint(bound, model.var_ids(featvars), n))
 
 
 def decoy(object_name: str, feature: str, n: int) -> BoundCandidate:

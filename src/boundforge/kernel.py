@@ -31,10 +31,29 @@ and it has run since the last fix of any of its variables (that fix woke
 it), so the skipped wake-up would have returned True without pruning.
 Skipping it moves the propagator in the queue, never the fixpoint, a
 failure, or a backtrack count.
+
+Such a kind may also name a ``trigger``: one watched variable that its
+``propagate`` reads first and returns True on while it is open.  A fix
+then wakes it only once its trigger is fixed (so the fix of the trigger
+itself always does).  This is the watched-literal idea of Gent, Jefferson
+and Miguel ("Watched literals for constraint propagation in Minion", CP
+2006) for one literal: a skipped wake-up would have returned True at its
+first test, so again only the queue order moves.  A bound's trigger is its
+last input, the ground checker's the last sequence variable.
+
+A budget bounds one labeling: the search is abandoned as soon as ``nback``
+exceeds it, and the result is marked ``over_budget``.  Its ``nback`` is
+the count at the cut, so it is above the budget, and the full search would
+count at least as many; how far above depends on where the cut fell (a
+replayed leaf-memo subtree adds its whole count at once).  So a result is
+over budget exactly when the full search counts more than the budget, and
+otherwise it equals the unbudgeted result.  An abandoned search restores
+the model like any other and stores nothing in the leaf memo.
 """
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -78,32 +97,38 @@ class LabelResult:
     """Outcome of one labeling run.
 
     ``sol`` holds the values of the labeled variables in labeling order and
-    is empty iff ``finished`` is true (no solution remains).
+    is empty iff ``finished`` (no solution remains) or ``over_budget`` is
+    true.  An over-budget result, from a search cut at its budget, has
+    ``finished`` false and an ``nback`` above the budget.
     """
 
     nback: int
     finished: bool
     sol: tuple[int, ...]
+    over_budget: bool = False
 
 
 class Constraint:
     """Base class for propagators.
 
-    ``watched`` lists the variable ids whose domain changes re-schedule the
-    propagator.  A kind that sets ``on_fix`` is re-scheduled only when one of
-    them becomes fixed, so its outcome may depend only on the fixed ones.
+    ``watched`` lists, once each, the variable ids whose domain changes
+    re-schedule the propagator.  A kind that sets ``on_fix`` is re-scheduled
+    only when one of them becomes fixed, so its outcome may depend only on
+    the fixed ones; with a ``trigger`` (a watched id that ``propagate`` tests
+    first, returning True while it is open), only once the trigger is fixed.
     ``propagate`` prunes through the model helpers and returns False exactly
     when it wiped out a domain.
     """
 
     kind = "constraint"
     on_fix = False
+    trigger: int | None = None
     # every variable the propagator reads or prunes, declared only by the
     # kinds whose scope is exactly that (see LeafMemo.applies)
     footprint: tuple[int, ...] | None = None
 
     def __init__(self, watched: Sequence[int]):
-        self.watched = tuple(watched)
+        self.watched = tuple(dict.fromkeys(watched))
 
     def propagate(self, model: "Model") -> bool:
         raise NotImplementedError
@@ -124,7 +149,9 @@ class Model:
         self._watchers: list[list[int]] = []
         self._fix_watchers: list[list[int]] = []
         self._queue: deque[int] = deque()
-        self._inq: set[int] = set()
+        # per constraint: whether it is queued, and its trigger id or -1
+        self._inq: list[bool] = []
+        self._trig: list[int] = []
         self.leaf_memo: LeafMemo | None = None  # attached by an object post
 
     # -- variables ---------------------------------------------------------
@@ -145,6 +172,14 @@ class Model:
         if v.model_id != self.model_id:
             raise InvalidArgumentError("variable belongs to another model")
         return v.id
+
+    def var_ids(self, vs: Sequence[VarRef]) -> list[int]:
+        """The ids of ``vs`` in this model, checked as :meth:`var_id` does."""
+        mid = self.model_id
+        ids = [v.id for v in vs if v.model_id == mid]
+        if len(ids) != len(vs):
+            raise InvalidArgumentError("variable belongs to another model")
+        return ids
 
     def domain(self, v: VarRef) -> tuple[int, ...]:
         return self._doms[self.var_id(v)]
@@ -167,19 +202,20 @@ class Model:
             raise InvalidMarkError("mark belongs to another model")
         if mark.trail_len > len(self._trail) or mark.ncons > len(self._constraints):
             raise InvalidMarkError("mark already passed")
-        self._queue.clear()
-        self._inq.clear()
+        if self._queue:
+            self._clear_queue()
         self._undo_to(mark.trail_len)
         if self.leaf_memo is not None and mark.ncons < self.leaf_memo.owned.stop:
             self.leaf_memo = None
-        while len(self._constraints) > mark.ncons:
-            cid = len(self._constraints) - 1
-            con = self._constraints.pop()
+        cons, inq, trig = self._constraints, self._inq, self._trig
+        while len(cons) > mark.ncons:
+            cid = len(cons) - 1
+            con = cons.pop()
+            inq.pop()
+            trig.pop()
             watchers = self._fix_watchers if con.on_fix else self._watchers
-            for vid in set(con.watched):
-                lst = watchers[vid]
-                while lst and lst[-1] == cid:
-                    lst.pop()
+            for vid in con.watched:  # each once, with cid last in its list
+                watchers[vid].pop()
 
     def _undo_to(self, trail_len: int) -> None:
         """Restore every domain pruned after the trail had ``trail_len`` entries."""
@@ -191,23 +227,27 @@ class Model:
     # -- pruning helpers (used by propagators) ------------------------------
 
     def _set_dom(self, vid: int, new: tuple[int, ...]) -> bool:
-        old = self._doms[vid]
+        doms = self._doms
+        old = doms[vid]
         if new == old:
             return True
         self._trail.append((vid, old))
-        self._doms[vid] = new
+        doms[vid] = new
         if not new:
             return False
         inq, queue = self._inq, self._queue
         for cid in self._watchers[vid]:
-            if cid not in inq:
-                inq.add(cid)
+            if not inq[cid]:
+                inq[cid] = True
                 queue.append(cid)
         if len(new) == 1:
+            trig = self._trig
             for cid in self._fix_watchers[vid]:
-                if cid not in inq:
-                    inq.add(cid)
-                    queue.append(cid)
+                if not inq[cid]:
+                    t = trig[cid]
+                    if t < 0 or len(doms[t]) == 1:
+                        inq[cid] = True
+                        queue.append(cid)
         return True
 
     def prune_le(self, vid: int, ub: int) -> bool:
@@ -242,32 +282,35 @@ class Model:
 
     def post_constraint(self, con: Constraint) -> ConstraintHandle | None:
         """Post ``con``; on failure the model is rolled back and None returned."""
-        mark = self.mark()
+        trail_len = len(self._trail)
         cid = len(self._constraints)
         self._constraints.append(con)
+        self._inq.append(True)
+        self._trig.append(-1 if con.trigger is None else con.trigger)
         watchers = self._fix_watchers if con.on_fix else self._watchers
         for vid in con.watched:
             watchers[vid].append(cid)
-        if cid not in self._inq:
-            self._inq.add(cid)
-            self._queue.append(cid)
+        self._queue.append(cid)
         if self._drain():
             return ConstraintHandle(cid, con.kind, con.watched)
-        self.retract_to(mark)
+        self.retract_to(TrailMark(self.model_id, trail_len, cid))
         return None
 
     def _drain(self) -> bool:
         queue, inq, cons = self._queue, self._inq, self._constraints
         while queue:
             cid = queue.popleft()
-            inq.discard(cid)
-            if cid >= len(cons):
-                continue
+            inq[cid] = False
             if not cons[cid].propagate(self):
-                queue.clear()
-                inq.clear()
+                self._clear_queue()
                 return False
         return True
+
+    def _clear_queue(self) -> None:
+        inq = self._inq
+        for cid in self._queue:
+            inq[cid] = False
+        self._queue.clear()
 
     def assign(self, vid: int, val: int) -> bool:
         """Fix a variable and propagate to fixpoint; False on failure."""
@@ -336,9 +379,9 @@ class LexGreater(Constraint):
     def __init__(self, xs: Sequence[int], tup: Sequence[int]):
         if len(xs) != len(tup):
             raise InvalidArgumentError("lex-greater arity mismatch")
-        super().__init__(tuple(xs))
         self.xs = self.footprint = tuple(xs)
         self.tup = tuple(tup)
+        super().__init__(self.xs)
 
     def _suffix_can_exceed(self, model: Model, j: int) -> bool:
         doms = model._doms
@@ -383,8 +426,7 @@ def post_lex_greater(
         raise InvalidArgumentError(
             f"lex-greater arity mismatch: {len(xs)} vars vs {len(tup)} values"
         )
-    vids = [model.var_id(v) for v in xs]
-    return model.post_constraint(LexGreater(vids, tuple(tup)))
+    return model.post_constraint(LexGreater(model.var_ids(xs), tup))
 
 
 # -- search ------------------------------------------------------------------
@@ -416,19 +458,21 @@ class LeafMemo:
     prefixes: tuple[frozenset, ...]
     table: dict
 
-    def applies(self, model: Model, vids: Sequence[int]) -> bool:
+    def __post_init__(self) -> None:
+        self.order = list(self.featvars + self.xs)
+        self.feats = frozenset(self.featvars)
+
+    def applies(self, model: Model, vids: list[int]) -> bool:
         """True when labeling ``vids`` may use the memo: they are featvars
         then xs, and every constraint the owner did not post declares a
         footprint inside featvars, so none wakes below the split."""
-        k = len(self.featvars)
-        if tuple(vids[:k]) != self.featvars or tuple(vids[k:]) != self.xs:
+        if vids != self.order:
             return False
-        feats = set(self.featvars)
-        owned = self.owned
-        return all(
-            i in owned or (con.footprint is not None and feats.issuperset(con.footprint))
-            for i, con in enumerate(model._constraints)
-        )
+        cons, owned, feats = model._constraints, self.owned, self.feats
+        for con in cons[: owned.start] + cons[owned.stop:]:
+            if con.footprint is None or not feats.issuperset(con.footprint):
+                return False
+        return True
 
 
 def _dfs(
@@ -436,6 +480,7 @@ def _dfs(
     order: Sequence[VarRef],
     on_solution: Callable[[tuple[int, ...]], bool],
     memo: LeafMemo | None = None,
+    budget: int | None = None,
 ) -> int:
     """Depth-first search over ``order``, fixing left to right by increasing value.
 
@@ -443,14 +488,17 @@ def _dfs(
     search.  Returns the backtrack count; the model state is restored.
     ``memo`` (labeling only: its ``on_solution`` stops at the first
     solution) is used when it applies to this search, and gives the same
-    count and solution as searching without it.
+    count and solution as searching without it.  With a ``budget`` the
+    search stops as soon as the count exceeds it, so a count above the
+    budget marks a search that was cut.
     """
-    vids = [model.var_id(v) for v in order]
+    vids = model.var_ids(order)
     last = len(vids)
     doms, trail = model._doms, model._trail
-    assign, undo = model.assign, model._undo_to
+    set_dom, drain, undo = model._set_dom, model._drain, model._undo_to
     base = len(trail)
     nback = 0
+    limit = sys.maxsize if budget is None else budget
     if memo is not None and not memo.applies(model, vids):
         memo = None
     cut, prefixes = (len(memo.featvars), memo.prefixes) if memo is not None else (-1, ())
@@ -462,16 +510,20 @@ def _dfs(
         hit = memo.table.get(key)
         if hit is not None and hit[0] == state:
             nback += hit[1]
+            if nback > limit:
+                return True
             return hit[2] is not None and on_solution(key + hit[2])
         before = nback
         stop = dfs(cut, None)
-        if hit is None:
+        if hit is None and nback <= limit:  # a cut subtree is not stored
             memo.table[key] = (state, nback - before, found[cut:] if stop else None)
         return stop
 
     # A trial posts no constraint and leaves the queue empty (a failed drain
-    # clears it), so undoing the trail restores the state exactly.  Above the
-    # split, ``prefix`` holds the fixed feature values; below it, None.
+    # clears it), so undoing the trail restores the state exactly; so does a
+    # cut, which comes only right after a count, with the queue empty.  The
+    # labeled value lies in the domain, so fixing it cannot fail by itself.
+    # Above the split, ``prefix`` holds the fixed feature values; below it, None.
     def dfs(k: int, prefix: tuple[int, ...] | None) -> bool:
         nonlocal nback, found
         if k == last:
@@ -486,13 +538,18 @@ def _dfs(
                 nxt = prefix + (val,)
                 if nxt not in prefixes[k + 1]:
                     nback += 1  # the owner's prefix check would fail this trial
+                    if nback > limit:
+                        return True
                     continue
             mk = len(trail)
-            if assign(vid, val):
+            set_dom(vid, (val,))
+            if drain():
                 if dfs(k + 1, nxt):
                     return True
             else:
                 nback += 1
+                if nback > limit:
+                    return True
             undo(mk)
         return False
 
@@ -501,19 +558,24 @@ def _dfs(
     return nback
 
 
-def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
+def labeling(
+    model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef], budget: int | None = None
+) -> LabelResult:
     """Find the lexicographically smallest solution of featvars ++ xs.
 
     Variables are fixed left to right, scanning each domain by increasing
     value.  Returns the backtrack count together with the solution, or
-    ``finished=True`` with the count spent proving that none remains.  The
-    model state is restored before returning.
+    ``finished=True`` with the count spent proving that none remains.  With
+    a ``budget``, a search whose count exceeds it is cut there and returns
+    an ``over_budget`` result.  The model state is restored before returning.
     """
     order = list(featvars) + list(xs)
     if not order:
         raise InvalidArgumentError("labeling needs at least one variable")
     found: list[tuple[int, ...]] = []
-    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo)
+    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo, budget)
+    if budget is not None and nback > budget:
+        return LabelResult(nback, False, (), True)
     if found:
         return LabelResult(nback, False, found[0])
     return LabelResult(nback, True, ())

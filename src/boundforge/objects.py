@@ -288,7 +288,8 @@ class GroundChecker(Constraint):
     """When every sequence variable is fixed, pin the feature variables.
 
     Labeling fixes the sequence variables left to right, so the last one is
-    the one usually still open: testing it first ends most wake-ups at once.
+    the one usually still open: it is tested first and is the ``trigger``,
+    so a fix wakes the checker only once it is fixed.
     """
 
     kind = "ground_checker"
@@ -299,6 +300,8 @@ class GroundChecker(Constraint):
         self.featvars = tuple(featvars)
         self.xs = tuple(xs)
         self.extract = extract
+        if self.xs:
+            self.trigger = self.xs[-1]
 
     def propagate(self, model: Model) -> bool:
         doms = model._doms
@@ -451,8 +454,8 @@ def post_partition(
     if len(featvars) != len(PARTITION_FEATURES):
         raise InvalidArgumentError("partition takes 5 feature variables")
     n = len(xs)
-    fvids = [model.var_id(v) for v in featvars]
-    xvids = [model.var_id(v) for v in xs]
+    fvids = model.var_ids(featvars)
+    xvids = model.var_ids(xs)
     prefixes = _prefix_sets(partition_tuples(n), len(fvids))  # refuses n before any new var
     occ = [model.new_var(0, n) for _ in range(n)]
     ovids = [v.id for v in occ]
@@ -520,8 +523,8 @@ def post_binseq(
     if len(featvars) != len(BINSEQ_FEATURES):
         raise InvalidArgumentError("binseq takes 10 feature variables")
     n = len(xs)
-    fvids = [model.var_id(v) for v in featvars]
-    xvids = [model.var_id(v) for v in xs]
+    fvids = model.var_ids(featvars)
+    xvids = model.var_ids(xs)
     prefixes = _prefix_sets(binseq_tuples(n), len(fvids))
     return _post_object(model, "binseq", fvids, xvids, xvids, prefixes, [
         SumEq(xvids, fvids[0]),

@@ -18,7 +18,10 @@ produced solution i (from the lex-greater jump off solution i-1).  The
 transition check for a head record posts lex-greater of its own solution
 and compares the observed count against the stored count of record i+1;
 the final record's successor is the sentinel.  The sentinel itself is
-never drained.
+never drained.  The drain tests only whether the counts differ, so the
+stored count is the step's budget: its search stops as soon as the count
+passes it.  Compute-phase steps have no budget, so records hold full
+counts.
 
 Each run keeps a :class:`StepMemo`, shared by its compute phase and its
 engine.  The drain checks the same transition under one candidate subset
@@ -42,7 +45,7 @@ from .errors import (
     InternalInvariantError,
     InvalidArgumentError,
 )
-from .kernel import Model, VarRef, labeling, post_lex_greater
+from .kernel import LabelResult, Model, VarRef, labeling, post_lex_greater
 from .objects import (
     canonical_tuples,
     make_binseq_model,
@@ -159,29 +162,31 @@ def enumerate_all_solutions(
         records.append(SolutionRecord(len(records), res.nback, prev))
 
 
-def _step(model, featvars, xs, prev, counters, memo):
+def _step(model, featvars, xs, prev, counters, memo, budget=None):
     """One step of the algorithm, searched or answered by ``memo``.
 
     ``labelings`` counts every step whose lex post succeeds, whether it
-    was searched here or answered from an earlier search.
+    was searched here or answered from an earlier search, and whether or
+    not its search was cut at ``budget``.
     """
-    res = _search(model, featvars, xs, prev) if memo is None else memo.step(
-        model, featvars, xs, prev)
+    res = _search(model, featvars, xs, prev, budget) if memo is None else memo.step(
+        model, featvars, xs, prev, budget)
     if res is not None:
         counters.labelings += 1
     return res
 
 
-def _search(model, featvars, xs, prev):
+def _search(model, featvars, xs, prev, budget=None):
     """Post featvars >lex prev (skipped when prev is None), label, retract.
 
-    Returns the labeling result, or None when the lex posting failed (the
-    failed post leaves the model unchanged).
+    Returns the labeling result (over budget when its count passed
+    ``budget``), or None when the lex posting failed (the failed post
+    leaves the model unchanged).
     """
     mark = model.mark()
     if prev is not None and post_lex_greater(model, featvars, prev) is None:
         return None
-    res = labeling(model, featvars, xs)
+    res = labeling(model, featvars, xs, budget)
     model.retract_to(mark)
     return res
 
@@ -194,19 +199,25 @@ class StepMemo:
     under its ``prev`` with its outcome (the labeling result, or None when
     the lex post failed), the set of bounds posted, the set of those that
     acted (pruned or failed, lex post included: ``BoundConstraint.acted``
-    moved) and the model's domains when it began.  A later step from the
-    same ``prev`` is answered with that outcome, without posting or
-    labeling, when its domains at the start are equal to the stored ones
-    and its posted set lies between the stored acted set and the stored
-    posted set.
+    moved), the model's domains when it began and, for a search cut at its
+    budget, that budget.  A later step from the same ``prev`` is answered
+    from a stored one, without posting or labeling, when its domains at the
+    start are equal to the stored ones and its posted set lies between the
+    stored acted set and the stored posted set.  A cut outcome answers
+    only a step with the same budget.  A complete one answers any budget:
+    as itself, or as an over-budget result with its own count when that
+    count passes the budget.
 
     That is sound because the propagators are monotone and a fixpoint does
     not depend on propagation order: a posted bound that never pruned or
     failed during a step can be taken away without changing any state the
     step visits, so every fixpoint, failure and count stays the same.  A
     bound that pruned only when it was posted acted before the step began;
-    the domain check is what sees it.  Equal candidates post equal
-    propagators, so they share one bit of the posted and acted sets.
+    the domain check is what sees it.  A search cut at its budget keeps
+    the acted set of the part it searched: a bound outside it did not act
+    before the cut, so the search reaches the same cut with the same count.
+    Equal candidates post equal propagators, so they share one bit of the
+    posted and acted sets.
 
     One memo belongs to one run and one object size; it is never shared.
     """
@@ -219,9 +230,10 @@ class StepMemo:
         self.tuples = tuples  # canonical feature tuples, see enumerate_all_solutions
         self.steps: dict[tuple[int, ...] | None, list] = {}
 
-    def step(self, model, featvars, xs, prev):
-        """The outcome of the step from ``prev`` on ``model`` as it stands:
-        a stored one when the conditions above hold, else searched and stored."""
+    def step(self, model, featvars, xs, prev, budget=None):
+        """The outcome of the step from ``prev`` under ``budget`` on ``model``
+        as it stands: a stored one when the conditions above hold, else
+        searched and stored."""
         cons = posted_bounds(model)
         bit = self.bit
         posted = 0
@@ -229,16 +241,23 @@ class StepMemo:
             posted |= bit[id(con.bound)]
         state = model.snapshot()
         entries = self.steps.setdefault(prev, [])
-        for stored, acted, stored_state, res in entries:
-            if not (acted & ~posted or posted & ~stored) and state == stored_state:
+        for stored, acted, stored_state, cut_at, res in entries:
+            if acted & ~posted or posted & ~stored or state != stored_state:
+                continue
+            if cut_at is None:
+                if budget is not None and res is not None and res.nback > budget:
+                    return LabelResult(res.nback, False, (), True)
+                return res
+            if cut_at == budget:
                 return res
         before = [con.acted for con in cons]
-        res = _search(model, featvars, xs, prev)
+        res = _search(model, featvars, xs, prev, budget)
         acted = 0
         for con, count in zip(cons, before):
             if con.acted != count:
                 acted |= bit[id(con.bound)]
-        entries.append((posted, acted, state, res))
+        cut_at = budget if res is not None and res.over_budget else None
+        entries.append((posted, acted, state, cut_at, res))
         return res
 
 
@@ -340,12 +359,14 @@ def _drain(model, featvars, xs, sols, by_isol, counters, memo=None):
     Returns (remaining records, missing_bound).  The head record's own
     solution seeds the lex jump; the expected count is the stored count of
     the record one index later (the sentinel for the last real record).
+    That count is also the step's budget: a search that passes it cannot
+    match, so it is cut there.
     """
     for i, head in enumerate(sols):
         succ = by_isol.get(head.isol + 1)
         if succ is None:
             raise InternalInvariantError(f"no stored record with index {head.isol + 1}")
-        res = _step(model, featvars, xs, head.sol, counters, memo)
+        res = _step(model, featvars, xs, head.sol, counters, memo, succ.nback)
         observed = 0 if res is None else res.nback
         if observed != succ.nback:
             return list(sols[i:]), True

@@ -21,6 +21,17 @@ from boundforge.kernel import (
 )
 
 
+def agrees_with_unbudgeted(res, ref, budget) -> bool:
+    """Whether ``res``, a labeling or selection step under ``budget``, is
+    what the unbudgeted ``ref`` implies: over budget exactly when ``ref``
+    counts more than the budget, with a count above the budget and at most
+    ``ref``'s, and otherwise equal to ``ref`` (None for a failed lex post)."""
+    if res is None or ref is None or budget is None or ref.nback <= budget:
+        return res == ref
+    return (res.over_budget and not res.finished and res.sol == ()
+            and budget < res.nback <= ref.nback)
+
+
 class UnsupportedConstraintError(BoundforgeError):
     """Constraint kind not known to :func:`post`."""
 

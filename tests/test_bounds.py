@@ -124,6 +124,24 @@ def test_verify_on_tightness_witnesses():
     assert (v.holds, v.rhs, v.slack) == (True, 6, 0)
 
 
+def test_a_fix_wakes_a_bound_only_once_its_last_input_is_fixed():
+    """B-N1-UB reads G and Gmax; Gmax, its last input, is the trigger."""
+    model, featvars, xs = make_binseq_model(6)
+    g, gmax = featvars[1].id, featvars[3].id
+    handle = post_bound(model, by_id("B-N1-UB"), featvars, 6)
+    assert handle is not None and list(model._queue) == []
+    assert model.fix(g, 1) and list(model._queue) == []
+    assert model.fix(gmax, 2) and list(model._queue) == [handle.id]
+    assert model._drain() and model.domain(featvars[0]) == (0, 1, 2)
+
+    model, featvars, xs = make_binseq_model(6)
+    handle = post_bound(model, by_id("B-N1-UB"), featvars, 6)
+    assert model.fix(gmax, 2) and list(model._queue) == [handle.id]
+    assert model._drain() and model.domain(featvars[0]) == tuple(range(7))  # G is open
+    assert model.fix(g, 1) and list(model._queue) == [handle.id]
+    assert model._drain() and model.domain(featvars[0]) == (0, 1, 2)
+
+
 def test_post_bound_prunes_on_fixed_inputs():
     n = 6
     model, featvars, xs = make_binseq_model(n)

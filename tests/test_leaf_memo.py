@@ -18,7 +18,7 @@ from boundforge.kernel import LabelResult, labeling
 from boundforge.objects import binseq_tuples, make_binseq_model, partition_tuples, post_binseq
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
-from kernel_helpers import post, solve_all
+from kernel_helpers import agrees_with_unbudgeted, post, solve_all
 
 BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
 
@@ -33,21 +33,22 @@ def _memo_free(model, featvars, xs):
 
 class _CrossCheck:
     """Stands in for ``selector.labeling``: each call is compared with the
-    same call searched without the memo."""
+    same call searched without the memo and without a budget."""
 
     def __init__(self):
-        self.calls = self.used = 0
+        self.calls = self.used = self.cut = 0
         self.mismatches = []
 
-    def __call__(self, model, featvars, xs):
-        res = labeling(model, featvars, xs)
+    def __call__(self, model, featvars, xs, budget=None):
+        res = labeling(model, featvars, xs, budget)
         memo = model.leaf_memo
         vids = [v.id for v in list(featvars) + list(xs)]
         self.calls += 1
         self.used += memo is not None and memo.applies(model, vids)
+        self.cut += res.over_budget
         ref = _memo_free(model, featvars, xs)
-        if res != ref:
-            self.mismatches.append((res, ref))
+        if not agrees_with_unbudgeted(res, ref, budget):
+            self.mismatches.append((res, ref, budget))
         return res
 
 
@@ -69,6 +70,7 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
     # the step memo answers the other 883 steps without labeling
     assert outcome.report.labelings == 1358
     assert check.calls == 475
+    assert check.cut == 49  # drain steps whose count passed the stored one
     assert check.used == check.calls
     assert check.mismatches == []
     table = objects._LEAF_TABLES[("binseq", 10)]

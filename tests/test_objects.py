@@ -242,6 +242,20 @@ def test_ground_checker_waits_for_every_sequence_variable():
     assert m.snapshot()[: len(fvids)] == tuple((v,) for v in binseq_features([1, 0, 1]).as_tuple())
 
 
+def test_a_fix_wakes_the_ground_checker_only_once_its_last_sequence_variable_is_fixed():
+    m = kernel.Model()
+    fvids = [m.new_var(0, 9).id for _ in BINSEQ_FEATURES]
+    xs = [m.new_var(0, 1).id for _ in range(3)]
+    handle = m.post_constraint(GroundChecker(fvids, xs, objects._binseq_tuple))
+    assert handle is not None and list(m._queue) == []
+    assert m.fix(xs[0], 1) and list(m._queue) == []
+    assert m.fix(xs[2], 1) and list(m._queue) == [handle.id]
+    assert m._drain()
+    assert m.fix(xs[1], 0) and list(m._queue) == [handle.id]
+    assert m._drain()
+    assert m.snapshot()[: len(fvids)] == tuple((v,) for v in binseq_features([1, 0, 1]).as_tuple())
+
+
 def test_tuple_tables_refuse_n_above_the_enumeration_ceiling():
     assert objects.MAX_N == {"partition": 50, "binseq": 20}
     with pytest.raises(InvalidArgumentError, match="binseq n=21 exceeds"):

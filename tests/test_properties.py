@@ -102,12 +102,9 @@ class _RandomDrainModel(Model):
             i = self._rng.randrange(len(queue))
             cid = queue[i]
             del queue[i]
-            inq.discard(cid)
-            if cid >= len(cons):
-                continue
+            inq[cid] = False
             if not cons[cid].propagate(self):
-                queue.clear()
-                inq.clear()
+                self._clear_queue()
                 return False
         return True
 
@@ -180,9 +177,17 @@ class _WakeOnEveryChangeModel(Model):
         return super().post_constraint(con)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(data=st.data(), object_name=st.sampled_from(sorted(_OBJECTS)))
-def test_waking_check_on_fix_kinds_only_on_fixes_changes_nothing(data, object_name):
+class _IgnoreTriggersModel(Model):
+    """Ignores ``trigger``: a fix wakes every on_fix kind that watches it."""
+
+    def post_constraint(self, con):
+        con.trigger = None  # shadows the class or instance declaration
+        return super().post_constraint(con)
+
+
+def _same_as_real_model(data, object_name, other_cls):
+    """A drawn run of posts and assignments gives the same outcomes,
+    snapshots and labelings on a plain ``Model`` and on ``other_cls``."""
     n = data.draw(st.integers(1, 6), label="n")
     cat = catalog(object_name)
     cands = data.draw(st.lists(st.sampled_from(cat), max_size=len(cat)), label="bounds")
@@ -228,14 +233,26 @@ def test_waking_check_on_fix_kinds_only_on_fixes_changes_nothing(data, object_na
 
     real = Model()
     real_steps, real_vars = trace(real)
-    every = _WakeOnEveryChangeModel()
-    every_steps, every_vars = trace(every)
-    assert every_steps == real_steps
+    other = other_cls()
+    other_steps, other_vars = trace(other)
+    assert other_steps == real_steps
     if real_vars is None:
         return
-    every.leaf_memo = None  # memo-free, so it owes nothing to entries the real models stored
-    expected = labeling(every, *every_vars)
+    other.leaf_memo = None  # memo-free, so it owes nothing to entries the real models stored
+    expected = labeling(other, *other_vars)
     assert labeling(real, *real_vars) == expected
     real.leaf_memo = None
     assert labeling(real, *real_vars) == expected
-    assert every.snapshot() == real.snapshot() == real_steps[-1]
+    assert other.snapshot() == real.snapshot() == real_steps[-1]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data(), object_name=st.sampled_from(sorted(_OBJECTS)))
+def test_waking_check_on_fix_kinds_only_on_fixes_changes_nothing(data, object_name):
+    _same_as_real_model(data, object_name, _WakeOnEveryChangeModel)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data(), object_name=st.sampled_from(sorted(_OBJECTS)))
+def test_waking_a_triggered_kind_only_once_its_trigger_is_fixed_changes_nothing(data, object_name):
+    _same_as_real_model(data, object_name, _IgnoreTriggersModel)
