@@ -20,8 +20,8 @@ from typing import Sequence
 
 from . import expr as E
 from .errors import InvalidArgumentError
-from .kernel import Constraint, ConstraintHandle, Model, VarRef
-from .objects import FEATURES, binseq_initial_domains, partition_initial_domains
+from .kernel import Constraint, Model, VarRef
+from .objects import FEATURES, initial_domains
 
 
 @dataclass(frozen=True)
@@ -340,8 +340,9 @@ def posted_bounds(model: Model) -> list[BoundConstraint]:
 
 def post_bound(
     model: Model, bound: BoundCandidate, featvars: Sequence[VarRef], n: int
-) -> ConstraintHandle | None:
-    """Post one bound over the object's feature variables (canonical order)."""
+) -> int | None:
+    """Post one bound over the object's feature variables (canonical order);
+    the constraint id, or None when the post failed."""
     width = len(FEATURES[bound.object])
     if len(featvars) != width:
         raise InvalidArgumentError(
@@ -352,11 +353,7 @@ def post_bound(
 
 def decoy(object_name: str, feature: str, n: int) -> BoundCandidate:
     """A vacuous upper bound: target <= its own initial domain maximum."""
-    boxes = (
-        partition_initial_domains(n)
-        if object_name == "partition"
-        else binseq_initial_domains(n)
-    )
+    boxes = initial_domains(object_name, n)
     if feature not in boxes:
         raise InvalidArgumentError(f"unknown feature {feature!r} for {object_name}")
     return BoundCandidate(

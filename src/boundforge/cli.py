@@ -21,6 +21,7 @@ from . import bounds as bounds_mod
 from . import expr, oracle, selector
 from .bounds import BoundCandidate
 from .errors import BoundforgeError, InvalidArgumentError
+from .objects import FEATURES
 
 # documented tractable ceilings; BOUNDFORGE_MAX_N overrides both
 _VERIFY_CAP = {"partition": 12, "binseq": 16}
@@ -123,7 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         objects_audited = [args.object]
     else:
         selected = bounds_mod.catalog()
-        objects_audited = ["partition", "binseq"]
+        objects_audited = list(FEATURES)
     object_name = objects_audited[0] if len(objects_audited) == 1 else "both"
 
     def size_range(obj: str) -> tuple[int, int]:
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
 
     pv = sub.add_parser("verify", help="exhaustively audit catalog bounds")
-    pv.add_argument("--object", choices=["partition", "binseq"])
+    pv.add_argument("--object", choices=list(FEATURES))
     pv.add_argument("--bound", type=str, default=None, help="audit a single bound id")
     pv.add_argument("--n", type=str, default=None, help="size N or range A..B")
     common(pv)
@@ -331,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("solutions", "solution/backtrack tables", False),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--object", choices=["partition", "binseq"], required=True)
+        p.add_argument("--object", choices=list(FEATURES), required=True)
         p.add_argument("--n", type=str, required=True)
         if takes_candidates:
             p.add_argument("--candidates", type=str, default=None,

@@ -83,15 +83,6 @@ class TrailMark:
     ncons: int
 
 
-@dataclass(frozen=True)
-class ConstraintHandle:
-    """Handle to one posted constraint."""
-
-    id: int
-    kind: str
-    scope: tuple[int, ...]
-
-
 @dataclass(frozen=True, slots=True)
 class LabelResult:
     """Outcome of one labeling run.
@@ -280,8 +271,9 @@ class Model:
 
     # -- posting and propagation --------------------------------------------
 
-    def post_constraint(self, con: Constraint) -> ConstraintHandle | None:
-        """Post ``con``; on failure the model is rolled back and None returned."""
+    def post_constraint(self, con: Constraint) -> int | None:
+        """Post ``con`` and return its id; on failure the model is rolled
+        back and None returned."""
         trail_len = len(self._trail)
         cid = len(self._constraints)
         self._constraints.append(con)
@@ -292,7 +284,7 @@ class Model:
             watchers[vid].append(cid)
         self._queue.append(cid)
         if self._drain():
-            return ConstraintHandle(cid, con.kind, con.watched)
+            return cid
         self.retract_to(TrailMark(self.model_id, trail_len, cid))
         return None
 
@@ -418,9 +410,7 @@ class LexGreater(Constraint):
 # -- posting API -------------------------------------------------------------
 
 
-def post_lex_greater(
-    model: Model, xs: Sequence[VarRef], tup: Sequence[int]
-) -> ConstraintHandle | None:
+def post_lex_greater(model: Model, xs: Sequence[VarRef], tup: Sequence[int]) -> int | None:
     """Post (xs) >lex (tup); fails iff the tuple is the box maximum."""
     if len(xs) != len(tup):
         raise InvalidArgumentError(

@@ -21,7 +21,7 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
-from .kernel import Constraint, ConstraintHandle, LeafMemo, Model, SumEq, VarRef
+from .kernel import Constraint, LeafMemo, Model, SumEq, VarRef
 
 PARTITION_FEATURES = ("P", "Mmin", "Mmax", "rangeM", "S")
 BINSEQ_FEATURES = ("N1", "G", "Gmin", "Gmax", "rangeG", "GS", "Dmin", "Dmax", "rangeD", "DS")
@@ -36,13 +36,15 @@ MAX_N = {"partition": 50, "binseq": 20}
 
 
 def check_size(object_name: str, n: int) -> None:
-    """Refuse an n below 1 (partitions) or 0 (sequences), or above the
-    object's enumeration ceiling.
+    """Refuse an unknown object, an n below 1 (partitions) or 0 (sequences),
+    or an n above the object's enumeration ceiling.
 
     Every table cache keyed by n checks this first, so none of them can
     hold more than 50 partition and 21 binseq entries.
     """
-    ceiling = MAX_N[object_name]
+    ceiling = MAX_N.get(object_name)
+    if ceiling is None:
+        raise InvalidArgumentError(f"unknown object {object_name!r}")
     if object_name == "partition" and n < 1:
         raise InvalidArgumentError("partitions need n >= 1")
     if n < 0:
@@ -51,6 +53,19 @@ def check_size(object_name: str, n: int) -> None:
         raise InvalidArgumentError(
             f"{object_name} n={n} exceeds the enumeration ceiling {ceiling}"
         )
+
+
+def check_model_size(object_name: str, n: int) -> None:
+    """Refuse an unknown object, or an n outside 1..``MAX_N``: the one check
+    for a model of the object.
+
+    :func:`initial_domains` calls it, so :func:`make_model` and
+    ``bounds.decoy`` do, and so does ``selector.ObjectScenario`` when it
+    is built: a scenario that no model can serve fails there.
+    """
+    check_size(object_name, n)
+    if n < 1:
+        raise InvalidArgumentError(f"{object_name} model needs n >= 1")
 
 
 @dataclass(frozen=True)
@@ -145,18 +160,17 @@ def _binseq_tuple(bits: Sequence[int]) -> tuple[int, ...]:
 # -- initial feature boxes ----------------------------------------------------
 
 
-def partition_initial_domains(n: int) -> dict[str, tuple[int, int]]:
+def initial_domains(object_name: str, n: int) -> dict[str, tuple[int, int]]:
     """Smallest feature boxes provable from the definition alone."""
-    return {
-        "P": (1, n),
-        "Mmin": (1, n),
-        "Mmax": (1, n),
-        "rangeM": (0, n - 1),
-        "S": (n, n * n),
-    }
-
-
-def binseq_initial_domains(n: int) -> dict[str, tuple[int, int]]:
+    check_model_size(object_name, n)
+    if object_name == "partition":
+        return {
+            "P": (1, n),
+            "Mmin": (1, n),
+            "Mmax": (1, n),
+            "rangeM": (0, n - 1),
+            "S": (n, n * n),
+        }
     d2 = n - 2 if n >= 2 else 0
     return {
         "N1": (0, n),
@@ -172,25 +186,20 @@ def binseq_initial_domains(n: int) -> dict[str, tuple[int, int]]:
     }
 
 
-def make_partition_model(n: int) -> tuple[Model, list[VarRef], list[VarRef]]:
-    """Fresh model with partition feature variables and n sequence variables."""
-    if n < 1:
-        raise InvalidArgumentError("partition model needs n >= 1")
-    model = Model()
-    boxes = partition_initial_domains(n)
-    featvars = [model.new_var(*boxes[name]) for name in PARTITION_FEATURES]
-    xs = [model.new_var(1, n) for _ in range(n)]
-    return model, featvars, xs
+def _sequence_domain(object_name: str, n: int) -> tuple[int, ...]:
+    """The domain of each sequence variable of a fresh model: the colours
+    1..n of a partition, or the bits of a sequence."""
+    return tuple(range(1, n + 1)) if object_name == "partition" else (0, 1)
 
 
-def make_binseq_model(n: int) -> tuple[Model, list[VarRef], list[VarRef]]:
-    """Fresh model with binary-sequence feature variables and n 0/1 variables."""
-    if n < 1:
-        raise InvalidArgumentError("binseq model needs n >= 1")
+def make_model(object_name: str, n: int) -> tuple[Model, list[VarRef], list[VarRef]]:
+    """Fresh model with the object's feature variables, in ``FEATURES``
+    order and with their initial boxes, and n sequence variables."""
+    boxes = initial_domains(object_name, n)
     model = Model()
-    boxes = binseq_initial_domains(n)
-    featvars = [model.new_var(*boxes[name]) for name in BINSEQ_FEATURES]
-    xs = [model.new_var(0, 1) for _ in range(n)]
+    featvars = [model.new_var(*boxes[name]) for name in FEATURES[object_name]]
+    dom = _sequence_domain(object_name, n)
+    xs = [model.new_var(dom[0], dom[-1]) for _ in range(n)]
     return model, featvars, xs
 
 
@@ -226,24 +235,30 @@ def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuples))
 
 
+def feature_tuples(object_name: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """All feasible feature tuples of the object at this n, sorted."""
+    check_size(object_name, n)
+    return partition_tuples(n) if object_name == "partition" else binseq_tuples(n)
+
+
 @lru_cache(maxsize=None)
 def canonical_tuples(object_name: str, n: int) -> Mapping[tuple[int, ...], tuple[int, ...]]:
     """Each feasible feature tuple of the object at this n, mapped to itself.
 
     A holder of many equal tuples (the selection records of every run in
     the process) can keep this one object per tuple.  It holds exactly
-    ``len(partition_tuples(n))`` or ``len(binseq_tuples(n))`` entries, is
-    read-only, and an object or n the tuple tables refuse is refused
-    before anything is cached.
+    ``len(feature_tuples(object_name, n))`` entries, is read-only, and an
+    object or n the tuple tables refuse is refused before anything is
+    cached.
     """
-    if object_name not in FEATURES:
-        raise InvalidArgumentError(f"unknown object {object_name!r}")
-    tuples = partition_tuples(n) if object_name == "partition" else binseq_tuples(n)
-    return MappingProxyType({t: t for t in tuples})
+    return MappingProxyType({t: t for t in feature_tuples(object_name, n)})
 
 
 @lru_cache(maxsize=None)
-def _prefix_sets(tuples: tuple[tuple[int, ...], ...], width: int) -> tuple[frozenset, ...]:
+def _prefix_sets(object_name: str, n: int) -> tuple[frozenset, ...]:
+    """Per length k, every length-k prefix of a feasible feature tuple."""
+    tuples = feature_tuples(object_name, n)
+    width = len(FEATURES[object_name])
     sets: list[set] = [set() for _ in range(width + 1)]
     for tup in tuples:
         for k in range(1, width + 1):
@@ -442,61 +457,57 @@ def _max_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
 # -- posting -------------------------------------------------------------------
 
 
-def post_partition(
-    model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]
-) -> ConstraintHandle | None:
-    """Post the partition object constraint over 5 feature vars and n colors.
-
-    Registers n hidden occurrence variables.  Solutions project onto exactly
-    the feasible partition feature tuples; the color witnesses are value
-    precedence canonical.
-    """
-    if len(featvars) != len(PARTITION_FEATURES):
-        raise InvalidArgumentError("partition takes 5 feature variables")
-    n = len(xs)
-    fvids = model.var_ids(featvars)
-    xvids = model.var_ids(xs)
-    prefixes = _prefix_sets(partition_tuples(n), len(fvids))  # refuses n before any new var
-    occ = [model.new_var(0, n) for _ in range(n)]
-    ovids = [v.id for v in occ]
-    return _post_object(model, "partition", fvids, xvids, xvids + ovids, prefixes, [
-        PrecedenceCaps(xvids),
-        SumEq(ovids, None, n),
-        OccurrenceChannel(xvids, ovids, fvids[0], fvids[4]),
-        PrefixFeasible(fvids, prefixes),
-        GroundChecker(fvids, xvids, _partition_ground),
-    ])
-
-
 # one leaf memo table per (object, n), shared by every model of the process;
 # its keys are feasible feature tuples, so it holds at most
-# len(binseq_tuples(n)) or len(partition_tuples(n)) entries
+# len(feature_tuples(object, n)) entries
 _LEAF_TABLES: dict[tuple[str, int], dict] = {}
 
 
-def _post_object(
-    model: Model,
-    object_name: str,
-    fvids: list[int],
-    xvids: list[int],
-    inner: list[int],
-    prefixes: tuple[frozenset, ...],
-    steps: Sequence[Constraint],
-) -> ConstraintHandle | None:
-    """Post every step, or roll all of them back; the last handle on success.
+def post_object(
+    model: Model, object_name: str, featvars: Sequence[VarRef], xs: Sequence[VarRef]
+) -> int | None:
+    """Post the object constraint over its feature variables (``FEATURES``
+    order) and the n sequence variables ``xs``.
 
-    On success the model gets the object's leaf memo, if every sequence
-    variable had its ``make_*_model`` domain at post time; otherwise it
-    gets none, and labeling searches every subtree.
+    Solutions project onto exactly the object's feasible feature tuples.
+    A partition also gets n hidden occurrence variables, and its colour
+    witnesses are value precedence canonical.  Every step is posted, or
+    all of them are rolled back: returns the id of the last one posted, or
+    None.  On success the model gets the object's leaf memo, if every
+    sequence variable had its :func:`make_model` domain at post time;
+    otherwise it gets none, and labeling searches every subtree.
     """
-    n = len(xvids)
-    canonical = tuple(range(1, n + 1)) if object_name == "partition" else (0, 1)
-    fresh = all(model._doms[v] == canonical for v in xvids)
+    n = len(xs)
+    prefixes = _prefix_sets(object_name, n)  # refuses the object or n before any new var
+    width = len(FEATURES[object_name])
+    if len(featvars) != width:
+        raise InvalidArgumentError(f"{object_name} takes {width} feature variables")
+    fvids = model.var_ids(featvars)
+    xvids = model.var_ids(xs)
+    dom = _sequence_domain(object_name, n)
+    fresh = all(model._doms[v] == dom for v in xvids)
+    if object_name == "partition":
+        ovids = [model.new_var(0, n).id for _ in range(n)]
+        inner = xvids + ovids
+        steps = [
+            PrecedenceCaps(xvids),
+            SumEq(ovids, None, n),
+            OccurrenceChannel(xvids, ovids, fvids[0], fvids[4]),
+            PrefixFeasible(fvids, prefixes),
+            GroundChecker(fvids, xvids, _partition_ground),
+        ]
+    else:
+        inner = xvids
+        steps = [
+            SumEq(xvids, fvids[0]),
+            PrefixFeasible(fvids, prefixes),
+            GroundChecker(fvids, xvids, _binseq_tuple),
+        ]
     mark = model.mark()
-    handle = None
+    cid = None
     for con in steps:
-        handle = model.post_constraint(con)
-        if handle is None:
+        cid = model.post_constraint(con)
+        if cid is None:
             model.retract_to(mark)
             return None
     model.leaf_memo = None
@@ -506,7 +517,7 @@ def _post_object(
             range(mark.ncons, len(model._constraints)), prefixes,
             _LEAF_TABLES.setdefault((object_name, n), {}),
         )
-    return handle
+    return cid
 
 
 def _partition_ground(vals: list[int]) -> tuple[int, ...]:
@@ -514,20 +525,3 @@ def _partition_ground(vals: list[int]) -> tuple[int, ...]:
     for v in vals:
         counts[v] = counts.get(v, 0) + 1
     return _partition_tuple(list(counts.values()))
-
-
-def post_binseq(
-    model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]
-) -> ConstraintHandle | None:
-    """Post the binary-sequence object constraint over 10 feature vars."""
-    if len(featvars) != len(BINSEQ_FEATURES):
-        raise InvalidArgumentError("binseq takes 10 feature variables")
-    n = len(xs)
-    fvids = model.var_ids(featvars)
-    xvids = model.var_ids(xs)
-    prefixes = _prefix_sets(binseq_tuples(n), len(fvids))
-    return _post_object(model, "binseq", fvids, xvids, xvids, prefixes, [
-        SumEq(xvids, fvids[0]),
-        PrefixFeasible(fvids, prefixes),
-        GroundChecker(fvids, xvids, _binseq_tuple),
-    ])

@@ -46,13 +46,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .kernel import LabelResult, Model, VarRef, labeling, post_lex_greater
-from .objects import (
-    canonical_tuples,
-    make_binseq_model,
-    make_partition_model,
-    post_binseq,
-    post_partition,
-)
+from .objects import canonical_tuples, check_model_size, make_model, post_object
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,24 +91,17 @@ class SelectionReport:
 class ObjectScenario:
     """A combinatorial object kind plus size; builds fresh posted models."""
 
-    object: str  # "partition" | "binseq"
+    object: str  # a key of objects.FEATURES
     n: int
 
     def __post_init__(self):
-        if self.object not in ("partition", "binseq"):
-            raise InvalidArgumentError(f"unknown object {self.object!r}")
-        if self.n < 1:
-            raise InvalidArgumentError("scenario needs n >= 1")
+        check_model_size(self.object, self.n)
 
     def fresh(self, counters: Counters) -> tuple[Model, list[VarRef], list[VarRef]]:
-        if self.object == "partition":
-            model, featvars, xs = make_partition_model(self.n)
-            handle = post_partition(model, featvars, xs)
-        else:
-            model, featvars, xs = make_binseq_model(self.n)
-            handle = post_binseq(model, featvars, xs)
+        model, featvars, xs = make_model(self.object, self.n)
+        cid = post_object(model, self.object, featvars, xs)
         counters.posted("ctr", self.object)
-        if handle is None:
+        if cid is None:
             raise InfeasibleModelError(f"{self.object} constraint failed at n={self.n}")
         return model, featvars, xs
 
@@ -264,9 +251,9 @@ class StepMemo:
 def _post(model, cands, featvars, n, counters, tag, context):
     """Post bounds, counting each; a failed post means the catalog is unsound."""
     for cand in cands:
-        handle = post_bound(model, cand, featvars, n)
+        cid = post_bound(model, cand, featvars, n)
         counters.posted(tag, cand.id)
-        if handle is None:
+        if cid is None:
             raise CatalogSoundnessError(f"bound {cand.id} failed {context}")
 
 

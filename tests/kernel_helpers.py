@@ -12,11 +12,12 @@ from typing import Callable, Sequence
 from boundforge.errors import BoundforgeError
 from boundforge.kernel import (
     Constraint,
-    ConstraintHandle,
+    LabelResult,
     Model,
     SumEq,
     VarRef,
     _dfs,
+    labeling,
     post_lex_greater,
 )
 
@@ -30,6 +31,16 @@ def agrees_with_unbudgeted(res, ref, budget) -> bool:
         return res == ref
     return (res.over_budget and not res.finished and res.sol == ()
             and budget < res.nback <= ref.nback)
+
+
+def memo_free(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
+    """``labeling`` of the model as it stands, with its leaf memo detached
+    for the call (so no subtree is replayed and no prefix bulk-counted)."""
+    memo, model.leaf_memo = model.leaf_memo, None
+    try:
+        return labeling(model, featvars, xs)
+    finally:
+        model.leaf_memo = memo
 
 
 class UnsupportedConstraintError(BoundforgeError):
@@ -104,10 +115,10 @@ class Check(Constraint):
         return bool(self.predicate(tuple(vals)))
 
 
-def post(model: Model, spec: tuple) -> ConstraintHandle | None:
+def post(model: Model, spec: tuple) -> int | None:
     """Post a constraint described by a (kind, args...) tuple.
 
-    Returns the handle, or None when posting failed (the model is then
+    Returns its id, or None when posting failed (the model is then
     unchanged).  Unknown kinds raise :class:`UnsupportedConstraintError`.
     """
     kind = spec[0]

@@ -23,8 +23,7 @@ from boundforge.expr import NoCaseMatched
 from boundforge.objects import (
     FEATURES,
     binseq_features,
-    make_binseq_model,
-    make_partition_model,
+    make_model,
     partition_features,
 )
 
@@ -126,39 +125,39 @@ def test_verify_on_tightness_witnesses():
 
 def test_a_fix_wakes_a_bound_only_once_its_last_input_is_fixed():
     """B-N1-UB reads G and Gmax; Gmax, its last input, is the trigger."""
-    model, featvars, xs = make_binseq_model(6)
+    model, featvars, xs = make_model("binseq", 6)
     g, gmax = featvars[1].id, featvars[3].id
-    handle = post_bound(model, by_id("B-N1-UB"), featvars, 6)
-    assert handle is not None and list(model._queue) == []
+    cid = post_bound(model, by_id("B-N1-UB"), featvars, 6)
+    assert cid is not None and list(model._queue) == []
     assert model.fix(g, 1) and list(model._queue) == []
-    assert model.fix(gmax, 2) and list(model._queue) == [handle.id]
+    assert model.fix(gmax, 2) and list(model._queue) == [cid]
     assert model._drain() and model.domain(featvars[0]) == (0, 1, 2)
 
-    model, featvars, xs = make_binseq_model(6)
-    handle = post_bound(model, by_id("B-N1-UB"), featvars, 6)
-    assert model.fix(gmax, 2) and list(model._queue) == [handle.id]
+    model, featvars, xs = make_model("binseq", 6)
+    cid = post_bound(model, by_id("B-N1-UB"), featvars, 6)
+    assert model.fix(gmax, 2) and list(model._queue) == [cid]
     assert model._drain() and model.domain(featvars[0]) == tuple(range(7))  # G is open
-    assert model.fix(g, 1) and list(model._queue) == [handle.id]
+    assert model.fix(g, 1) and list(model._queue) == [cid]
     assert model._drain() and model.domain(featvars[0]) == (0, 1, 2)
 
 
 def test_post_bound_prunes_on_fixed_inputs():
     n = 6
-    model, featvars, xs = make_binseq_model(n)
+    model, featvars, xs = make_model("binseq", n)
     names = dict(zip(("N1", "G", "Gmin", "Gmax", "rangeG", "GS", "Dmin", "Dmax", "rangeD", "DS"), featvars))
     # DS >= Dmax^2 once Dmax is fixed to 3
     assert model.assign(names["Dmax"].id, 3)
     assert post_bound(model, by_id("B-DS-LB3"), featvars, n) is not None
     assert model.domain(names["DS"]) == tuple(range(9, 17))
 
-    model, featvars, xs = make_binseq_model(6)
+    model, featvars, xs = make_model("binseq", 6)
     names = dict(zip(("N1", "G", "Gmin", "Gmax", "rangeG", "GS", "Dmin", "Dmax", "rangeD", "DS"), featvars))
     assert model.assign(names["G"].id, 0)
     assert model.assign(names["Gmax"].id, 0)
     assert post_bound(model, by_id("B-N1-UB"), featvars, 6) is not None
     assert model.domain(names["N1"]) == (0,)
 
-    model, featvars, xs = make_partition_model(5)
+    model, featvars, xs = make_model("partition", 5)
     names = dict(zip(("P", "Mmin", "Mmax", "rangeM", "S"), featvars))
     assert model.assign(names["P"].id, 2)
     assert model.assign(names["Mmin"].id, 2)
@@ -172,7 +171,7 @@ def test_unmatched_guard_is_catalog_error_on_eval_and_failure_on_post():
     with pytest.raises(NoCaseMatched):
         _evaluate(by_id("B-GMAX-UB2"), bad)
 
-    model, featvars, xs = make_binseq_model(7)
+    model, featvars, xs = make_model("binseq", 7)
     assert post_bound(model, by_id("B-GMAX-UB2"), featvars, 7) is not None
     g, dmin, dmax = featvars[1], featvars[6], featvars[7]
     assert model.assign(g.id, 1)

@@ -13,7 +13,7 @@ from boundforge import objects
 from boundforge.kernel import LabelResult, labeling, post_lex_greater
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
-from kernel_helpers import agrees_with_unbudgeted
+from kernel_helpers import agrees_with_unbudgeted, memo_free
 
 # a binseq n=4 step whose search fails 3 trials below the split of the
 # tuple (2, 2, 1, 1, 0, 2, 2, 2, 0, 4), so budgets 12-14 cut inside it
@@ -37,14 +37,6 @@ def _step_model(object_name, n, prev):
     return model, featvars, xs
 
 
-def _memo_free(model, featvars, xs):
-    memo, model.leaf_memo = model.leaf_memo, None
-    try:
-        return labeling(model, featvars, xs)
-    finally:
-        model.leaf_memo = memo
-
-
 def _cold_table(object_name, n):
     objects._LEAF_TABLES.pop((object_name, n), None)
 
@@ -58,7 +50,7 @@ def test_every_budget_of_every_step_agrees_and_restores_the_model(object_name, n
         model, featvars, xs = ObjectScenario(object_name, n).fresh(Counters())
         if post_lex_greater(model, featvars, rec.sol) is None:  # the box maximum
             continue
-        full = _memo_free(model, featvars, xs)
+        full = memo_free(model, featvars, xs)
         for budget in range(full.nback + 2):
             before = _state(model)
             res = labeling(model, featvars, xs, budget)
@@ -87,7 +79,7 @@ def test_a_cut_search_stores_no_partial_subtree():
         if 12 <= budget <= 14:  # cut inside that tuple's subtree
             assert (2, 2, 1, 1, 0, 2, 2, 2, 0, 4) not in table
         # a later full labeling of the same step is the memo-free search
-        assert labeling(model, featvars, xs) == _memo_free(model, featvars, xs) == full
+        assert labeling(model, featvars, xs) == memo_free(model, featvars, xs) == full
         assert table == reference
 
 

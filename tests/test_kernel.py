@@ -33,8 +33,8 @@ def test_post_eq_already_satisfied():
     m = Model()
     a, b = m.new_var(1, 1), m.new_var(1, 1)
     before = m.snapshot()
-    handle = post(m, ("eq", a, b))
-    assert handle is not None
+    cid = post(m, ("eq", a, b))
+    assert cid is not None
     assert m.snapshot() == before
 
 

@@ -15,20 +15,12 @@ import pytest
 from boundforge import objects, selector
 from boundforge.bounds import catalog
 from boundforge.kernel import LabelResult, labeling
-from boundforge.objects import binseq_tuples, make_binseq_model, partition_tuples, post_binseq
+from boundforge.objects import binseq_tuples, make_model, partition_tuples, post_object
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
-from kernel_helpers import agrees_with_unbudgeted, post, solve_all
+from kernel_helpers import agrees_with_unbudgeted, memo_free, post, solve_all
 
 BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
-
-
-def _memo_free(model, featvars, xs):
-    memo, model.leaf_memo = model.leaf_memo, None
-    try:
-        return labeling(model, featvars, xs)
-    finally:
-        model.leaf_memo = memo
 
 
 class _CrossCheck:
@@ -46,7 +38,7 @@ class _CrossCheck:
         self.calls += 1
         self.used += memo is not None and memo.applies(model, vids)
         self.cut += res.over_budget
-        ref = _memo_free(model, featvars, xs)
+        ref = memo_free(model, featvars, xs)
         if not agrees_with_unbudgeted(res, ref, budget):
             self.mismatches.append((res, ref, budget))
         return res
@@ -126,16 +118,16 @@ def test_check_posted_after_the_object_bypasses_the_memo():
     vids = [v.id for v in featvars + xs]
     assert model.leaf_memo is not None and not model.leaf_memo.applies(model, vids)
     res = labeling(model, featvars, xs)
-    assert res == _memo_free(model, featvars, xs)
+    assert res == memo_free(model, featvars, xs)
     assert res.sol == _first_solution(model, featvars, xs) and res.sol[BINSEQ_WIDTH] == 1
     assert res != plain
 
 
 def test_sequence_variable_narrowed_before_the_post_gets_no_memo():
     _warm("binseq", 4)
-    model, featvars, xs = make_binseq_model(4)
+    model, featvars, xs = make_model("binseq", 4)
     assert model.assign(xs[0].id, 1)
-    assert post_binseq(model, featvars, xs) is not None
+    assert post_object(model, "binseq", featvars, xs) is not None
     assert model.leaf_memo is None
     res = labeling(model, featvars, xs)
     assert res.sol == _first_solution(model, featvars, xs) == (1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0)
@@ -145,9 +137,9 @@ def test_sequence_variable_narrowed_before_the_post_gets_no_memo():
 
 def test_retract_below_the_object_post_detaches_the_memo():
     _warm("binseq", 4)
-    model, featvars, xs = make_binseq_model(4)
+    model, featvars, xs = make_model("binseq", 4)
     mark = model.mark()
-    assert post_binseq(model, featvars, xs) is not None
+    assert post_object(model, "binseq", featvars, xs) is not None
     model.retract_to(mark)
     assert model.leaf_memo is None
     # reuses the object's first constraint slot; an attached memo would take
@@ -167,7 +159,7 @@ def test_sequence_variable_narrowed_after_the_post_is_searched_again():
     vids = [v.id for v in featvars + xs]
     assert model.leaf_memo.applies(model, vids)
     res = labeling(model, featvars, xs)
-    assert res == _memo_free(model, featvars, xs)
+    assert res == memo_free(model, featvars, xs)
     assert res.sol == _first_solution(model, featvars, xs)
     assert res.sol[BINSEQ_WIDTH:] == (1, 0, 0, 0)
     assert table[res.sol[:BINSEQ_WIDTH]][2] == (0, 0, 0, 1)

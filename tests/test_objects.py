@@ -8,6 +8,7 @@ from itertools import groupby
 import pytest
 
 from boundforge import kernel, objects, oracle
+from boundforge.bounds import decoy
 from boundforge.errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
 from boundforge.objects import (
     BINSEQ_FEATURES,
@@ -16,13 +17,12 @@ from boundforge.objects import (
     PartitionFeatures,
     binseq_features,
     binseq_tuples,
-    make_binseq_model,
-    make_partition_model,
+    make_model,
     partition_features,
     partition_tuples,
-    post_binseq,
-    post_partition,
+    post_object,
 )
+from boundforge.selector import ObjectScenario
 
 from kernel_helpers import solve_all
 
@@ -97,12 +97,8 @@ def test_partition_feature_invariants(n):
 
 
 def _model_tuples(object_name: str, n: int) -> tuple[set, list]:
-    if object_name == "partition":
-        model, featvars, xs = make_partition_model(n)
-        assert post_partition(model, featvars, xs) is not None
-    else:
-        model, featvars, xs = make_binseq_model(n)
-        assert post_binseq(model, featvars, xs) is not None
+    model, featvars, xs = make_model(object_name, n)
+    assert post_object(model, object_name, featvars, xs) is not None
     sols = solve_all(model, list(xs) + list(featvars))
     return {s[n:] for s in sols}, sols
 
@@ -147,15 +143,15 @@ def test_binseq_projection_completeness(n):
 
 def test_initial_domains_match_documented_boxes():
     n = 6
-    model, featvars, xs = make_binseq_model(n)
-    boxes = objects.binseq_initial_domains(n)
+    model, featvars, xs = make_model("binseq", n)
+    boxes = objects.initial_domains("binseq", n)
     for name, var in zip(objects.BINSEQ_FEATURES, featvars):
         lo, hi = boxes[name]
         assert model.domain(var) == tuple(range(lo, hi + 1))
     assert all(model.domain(x) == (0, 1) for x in xs)
 
-    model, featvars, xs = make_partition_model(n)
-    boxes = objects.partition_initial_domains(n)
+    model, featvars, xs = make_model("partition", n)
+    boxes = objects.initial_domains("partition", n)
     for name, var in zip(objects.PARTITION_FEATURES, featvars):
         lo, hi = boxes[name]
         assert model.domain(var) == tuple(range(lo, hi + 1))
@@ -201,8 +197,8 @@ def test_binseq_tuple_core_matches_definition_exhaustively():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_partition_ground_core_matches_features_on_every_coloring(n):
-    model, featvars, xs = make_partition_model(n)
-    assert post_partition(model, featvars, xs) is not None
+    model, featvars, xs = make_model("partition", n)
+    assert post_object(model, "partition", featvars, xs) is not None
     sols = solve_all(model, list(xs) + list(featvars))
     assert sols
     for s in sols:
@@ -246,12 +242,12 @@ def test_a_fix_wakes_the_ground_checker_only_once_its_last_sequence_variable_is_
     m = kernel.Model()
     fvids = [m.new_var(0, 9).id for _ in BINSEQ_FEATURES]
     xs = [m.new_var(0, 1).id for _ in range(3)]
-    handle = m.post_constraint(GroundChecker(fvids, xs, objects._binseq_tuple))
-    assert handle is not None and list(m._queue) == []
+    cid = m.post_constraint(GroundChecker(fvids, xs, objects._binseq_tuple))
+    assert cid is not None and list(m._queue) == []
     assert m.fix(xs[0], 1) and list(m._queue) == []
-    assert m.fix(xs[2], 1) and list(m._queue) == [handle.id]
+    assert m.fix(xs[2], 1) and list(m._queue) == [cid]
     assert m._drain()
-    assert m.fix(xs[1], 0) and list(m._queue) == [handle.id]
+    assert m.fix(xs[1], 0) and list(m._queue) == [cid]
     assert m._drain()
     assert m.snapshot()[: len(fvids)] == tuple((v,) for v in binseq_features([1, 0, 1]).as_tuple())
 
@@ -262,10 +258,12 @@ def test_tuple_tables_refuse_n_above_the_enumeration_ceiling():
         binseq_tuples(21)
     with pytest.raises(InvalidArgumentError, match="partition n=51 exceeds"):
         partition_tuples(51)
-    model, featvars, xs = make_partition_model(60)
+    model = kernel.Model()
+    featvars = [model.new_var(1, 60) for _ in objects.PARTITION_FEATURES]
+    xs = [model.new_var(1, 60) for _ in range(60)]
     before = model.snapshot()
     with pytest.raises(InvalidArgumentError, match="partition n=60 exceeds"):
-        post_partition(model, featvars, xs)
+        post_object(model, "partition", featvars, xs)
     assert model.snapshot() == before  # refused before any hidden variable is made
 
 
@@ -284,3 +282,40 @@ def test_tuple_tables_refuse_n_below_the_smallest_size(table, n, message):
     with pytest.raises(InvalidArgumentError, match=message):
         table(n)
     assert table.cache_info().currsize == before
+
+
+# a model with the variables of an object post over any n <= 60, on which
+# post_object is refused; the test below asserts that it gains none
+_BARE = kernel.Model()
+_BARE_FEATVARS = [_BARE.new_var(0, 60) for _ in BINSEQ_FEATURES]
+_BARE_XS = [_BARE.new_var(0, 60) for _ in range(60)]
+
+
+def _features(object_name):
+    return objects.FEATURES.get(object_name, ("P",))
+
+
+_ENTRY_POINTS = {
+    "make_model": make_model,
+    "post_object": lambda object_name, n: post_object(
+        _BARE, object_name, _BARE_FEATVARS[: len(_features(object_name))], _BARE_XS[:n]),
+    "feature_tuples": objects.feature_tuples,
+    "initial_domains": objects.initial_domains,
+    "canonical_tuples": objects.canonical_tuples,
+    "ObjectScenario": ObjectScenario,
+    "decoy": lambda object_name, n: decoy(object_name, _features(object_name)[0], n),
+}
+
+
+@pytest.mark.parametrize("object_name, n", [("triangle", 3), ("binseq", 21), ("partition", 51)])
+@pytest.mark.parametrize("entry_point", sorted(_ENTRY_POINTS))
+def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceiling(
+    entry_point, object_name, n
+):
+    models, variables = kernel.Model._next_id, len(_BARE.snapshot())
+    cached = objects.canonical_tuples.cache_info().currsize
+    with pytest.raises(InvalidArgumentError):
+        _ENTRY_POINTS[entry_point](object_name, n)
+    assert kernel.Model._next_id == models
+    assert len(_BARE.snapshot()) == variables
+    assert objects.canonical_tuples.cache_info().currsize == cached

@@ -69,10 +69,10 @@ def test_sum_eq_matches_two_sum_reference_and_brute_force(boxes, total):
         con.propagate = lambda model: calls.append(None) or inner(model)
         return m, m.post_constraint(con), order, calls
 
-    m, handle, order, calls = build(SumEq)
-    ref, ref_handle, ref_order, ref_calls = build(_TwoSumSumEq)
+    m, cid, order, calls = build(SumEq)
+    ref, ref_cid, ref_order, ref_calls = build(_TwoSumSumEq)
     # the same prunings in the same order, from the same number of wake-ups
-    assert (handle is None) == (ref_handle is None)
+    assert (cid is None) == (ref_cid is None)
     assert m._trail == ref._trail
     assert m.snapshot() == ref.snapshot()
     assert len(calls) == len(ref_calls)
@@ -86,7 +86,7 @@ def test_sum_eq_matches_two_sum_reference_and_brute_force(boxes, total):
         expected = [v for v in product(*ranges) if sum(v[:-1]) == v[-1]]
     else:
         expected = [v for v in product(*ranges) if sum(v) == total[1]]
-    assert (solve_all(m, order) if handle is not None else []) == expected
+    assert (solve_all(m, order) if cid is not None else []) == expected
 
 
 class _RandomDrainModel(Model):
@@ -109,22 +109,13 @@ class _RandomDrainModel(Model):
         return True
 
 
-# features, feature boxes, sequence box, object post, feasible tuples
-_OBJECTS = {
-    "binseq": (objects.BINSEQ_FEATURES, objects.binseq_initial_domains, lambda n: (0, 1),
-               objects.post_binseq, objects.binseq_tuples),
-    "partition": (objects.PARTITION_FEATURES, objects.partition_initial_domains, lambda n: (1, n),
-                  objects.post_partition, objects.partition_tuples),
-}
-
-
 def _object_model(model, object_name, n):
-    """``make_*_model`` over a given (possibly random-drain) model, posted."""
-    names, boxes, xbox, post_object, _ = _OBJECTS[object_name]
-    box = boxes(n)
-    featvars = [model.new_var(*box[name]) for name in names]
-    xs = [model.new_var(*xbox(n)) for _ in range(n)]
-    assert post_object(model, featvars, xs) is not None
+    """``objects.make_model`` over a given (possibly random-drain) model, posted."""
+    boxes = objects.initial_domains(object_name, n)
+    featvars = [model.new_var(*boxes[name]) for name in objects.FEATURES[object_name]]
+    dom = objects._sequence_domain(object_name, n)
+    xs = [model.new_var(dom[0], dom[-1]) for _ in range(n)]
+    assert objects.post_object(model, object_name, featvars, xs) is not None
     return featvars, xs
 
 
@@ -144,12 +135,12 @@ def _trace(model, object_name, n, cands, prefix):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(data=st.data(), object_name=st.sampled_from(sorted(_OBJECTS)), seed=st.integers(0, 2**32))
+@given(data=st.data(), object_name=st.sampled_from(sorted(objects.FEATURES)), seed=st.integers(0, 2**32))
 def test_fixpoints_and_labeling_do_not_depend_on_queue_order(data, object_name, seed):
     n = data.draw(st.integers(1, 6), label="n")
     cat = catalog(object_name)
     cands = data.draw(st.lists(st.sampled_from(cat), max_size=len(cat)), label="bounds")
-    tup = data.draw(st.sampled_from(_OBJECTS[object_name][4](n)), label="tuple")
+    tup = data.draw(st.sampled_from(objects.feature_tuples(object_name, n)), label="tuple")
     k = data.draw(st.integers(0, len(tup)), label="prefix length")
     bump = data.draw(st.integers(-1, 1), label="bump") if k else 0
     prefix = tup[: k - 1] + (tup[k - 1] + bump,) if k else ()
@@ -191,11 +182,11 @@ def _same_as_real_model(data, object_name, other_cls):
     n = data.draw(st.integers(1, 6), label="n")
     cat = catalog(object_name)
     cands = data.draw(st.lists(st.sampled_from(cat), max_size=len(cat)), label="bounds")
-    tuples = _OBJECTS[object_name][4](n)
+    tuples = objects.feature_tuples(object_name, n)
     lex = data.draw(st.none() | st.sampled_from(tuples), label="lex tuple")
     # an extra sum over feature variables: a kind besides the bounds that
     # narrows feature domains without fixing them
-    width = len(_OBJECTS[object_name][0])
+    width = len(objects.FEATURES[object_name])
     scope = data.draw(st.none() | st.lists(st.integers(0, width - 1), min_size=1, max_size=3,
                                            unique=True), label="sum scope")
     if scope is not None:
@@ -205,8 +196,8 @@ def _same_as_real_model(data, object_name, other_cls):
     tup = data.draw(st.sampled_from(tuples), label="tuple")
     prefix = tup[: data.draw(st.integers(0, len(tup)), label="prefix length")]
     # then some sequence variables, so domains also narrow without a fix
-    xbox = _OBJECTS[object_name][2](n)
-    fixes = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(*xbox)), max_size=n),
+    dom = objects._sequence_domain(object_name, n)
+    fixes = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(dom[0], dom[-1])), max_size=n),
                       label="sequence fixes")
 
     def trace(model):
@@ -247,12 +238,12 @@ def _same_as_real_model(data, object_name, other_cls):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(data=st.data(), object_name=st.sampled_from(sorted(_OBJECTS)))
+@given(data=st.data(), object_name=st.sampled_from(sorted(objects.FEATURES)))
 def test_waking_check_on_fix_kinds_only_on_fixes_changes_nothing(data, object_name):
     _same_as_real_model(data, object_name, _WakeOnEveryChangeModel)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(data=st.data(), object_name=st.sampled_from(sorted(_OBJECTS)))
+@given(data=st.data(), object_name=st.sampled_from(sorted(objects.FEATURES)))
 def test_waking_a_triggered_kind_only_once_its_trigger_is_fixed_changes_nothing(data, object_name):
     _same_as_real_model(data, object_name, _IgnoreTriggersModel)

@@ -26,7 +26,7 @@ from kernel_helpers import agrees_with_unbudgeted
 _search = selector._search
 
 
-def _memo_free(mp):
+def _without_step_memo(mp):
     mp.setattr(StepMemo, "step", lambda memo, model, featvars, xs, prev, budget=None: _search(
         model, featvars, xs, prev, budget))
 
@@ -145,7 +145,7 @@ def test_selection_equals_the_memo_free_run(scenario, engine):
 
     got = outcome()
     with pytest.MonkeyPatch.context() as mp:
-        _memo_free(mp)
+        _without_step_memo(mp)
         assert outcome() == got
 
 
@@ -158,7 +158,7 @@ def test_a_bound_that_prunes_only_when_posted_is_selected(monkeypatch, engine, f
     cands = [root] + catalog("binseq") if first else catalog("binseq") + [root]
     got = engine(ObjectScenario("binseq", 2), cands)
     assert "ROOT" in got.report.selected
-    _memo_free(monkeypatch)
+    _without_step_memo(monkeypatch)
     assert _observables(got) == _observables(engine(ObjectScenario("binseq", 2), cands))
 
 
