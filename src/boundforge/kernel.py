@@ -41,6 +41,19 @@ and Miguel ("Watched literals for constraint propagation in Minion", CP
 first test, so again only the queue order moves.  A bound's trigger is its
 last input, the ground checker's the last sequence variable.
 
+Three more wake-ups are skipped because they could not prune or fail (the
+idempotence and entailment cases of Schulte and Stuckey).  A kind that
+declares ``idempotent`` keeps its queue flag while it runs, so its own
+prunings do not queue it again: a second run straight after it would
+prune nothing.  :func:`labeling` *parks* a propagator by holding its
+queue flag, so nothing queues it: the lex jump named by ``above`` in the
+subtree of a decision that lifts the features above the jump's tuple,
+where it is entailed, and, on the leaf-memo path, the owner's prefix
+check for the whole labeling.  The search tests each feature prefix
+itself: the check never prunes and the prefix sets are prefix-closed, so
+a trial that the check would fail still counts exactly one failure, and
+this moves no fixpoint, failure or count either.
+
 A budget bounds one labeling: the search is abandoned as soon as ``nback``
 exceeds it, and the result is marked ``over_budget``.  Its ``nback`` is
 the count at the cut, so it is above the budget, and the full search would
@@ -108,11 +121,14 @@ class Constraint:
     the fixed ones; with a ``trigger`` (a watched id that ``propagate`` tests
     first, returning True while it is open), only once the trigger is fixed.
     ``propagate`` prunes through the model helpers and returns False exactly
-    when it wiped out a domain.
+    when it wiped out a domain.  A kind that sets ``idempotent`` promises
+    that a second ``propagate`` straight after a successful one prunes
+    nothing, so its own prunings do not re-schedule it.
     """
 
     kind = "constraint"
     on_fix = False
+    idempotent = False
     trigger: int | None = None
     # every variable the propagator reads or prunes, declared only by the
     # kinds whose scope is exactly that (see LeafMemo.applies)
@@ -140,7 +156,8 @@ class Model:
         self._watchers: list[list[int]] = []
         self._fix_watchers: list[list[int]] = []
         self._queue: deque[int] = deque()
-        # per constraint: whether it is queued, and its trigger id or -1
+        # per constraint: whether it is queued (or running idempotent, or
+        # parked by a search), and its trigger id or -1
         self._inq: list[bool] = []
         self._trig: list[int] = []
         self.leaf_memo: LeafMemo | None = None  # attached by an object post
@@ -292,13 +309,20 @@ class Model:
         queue, inq, cons = self._queue, self._inq, self._constraints
         while queue:
             cid = queue.popleft()
-            inq[cid] = False
-            if not cons[cid].propagate(self):
+            con = cons[cid]
+            if con.idempotent:  # its flag stays set while it runs
+                ok = con.propagate(self)
+                inq[cid] = False
+            else:
+                inq[cid] = False
+                ok = con.propagate(self)
+            if not ok:
                 self._clear_queue()
                 return False
         return True
 
     def _clear_queue(self) -> None:
+        # a parked constraint is never queued, so its flag is never cleared here
         inq = self._inq
         for cid in self._queue:
             inq[cid] = False
@@ -367,6 +391,7 @@ class LexGreater(Constraint):
     """
 
     kind = "lex_greater"
+    idempotent = True
 
     def __init__(self, xs: Sequence[int], tup: Sequence[int]):
         if len(xs) != len(tup):
@@ -436,15 +461,18 @@ class LeafMemo:
     ``xs`` or None), so each such subtree is searched once.
 
     ``prefixes[k]`` holds every length-k feature prefix that some solution
-    extends, closed under prefixes.  The owner posts a check that fails any
-    other prefix, so such a trial is counted as one failure without being
-    made.
+    extends, closed under prefixes.  The owner posts a check (constraint id
+    ``check``) that fails any other prefix.  A search that uses the memo
+    parks that check and tests the prefixes itself, so a trial it would
+    fail is counted as one failure, and is not made when its own value is
+    the one that fails the prefix.
     """
 
     featvars: tuple[int, ...]
     xs: tuple[int, ...]
     inner: tuple[int, ...]
     owned: range
+    check: int
     prefixes: tuple[frozenset, ...]
     table: dict
 
@@ -471,6 +499,7 @@ def _dfs(
     on_solution: Callable[[tuple[int, ...]], bool],
     memo: LeafMemo | None = None,
     budget: int | None = None,
+    above: int | None = None,
 ) -> int:
     """Depth-first search over ``order``, fixing left to right by increasing value.
 
@@ -480,11 +509,13 @@ def _dfs(
     solution) is used when it applies to this search, and gives the same
     count and solution as searching without it.  With a ``budget`` the
     search stops as soon as the count exceeds it, so a count above the
-    budget marks a search that was cut.
+    budget marks a search that was cut.  ``above`` is the id of a posted
+    :class:`LexGreater` over a prefix of ``order``, parked below every
+    decision that lifts that prefix above its tuple.
     """
     vids = model.var_ids(order)
     last = len(vids)
-    doms, trail = model._doms, model._trail
+    doms, trail, inq = model._doms, model._trail, model._inq
     set_dom, drain, undo = model._set_dom, model._drain, model._undo_to
     base = len(trail)
     nback = 0
@@ -492,6 +523,19 @@ def _dfs(
     if memo is not None and not memo.applies(model, vids):
         memo = None
     cut, prefixes = (len(memo.featvars), memo.prefixes) if memo is not None else (-1, ())
+    jump: tuple[int, ...] = ()
+    if above is not None:
+        con = model._constraints[above]
+        if type(con) is not LexGreater or con.xs != tuple(vids[: len(con.tup)]):
+            raise InvalidArgumentError("above must name a lex jump over a prefix of the order")
+        jump = con.tup
+    # The queue is empty between searches, so no flag is set here.  A parked
+    # flag is set below (the jump's only at its decision) and cleared on
+    # every way out; nothing queues a parked constraint, so no drain clears it.
+    parked = [above] if jump else []
+    if memo is not None:
+        parked.append(memo.check)
+        inq[memo.check] = True
     found: tuple[int, ...] = ()
 
     def split(key: tuple[int, ...]) -> bool:
@@ -504,7 +548,7 @@ def _dfs(
                 return True
             return hit[2] is not None and on_solution(key + hit[2])
         before = nback
-        stop = dfs(cut, None)
+        stop = dfs(cut, None, False)
         if hit is None and nback <= limit:  # a cut subtree is not stored
             memo.table[key] = (state, nback - before, found[cut:] if stop else None)
         return stop
@@ -513,8 +557,15 @@ def _dfs(
     # clears it), so undoing the trail restores the state exactly; so does a
     # cut, which comes only right after a count, with the queue empty.  The
     # labeled value lies in the domain, so fixing it cannot fail by itself.
-    # Above the split, ``prefix`` holds the fixed feature values; below it, None.
-    def dfs(k: int, prefix: tuple[int, ...] | None) -> bool:
+    # Above the split, ``prefix`` holds the fixed feature values; below it,
+    # None.  With the prefix check parked, a trial whose propagation fixes
+    # later features onto a prefix no feasible tuple extends succeeds; the
+    # levels down to the first infeasible one then hold one value each, and
+    # the prefix test there counts the one failure the check would have
+    # counted at the trial (and at the same point for a budget).
+    # ``tight`` says the values fixed so far equal the jump's tuple, so a
+    # larger value at k makes the jump entailed in its subtree.
+    def dfs(k: int, prefix: tuple[int, ...] | None, tight: bool) -> bool:
         nonlocal nback, found
         if k == last:
             found = tuple([doms[v][0] for v in vids])
@@ -531,25 +582,40 @@ def _dfs(
                     if nback > limit:
                         return True
                     continue
+            entailed = tight and val > jump[k]
+            if entailed:
+                inq[above] = True
             mk = len(trail)
             set_dom(vid, (val,))
             if drain():
-                if dfs(k + 1, nxt):
+                if dfs(k + 1, nxt, tight and val == jump[k] and k + 1 < len(jump)):
                     return True
             else:
                 nback += 1
                 if nback > limit:
                     return True
+            if entailed:
+                inq[above] = False
             undo(mk)
         return False
 
-    dfs(0, ())
-    undo(base)
+    try:
+        dfs(0, (), bool(jump))
+    finally:
+        if model._queue:  # only when a propagator raised
+            model._clear_queue()
+        for cid in parked:
+            inq[cid] = False
+        undo(base)
     return nback
 
 
 def labeling(
-    model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef], budget: int | None = None
+    model: Model,
+    featvars: Sequence[VarRef],
+    xs: Sequence[VarRef],
+    budget: int | None = None,
+    above: int | None = None,
 ) -> LabelResult:
     """Find the lexicographically smallest solution of featvars ++ xs.
 
@@ -557,13 +623,17 @@ def labeling(
     value.  Returns the backtrack count together with the solution, or
     ``finished=True`` with the count spent proving that none remains.  With
     a ``budget``, a search whose count exceeds it is cut there and returns
-    an ``over_budget`` result.  The model state is restored before returning.
+    an ``over_budget`` result.  ``above`` may name the lex jump over
+    ``featvars`` posted just before (the id :func:`post_lex_greater`
+    returned); it is parked where it is entailed, which changes no result.
+    The model state is restored before returning.
     """
     order = list(featvars) + list(xs)
     if not order:
         raise InvalidArgumentError("labeling needs at least one variable")
     found: list[tuple[int, ...]] = []
-    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo, budget)
+    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo, budget,
+                 above)
     if budget is not None and nback > budget:
         return LabelResult(nback, False, (), True)
     if found:

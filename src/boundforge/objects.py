@@ -486,6 +486,7 @@ def post_object(
     xvids = model.var_ids(xs)
     dom = _sequence_domain(object_name, n)
     fresh = all(model._doms[v] == dom for v in xvids)
+    check = PrefixFeasible(fvids, prefixes)
     if object_name == "partition":
         ovids = [model.new_var(0, n).id for _ in range(n)]
         inner = xvids + ovids
@@ -493,14 +494,14 @@ def post_object(
             PrecedenceCaps(xvids),
             SumEq(ovids, None, n),
             OccurrenceChannel(xvids, ovids, fvids[0], fvids[4]),
-            PrefixFeasible(fvids, prefixes),
+            check,
             GroundChecker(fvids, xvids, _partition_ground),
         ]
     else:
         inner = xvids
         steps = [
             SumEq(xvids, fvids[0]),
-            PrefixFeasible(fvids, prefixes),
+            check,
             GroundChecker(fvids, xvids, _binseq_tuple),
         ]
     mark = model.mark()
@@ -514,7 +515,8 @@ def post_object(
     if fresh:
         model.leaf_memo = LeafMemo(
             tuple(fvids), tuple(xvids), tuple(inner),
-            range(mark.ncons, len(model._constraints)), prefixes,
+            range(mark.ncons, len(model._constraints)),
+            mark.ncons + steps.index(check), prefixes,
             _LEAF_TABLES.setdefault((object_name, n), {}),
         )
     return cid

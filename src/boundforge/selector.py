@@ -28,7 +28,8 @@ engine.  The drain checks the same transition under one candidate subset
 after another, and a step whose outcome cannot differ from an earlier
 search of it is answered from that search.  ``labelings`` still counts
 every step the algorithm takes, searched or answered, so every count and
-record is the one a memo-free run gives.
+record is the one a memo-free run gives.  Each search names its lex jump
+to ``labeling``, which parks the jump where it is entailed.
 """
 
 from __future__ import annotations
@@ -171,9 +172,12 @@ def _search(model, featvars, xs, prev, budget=None):
     leaves the model unchanged).
     """
     mark = model.mark()
-    if prev is not None and post_lex_greater(model, featvars, prev) is None:
-        return None
-    res = labeling(model, featvars, xs, budget)
+    jump = None
+    if prev is not None:
+        jump = post_lex_greater(model, featvars, prev)
+        if jump is None:
+            return None
+    res = labeling(model, featvars, xs, budget, above=jump)
     model.retract_to(mark)
     return res
 
@@ -206,6 +210,17 @@ class StepMemo:
     Equal candidates post equal propagators, so they share one bit of the
     posted and acted sets.
 
+    The equal-outcome rule drops the upper limit: a complete outcome whose
+    count equals the step's budget answers a step that posts more bounds,
+    given equal start domains and every stored acted bound posted.  It is
+    on only once ``sound`` is set, which ``_run`` does when the compute
+    phase found every feasible tuple with every candidate posted, so no
+    candidate removes one.  Then more bounds can only lower a count (a
+    trial they fail heads a subtree without solutions, where the fewer
+    bounds fail at least once), they leave the next solution where it was,
+    and the count cannot drop below the budget, which is that same
+    transition's count with every candidate posted.
+
     One memo belongs to one run and one object size; it is never shared.
     """
 
@@ -216,6 +231,7 @@ class StepMemo:
         self.bit = {id(c): bits.setdefault(c, 1 << len(bits)) for c in candidates}
         self.tuples = tuples  # canonical feature tuples, see enumerate_all_solutions
         self.steps: dict[tuple[int, ...] | None, list] = {}
+        self.sound = False  # every candidate known sound: the equal-outcome rule is on
 
     def step(self, model, featvars, xs, prev, budget=None):
         """The outcome of the step from ``prev`` under ``budget`` on ``model``
@@ -229,7 +245,12 @@ class StepMemo:
         state = model.snapshot()
         entries = self.steps.setdefault(prev, [])
         for stored, acted, stored_state, cut_at, res in entries:
-            if acted & ~posted or posted & ~stored or state != stored_state:
+            if acted & ~posted:
+                continue
+            if posted & ~stored and not (
+                    self.sound and cut_at is None and res is not None and res.nback == budget):
+                continue
+            if state != stored_state:
                 continue
             if cut_at is None:
                 if budget is not None and res is not None and res.nback > budget:
@@ -425,9 +446,12 @@ def _run(
     model, featvars, xs = scenario.fresh(counters)
     memo = StepMemo(candidates, canonical_tuples(scenario.object, scenario.n))
     records = compute_all_solutions(model, featvars, xs, candidates, scenario.n, counters, memo)
+    drain = [r for r in records if r.sol]
+    # every feasible tuple was found with every candidate posted, so no
+    # candidate removes one: each is sound for this scenario
+    memo.sound = len(drain) == len(memo.tuples)
     selected: list[BoundCandidate] = []
     if candidates:
-        drain = [r for r in records if r.sol]
         by_isol = {r.isol: r for r in records}
         engine = engine_cls(scenario, model, featvars, xs, drain, by_isol, counters, memo)
         selected = _select(engine, drain, list(candidates), None)

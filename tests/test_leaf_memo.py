@@ -25,14 +25,15 @@ BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
 
 class _CrossCheck:
     """Stands in for ``selector.labeling``: each call is compared with the
-    same call searched without the memo and without a budget."""
+    same call searched without the memo, without a budget and without the
+    parked lex jump."""
 
     def __init__(self):
         self.calls = self.used = self.cut = 0
         self.mismatches = []
 
-    def __call__(self, model, featvars, xs, budget=None):
-        res = labeling(model, featvars, xs, budget)
+    def __call__(self, model, featvars, xs, budget=None, above=None):
+        res = labeling(model, featvars, xs, budget, above)
         memo = model.leaf_memo
         vids = [v.id for v in list(featvars) + list(xs)]
         self.calls += 1
@@ -59,9 +60,9 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
     check = _CrossCheck()
     monkeypatch.setattr(selector, "labeling", check)
     outcome = selector.run_selection(ObjectScenario("binseq", 10), catalog("binseq"))
-    # the step memo answers the other 883 steps without labeling
+    # the step memo answers the other 891 steps without labeling
     assert outcome.report.labelings == 1358
-    assert check.calls == 475
+    assert check.calls == 467
     assert check.cut == 49  # drain steps whose count passed the stored one
     assert check.used == check.calls
     assert check.mismatches == []

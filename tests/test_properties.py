@@ -8,9 +8,9 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundforge import objects
+from boundforge import bounds, kernel, objects
 from boundforge.bounds import catalog, post_bound
-from boundforge.kernel import Constraint, Model, SumEq, labeling, post_lex_greater
+from boundforge.kernel import Constraint, LexGreater, Model, SumEq, labeling, post_lex_greater
 
 from kernel_helpers import solve_all
 
@@ -168,6 +168,14 @@ class _WakeOnEveryChangeModel(Model):
         return super().post_constraint(con)
 
 
+class _RequeueIdempotentModel(Model):
+    """Ignores ``idempotent``: a kind's own prunings queue it again."""
+
+    def post_constraint(self, con):
+        con.idempotent = False  # shadows the class declaration
+        return super().post_constraint(con)
+
+
 class _IgnoreTriggersModel(Model):
     """Ignores ``trigger``: a fix wakes every on_fix kind that watches it."""
 
@@ -247,3 +255,38 @@ def test_waking_check_on_fix_kinds_only_on_fixes_changes_nothing(data, object_na
 @given(data=st.data(), object_name=st.sampled_from(sorted(objects.FEATURES)))
 def test_waking_a_triggered_kind_only_once_its_trigger_is_fixed_changes_nothing(data, object_name):
     _same_as_real_model(data, object_name, _IgnoreTriggersModel)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data(), object_name=st.sampled_from(sorted(objects.FEATURES)))
+def test_not_requeueing_an_idempotent_kind_on_its_own_prunings_changes_nothing(data, object_name):
+    _same_as_real_model(data, object_name, _RequeueIdempotentModel)
+
+
+def test_every_idempotent_kind_is_property_tested():
+    """Each kind that declares ``idempotent`` needs a test like the one below."""
+    kinds = {cls for mod in (kernel, objects, bounds) for cls in vars(mod).values()
+             if isinstance(cls, type) and issubclass(cls, Constraint) and cls.idempotent}
+    assert kinds == {LexGreater}
+
+
+_HOLEY = st.sets(st.integers(0, 4), min_size=1).map(sorted)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=500)
+@given(st.lists(st.tuples(_HOLEY, st.integers(0, 4)), min_size=1, max_size=4))
+def test_lex_greater_prunes_nothing_when_run_again(columns):
+    """Boxes with holes, against any tuple: a second ``propagate`` straight
+    after a successful one prunes nothing."""
+    m = Model()
+    xs = []
+    for dom, _ in columns:
+        v = m.new_var(dom[0], dom[-1])
+        for val in range(dom[0], dom[-1] + 1):
+            if val not in dom:
+                assert m.remove_value(v.id, val)
+        xs.append(v.id)
+    con = LexGreater(xs, [t for _, t in columns])
+    if con.propagate(m):
+        once = m.snapshot()
+        assert con.propagate(m) and m.snapshot() == once

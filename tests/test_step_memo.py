@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundforge import selector
-from boundforge.bounds import BoundCandidate, catalog, decoy, post_bound, posted_bounds
+from boundforge.bounds import BoundCandidate, by_id, catalog, decoy, post_bound, posted_bounds
 from boundforge.errors import CatalogSoundnessError
-from boundforge.objects import FEATURES
+from boundforge.objects import FEATURES, feature_tuples
 from boundforge.selector import Counters, ObjectScenario, StepMemo
 
 from kernel_helpers import agrees_with_unbudgeted
+from test_metamorphic import _tightened
 
 _search = selector._search
 
@@ -77,9 +78,9 @@ def test_catalog_order_binseq_10_selection_equals_a_real_search_at_every_step(mo
     outcome = selector.run_selection(ObjectScenario("binseq", 10), catalog("binseq"))
     assert outcome.report.labelings == 1358
     assert check.mismatches == []
-    # 1 358 steps label and 8 end at a failed lex post; the searched 477
-    # are 475 labelings and 2 failed lex posts, and the other 889 are answered
-    assert (check.steps, check.searched) == (1366, 477)
+    # 1 358 steps label and 8 end at a failed lex post; the searched 469
+    # are 467 labelings and 2 failed lex posts, and the other 897 are answered
+    assert (check.steps, check.searched) == (1366, 469)
 
 
 def _sweep_slice():
@@ -209,3 +210,112 @@ def test_a_cut_step_answers_only_its_own_budget_and_a_full_one_any():
     assert answered.nback == 15
     assert memo.step(model, featvars, xs, prev, 15) is memo.steps[prev][1][-1]
     assert len(memo.steps[prev]) == 2
+
+
+# -- the equal-outcome rule and its gate ------------------------------------------
+
+
+def _gate_of(object_name, n, cands, engine=selector.run_selection):
+    """Whether the run's step memo had the equal-outcome rule on."""
+    made = []
+
+    class Recorded(StepMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selector, "StepMemo", Recorded)
+        engine(ObjectScenario(object_name, n), cands)
+    (memo,) = made
+    return memo.sound
+
+
+class _Ungated(StepMemo):
+    """The equal-outcome rule on whatever the compute phase found."""
+
+    sound = property(lambda self: True, lambda self, value: None)
+
+
+def _unsound_mix():
+    """Four tightened bounds, ROOT, and two sound ones: binseq n=7 keeps
+    only 7 of its 39 feasible tuples under them."""
+    tight = [_tightened(by_id(i)) for i in ("B-DS-UB2", "B-DMIN-UB", "B-DS-LB2", "B-GS-UB3")]
+    return tight + [_root("binseq"), by_id("B-DS-LB2"), by_id("B-GS-UB2")]
+
+
+@pytest.mark.parametrize("engine", [selector.run_selection, selector.run_baseline])
+def test_an_unsound_candidate_list_keeps_the_equal_outcome_rule_off(engine):
+    """With a candidate that removes a feasible tuple, more bounds can lower
+    a count below the stored one, so a step must not be answered from a
+    search under fewer bounds: on here, the rule changes ``labelings``."""
+    scenario, cands = ObjectScenario("binseq", 7), _unsound_mix()
+    got = engine(scenario, cands)
+    assert sum(1 for r in got.records if r.sol) == 7
+    assert len(feature_tuples("binseq", 7)) == 39
+    assert not _gate_of("binseq", 7, cands, engine)
+    with pytest.MonkeyPatch.context() as mp:
+        _without_step_memo(mp)
+        assert _observables(engine(scenario, cands)) == _observables(got)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selector, "StepMemo", _Ungated)
+        ungated = engine(scenario, cands)
+    assert ungated.report.labelings != got.report.labelings
+
+
+@pytest.mark.parametrize("object_name", sorted(FEATURES))
+@pytest.mark.parametrize("extra, on", [
+    ([], True),
+    (["decoys"], True),
+    (["PARTIAL"], False),
+    (["ROOT"], False),
+])
+def test_the_gate_is_on_exactly_when_every_feasible_tuple_is_found(object_name, extra, on):
+    n = 7
+    cands = list(catalog(object_name))
+    for name in extra:
+        if name == "decoys":
+            cands += [decoy(object_name, f, n) for f in FEATURES[object_name]]
+        else:
+            cands.append(_partial(object_name, n) if name == "PARTIAL" else _root(object_name))
+    assert _gate_of(object_name, n, cands) is on
+
+
+@st.composite
+def _nested_sound_lists(draw):
+    """An object, an n <= 6, and sound lists S within T (catalog and decoys)."""
+    object_name = draw(st.sampled_from(sorted(FEATURES)))
+    n = draw(st.integers(1, 6))
+    pool = catalog(object_name) + [decoy(object_name, f, n) for f in FEATURES[object_name]]
+    big = [c for c, keep in zip(pool, draw(st.lists(st.booleans(), min_size=len(pool),
+                                                    max_size=len(pool)))) if keep]
+    small = [c for c, keep in zip(big, draw(st.lists(st.booleans(), min_size=len(big),
+                                                     max_size=len(big)))) if keep]
+    return object_name, n, small, big
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_nested_sound_lists())
+def test_more_sound_bounds_never_raise_a_step_count_nor_move_its_solution(lists):
+    """The premise of the equal-outcome rule: from the same solution, the
+    unbudgeted count under S is at least the count under T, and the next
+    solution (features and witness) is the same."""
+    object_name, n, small, big = lists
+    models = []
+    for cands in (small, big):
+        model, featvars, xs = ObjectScenario(object_name, n).fresh(Counters())
+        for cand in cands:
+            assert post_bound(model, cand, featvars, n) is not None
+        models.append((model, featvars, xs))
+    width = len(FEATURES[object_name])
+    prev = None
+    while True:
+        outcomes = []
+        for model, featvars, xs in models:
+            res = _search(model, featvars, xs, prev)
+            outcomes.append((0, ()) if res is None else (res.nback, res.sol))
+        (count_small, sol_small), (count_big, sol_big) = outcomes
+        assert count_small >= count_big and sol_small == sol_big
+        if not sol_big:
+            return
+        prev = sol_big[:width]
