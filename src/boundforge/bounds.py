@@ -80,168 +80,144 @@ class BoundVerdict:
 
 
 def _partition_catalog() -> list[BoundCandidate]:
-    r = E.sub("n", E.mul("P", "Mmin"))
-    rng_pos = E.cmp(">", "rangeM", 0)
-    rng_zero = E.cmp("<=", "rangeM", 0)
-    mid = E.cases((rng_pos, E.add("Mmin", E.fmod(r, "rangeM"))), (rng_zero, "Mmin"))
-    rr = E.cases((rng_pos, E.fdiv(r, "rangeM")), (rng_zero, 0))
-    sm = E.sub(E.sq("Mmax"), E.sq("Mmin"))
-    smin = E.mul(E.sq("Mmin"), E.sub("P", 1))
+    r = ("-", "n", ("*", "P", "Mmin"))
+    rng_pos = (">", "rangeM", 0)
+    rng_zero = ("<=", "rangeM", 0)
+    mid = ("cases", (rng_pos, ("+", "Mmin", ("mod", r, "rangeM"))), (rng_zero, "Mmin"))
+    rr = ("cases", (rng_pos, ("div", r, "rangeM")), (rng_zero, 0))
+    sm = ("-", ("sq", "Mmax"), ("sq", "Mmin"))
+    smin = ("*", ("sq", "Mmin"), ("-", "P", 1))
     return [
         BoundCandidate(
             "P-S-UB", "partition", "S", "upper",
-            E.add(E.add(E.sq(mid), E.mul(sm, rr)), smin),
+            ("+", ("+", ("sq", mid), ("*", sm, rr)), smin),
         ),
         BoundCandidate(
             "P-RANGE-UB1", "partition", "rangeM", "upper",
-            E.sub("n", E.mul("P", "Mmin")),
+            ("-", "n", ("*", "P", "Mmin")),
         ),
         BoundCandidate(
             "P-RANGE-UB2", "partition", "rangeM", "upper",
-            E.emin(E.sub(E.mul("P", "Mmax"), "n"), E.sub("Mmax", 1)),
+            ("min", ("-", ("*", "P", "Mmax"), "n"), ("-", "Mmax", 1)),
         ),
     ]
 
 
 def _binseq_catalog() -> list[BoundCandidate]:
-    out = [
+    return [
         BoundCandidate(
             "B-N1-UB", "binseq", "N1", "upper",
-            E.emin(E.mul("G", "Gmax"), E.add(E.sub("n", "G"), 1)),
+            ("min", ("*", "G", "Gmax"), ("+", ("-", "n", "G"), 1)),
         ),
         BoundCandidate(
             "B-GMAX-LB", "binseq", "Gmax", "lower",
-            E.fdiv("n", E.add(E.sub("n", "N1"), 1)),
+            ("div", "n", ("+", ("-", "n", "N1"), 1)),
         ),
         BoundCandidate(
             "B-GMAX-UB1", "binseq", "Gmax", "upper",
-            E.cases(
-                (E.cmp("==", "rangeG", E.mul("n", "rangeD")), E.add("n", "rangeG")),
-                (
-                    E.cmp("!=", "rangeG", E.mul("n", "rangeD")),
-                    E.add(
-                        E.fdiv(
-                            E.sub(E.sub(
-                                E.sub(E.sub("n", "rangeG"), "rangeD"), E.emin("rangeD", 1)), 1),
-                            E.add(E.emin("rangeD", 1), 2),
-                        ),
-                        "rangeG",
-                    ),
-                ),
-            ),
+            ("cases",
+             (("==", "rangeG", ("*", "n", "rangeD")), ("+", "n", "rangeG")),
+             (("!=", "rangeG", ("*", "n", "rangeD")),
+              ("+",
+               ("div",
+                ("-", ("-", ("-", ("-", "n", "rangeG"), "rangeD"), ("min", "rangeD", 1)), 1),
+                ("+", ("min", "rangeD", 1), 2)),
+               "rangeG"))),
         ),
         BoundCandidate(
             "B-DMIN-UB", "binseq", "Dmin", "upper",
-            E.cases(
-                (E.cmp("<=", "G", 1), 0),
-                (E.cmp(">", "G", 1),
-                 E.fdiv(E.sub(E.add(E.sub("n", "Gmax"), 1), "G"), E.sub("G", 1))),
-            ),
+            ("cases",
+             (("<=", "G", 1), 0),
+             ((">", "G", 1), ("div", ("-", ("+", ("-", "n", "Gmax"), 1), "G"), ("-", "G", 1)))),
         ),
         BoundCandidate(
             "B-DMAX-UB", "binseq", "Dmax", "upper",
-            E.mul(
-                E.iverson(E.cmp(">=", "G", 2)),
-                E.add(E.sub(E.sub("n", E.mul("G", "Gmin")), "G"), 2),
-            ),
+            ("*",
+             ("iverson", (">=", "G", 2)),
+             ("+", ("-", ("-", "n", ("*", "G", "Gmin")), "G"), 2)),
         ),
         BoundCandidate(
-            "B-GS-LB1", "binseq", "GS", "lower", E.mul(E.sq("Gmin"), "G"),
+            "B-GS-LB1", "binseq", "GS", "lower", ("*", ("sq", "Gmin"), "G"),
         ),
         BoundCandidate(
             "B-GS-LB2", "binseq", "GS", "lower",
-            E.add(
-                E.add(E.mul(E.mul("rangeG", E.add("rangeG", 1)), E.emin("G", 1)), "rangeG"), "G"
-            ),
+            ("+",
+             ("+", ("*", ("*", "rangeG", ("+", "rangeG", 1)), ("min", "G", 1)), "rangeG"),
+             "G"),
         ),
         BoundCandidate(
             "B-GS-LB3", "binseq", "GS", "lower",
-            E.emax(
-                E.sub(
-                    E.sub(E.add(E.sq("Gmax"), 1), E.iverson(E.cmp("==", "Dmin", 0))),
-                    E.iverson(E.cmp("==", "Gmax", 0)),
-                ),
-                0,
-            ),
+            ("max",
+             ("-",
+              ("-", ("+", ("sq", "Gmax"), 1), ("iverson", ("==", "Dmin", 0))),
+              ("iverson", ("==", "Gmax", 0))),
+             0),
         ),
         BoundCandidate(
             "B-GS-UB1", "binseq", "GS", "upper",
-            E.cases(
-                (E.cmp("<=", "G", 1), E.emax(E.add(E.sq("N1"), E.sub("G", 1)), 0)),
-                (E.cmp(">", "G", 1),
-                 E.emax(E.add(E.sq(E.add(E.sub("N1", "G"), 1)), E.sub("G", 1)), 0)),
-            ),
+            ("cases",
+             (("<=", "G", 1), ("max", ("+", ("sq", "N1"), ("-", "G", 1)), 0)),
+             ((">", "G", 1),
+              ("max", ("+", ("sq", ("+", ("-", "N1", "G"), 1)), ("-", "G", 1)), 0))),
         ),
         BoundCandidate(
             "B-GS-UB2", "binseq", "GS", "upper",
-            E.cases(
-                (E.both(E.cmp("==", "rangeD", 0), E.cmp("==", E.emin("N1", 1), 1)),
-                 E.emax(E.sq("N1"), 0)),
-                (E.both(E.cmp("==", "rangeD", 0), E.cmp("==", E.emin("N1", 1), 0)), 0),
-                (E.cmp(">=", "rangeD", 1), E.emax(E.add(E.sq(E.sub("N1", 2)), 2), 0)),
-            ),
+            ("cases",
+             (("and", ("==", "rangeD", 0), ("==", ("min", "N1", 1), 1)),
+              ("max", ("sq", "N1"), 0)),
+             (("and", ("==", "rangeD", 0), ("==", ("min", "N1", 1), 0)), 0),
+             ((">=", "rangeD", 1), ("max", ("+", ("sq", ("-", "N1", 2)), 2), 0))),
         ),
         BoundCandidate(
-            "B-DS-LB1", "binseq", "DS", "lower", E.mul(E.sq("Dmin"), E.sub("G", 1)),
+            "B-DS-LB1", "binseq", "DS", "lower", ("*", ("sq", "Dmin"), ("-", "G", 1)),
         ),
         BoundCandidate(
             "B-DS-LB2", "binseq", "DS", "lower",
-            E.cases(
-                (E.cmp("<=", "G", 1), 0),
-                (E.cmp(">", "G", 1), E.emax(E.add(E.sq(E.add("rangeD", 1)), E.sub("G", 2)), 0)),
-            ),
+            ("cases",
+             (("<=", "G", 1), 0),
+             ((">", "G", 1), ("max", ("+", ("sq", ("+", "rangeD", 1)), ("-", "G", 2)), 0))),
         ),
         BoundCandidate(
-            "B-DS-LB3", "binseq", "DS", "lower", E.sq("Dmax"),
+            "B-DS-LB3", "binseq", "DS", "lower", ("sq", "Dmax"),
         ),
         BoundCandidate(
             "B-DS-UB1", "binseq", "DS", "upper",
-            E.cases(
-                (E.cmp("<=", "N1", 1), 0),
-                (E.cmp(">", "N1", 1), E.sq(E.sub("n", "N1"))),
-            ),
+            ("cases", (("<=", "N1", 1), 0), ((">", "N1", 1), ("sq", ("-", "n", "N1")))),
         ),
         BoundCandidate(
             "B-DS-UB2", "binseq", "DS", "upper",
-            E.cases(
-                (E.cmp(">=", "G", 2),
-                 E.emax(E.add(E.sq(E.sub(E.sub("n", "N1"), E.sub("G", 2))), E.sub("G", 2)), 0)),
-                (E.cmp("<", "G", 2), E.emax(E.sub("G", 2), 0)),
-            ),
+            ("cases",
+             ((">=", "G", 2),
+              ("max", ("+", ("sq", ("-", ("-", "n", "N1"), ("-", "G", 2))), ("-", "G", 2)), 0)),
+             (("<", "G", 2), ("max", ("-", "G", 2), 0))),
         ),
         BoundCandidate(
             "B-GMAX-UB2", "binseq", "Gmax", "upper",
-            E.cases(
-                (E.both(E.cmp("==", "G", 1), E.cmp("==", "Dmax", 0)), "n"),
-                (E.both(E.cmp("!=", "G", 1), E.cmp("==", "Dmax", 0)), E.emin("G", 1)),
-                (E.both(E.cmp("!=", "G", 1), E.cmp(">=", "Dmax", 1)),
-                 E.add(
-                     E.sub(E.sub(E.sub("n", "Dmax"), E.mul(E.sub("G", 2), "Dmin")), "G"),
-                     E.emin("G", 1),
-                 )),
-            ),
+            ("cases",
+             (("and", ("==", "G", 1), ("==", "Dmax", 0)), "n"),
+             (("and", ("!=", "G", 1), ("==", "Dmax", 0)), ("min", "G", 1)),
+             (("and", ("!=", "G", 1), (">=", "Dmax", 1)),
+              ("+",
+               ("-", ("-", ("-", "n", "Dmax"), ("*", ("-", "G", 2), "Dmin")), "G"),
+               ("min", "G", 1)))),
         ),
         BoundCandidate(
             "B-GS-UB3", "binseq", "GS", "upper",
-            E.cases(
-                (E.both(E.cmp("==", "G", 1), E.cmp("==", "Dmax", 0)), E.emax(E.sq("n"), 0)),
-                (E.both(E.cmp("!=", "G", 1), E.cmp("==", "Dmax", 0)),
-                 E.emax(E.add(E.sq(E.emin("G", 1)), E.sub("G", 1)), 0)),
-                (E.both(E.cmp("!=", "G", 1), E.cmp(">=", "Dmax", 1)),
-                 E.emax(
-                     E.add(
-                         E.sq(E.add(
-                             E.sub(E.sub(E.sub("n", "Dmax"), E.mul(E.sub("G", 2), "Dmin")), "G"),
-                             1,
-                         )),
-                         E.sub("G", 1),
-                     ),
-                     0,
-                 )),
-            ),
+            ("cases",
+             (("and", ("==", "G", 1), ("==", "Dmax", 0)), ("max", ("sq", "n"), 0)),
+             (("and", ("!=", "G", 1), ("==", "Dmax", 0)),
+              ("max", ("+", ("sq", ("min", "G", 1)), ("-", "G", 1)), 0)),
+             (("and", ("!=", "G", 1), (">=", "Dmax", 1)),
+              ("max",
+               ("+",
+                ("sq",
+                 ("+",
+                  ("-", ("-", ("-", "n", "Dmax"), ("*", ("-", "G", 2), "Dmin")), "G"),
+                  1)),
+                ("-", "G", 1)),
+               0))),
         ),
     ]
-    return out
 
 
 _CATALOG: list[BoundCandidate] = _partition_catalog() + _binseq_catalog()
@@ -363,17 +339,3 @@ def decoy(object_name: str, feature: str, n: int) -> BoundCandidate:
         direction="upper",
         rhs=boxes[feature][1],
     )
-
-
-def catalog_json() -> list[dict]:
-    """Machine-readable catalog (rhs in prefix notation)."""
-    return [
-        {
-            "id": b.id,
-            "object": b.object,
-            "target": b.target,
-            "direction": b.direction,
-            "rhs": b.rhs,
-        }
-        for b in _CATALOG
-    ]

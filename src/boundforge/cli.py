@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import expr, oracle, selector
 from .bounds import BoundCandidate
 from .errors import BoundforgeError, InvalidArgumentError
-from .objects import FEATURES
+from .objects import FEATURES, check_size
 
 # documented tractable ceilings; BOUNDFORGE_MAX_N overrides both
 _VERIFY_CAP = {"partition": 12, "binseq": 16}
@@ -130,6 +130,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     def size_range(obj: str) -> tuple[int, int]:
         lo, hi = _parse_n(args.n) if args.n is not None else _VERIFY_DEFAULT_RANGE[obj]
         _check_cap(obj, hi, model_based=False)
+        check_size(obj, hi)  # the library ceiling too, before the first audit
         return lo, hi
 
     ranges = {obj: size_range(obj) for obj in objects_audited}

@@ -15,10 +15,11 @@ fixed operator table below, and the helpers ``_divisor``, ``sq`` and
 ``_nomatch``; no string of the expression or of the layout is spliced in.
 So every node is checked first, and compiling refuses with
 :class:`CatalogError` a name outside the layout, an unknown operator, a
-wrong operand count, a node that is not an ``int``, a ``str`` or a
-non-empty tuple (a float, ``None``, a list), a case arm that is not a
-(guard, expr) tuple, and a tree nested deeper than ``MAX_DEPTH`` (each
-case arm nests one level below the one before it, as in the source).
+wrong operand count (a ``cases`` with no arm too), a node that is not an
+``int``, a ``str`` or a non-empty tuple (a float, ``None``, a list), a
+case arm that is not a (guard, expr) tuple, and a tree nested deeper than
+``MAX_DEPTH`` (each case arm nests one level below the one before it, as
+in the source).
 
 Evaluation keeps the prefix semantics: operands left to right, ``and``
 short-circuits, ``cases`` takes the first arm whose guard holds, and a
@@ -112,6 +113,8 @@ def _source(node: Expr, layout: Sequence[str], depth: int) -> str:
         raise CatalogError(f"malformed rhs node {node!r}")
     op, *args = node
     if op == "cases":
+        if not args:
+            raise CatalogError("cases cannot take 0 operands")
         out = []
         for k, arm in enumerate(args):
             if not (isinstance(arm, tuple) and len(arm) == 2):
@@ -159,54 +162,3 @@ def names(node: Expr) -> frozenset[str]:
     if isinstance(node, str):
         return frozenset((node,))
     return frozenset().union(*map(names, parts(node)[1]))
-
-
-# -- small builders, so catalog definitions read close to their formulas ------
-
-
-def add(a, b) -> tuple:
-    return ("+", a, b)
-
-
-def sub(a, b) -> tuple:
-    return ("-", a, b)
-
-
-def mul(a, b) -> tuple:
-    return ("*", a, b)
-
-
-def fdiv(a, b) -> tuple:
-    return ("div", a, b)
-
-
-def fmod(a, b) -> tuple:
-    return ("mod", a, b)
-
-
-def sq(a) -> tuple:
-    return ("sq", a)
-
-
-def emin(*args) -> tuple:
-    return ("min", *args)
-
-
-def emax(*args) -> tuple:
-    return ("max", *args)
-
-
-def cmp(op: str, a, b) -> tuple:
-    return (op, a, b)
-
-
-def both(*guards: tuple) -> tuple:
-    return ("and", *guards)
-
-
-def iverson(cond: tuple) -> tuple:
-    return ("iverson", cond)
-
-
-def cases(*pairs: tuple) -> tuple:
-    return ("cases", *pairs)

@@ -7,8 +7,10 @@ fixtures and a few cross-checks do.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Sequence
 
+from boundforge.bounds import catalog
 from boundforge.errors import BoundforgeError
 from boundforge.kernel import (
     Constraint,
@@ -31,6 +33,18 @@ def agrees_with_unbudgeted(res, ref, budget) -> bool:
         return res == ref
     return (res.over_budget and not res.finished and res.sol == ()
             and budget < res.nback <= ref.nback)
+
+
+def sweep_slice():
+    """(object, n, candidates) for both objects at n = 3..8: the catalog in
+    order, and the first half of a shuffle seeded by n."""
+    for object_name in ("binseq", "partition"):
+        for n in range(3, 9):
+            cat = catalog(object_name)
+            shuffled = list(cat)
+            random.Random(n).shuffle(shuffled)
+            yield object_name, n, cat
+            yield object_name, n, shuffled[: len(cat) // 2]
 
 
 def memo_free(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:

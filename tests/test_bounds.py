@@ -13,7 +13,6 @@ from boundforge.bounds import (
     BoundCandidate,
     by_id,
     catalog,
-    catalog_json,
     decoy,
     post_bound,
     verify_on,
@@ -180,14 +179,14 @@ def test_unmatched_guard_is_catalog_error_on_eval_and_failure_on_post():
 
 
 def test_unmatched_guard_message_lists_the_feature_tuple_in_layout_order():
-    never = BoundCandidate("t", "binseq", "N1", "upper", expr.cases((expr.cmp("<", "G", 0), 0)))
+    never = BoundCandidate("t", "binseq", "N1", "upper", ("cases", (("<", "G", 0), 0)))
     with pytest.raises(NoCaseMatched) as exc:
         verify_on(never, binseq_features([1, 0, 1]))
     assert str(exc.value) == (
         "no case matched environment {'n': 3, 'N1': 2, 'G': 2, 'Gmin': 1, 'Gmax': 1, "
         "'rangeG': 0, 'GS': 2, 'Dmin': 1, 'Dmax': 1, 'rangeD': 0, 'DS': 1}"
     )
-    never = BoundCandidate("t", "partition", "S", "upper", expr.cases((expr.cmp("<", "P", 0), 0)))
+    never = BoundCandidate("t", "partition", "S", "upper", ("cases", (("<", "P", 0), 0)))
     with pytest.raises(NoCaseMatched) as exc:
         verify_on(never, partition_features([3, 1, 1]))
     assert str(exc.value) == (
@@ -227,14 +226,14 @@ def test_unknown_target_is_refused_when_built():
 
 def test_euclidean_division_conventions():
     with pytest.raises(CatalogError):
-        expr.compile_expr(expr.fdiv(4, 0), ())(())
+        expr.compile_expr(("div", 4, 0), ())(())
     # negative numerators floor toward -inf with non-negative remainder
-    assert expr.compile_expr(expr.fdiv(-7, 3), ())(()) == -3
-    assert expr.compile_expr(expr.fmod(-7, 3), ())(()) == 2
+    assert expr.compile_expr(("div", -7, 3), ())(()) == -3
+    assert expr.compile_expr(("mod", -7, 3), ())(()) == 2
 
 
 def test_iverson_is_zero_or_one():
-    node = expr.compile_expr(expr.iverson(expr.cmp("==", "G", 0)), ("G",))
+    node = expr.compile_expr(("iverson", ("==", "G", 0)), ("G",))
     assert node((0,)) == 1
     assert node((5,)) == 0
 
@@ -271,22 +270,22 @@ def test_compiled_operators_keep_order_short_circuit_and_first_match():
 
     # both operands are evaluated, left to right, before the divisor is checked
     with pytest.raises(CatalogError, match="non-positive divisor 0 in mod"):
-        compile_expr(expr.fmod("a", "b"))(env)
+        compile_expr(("mod", "a", "b"))(env)
     assert seen == ["a", "b"]
     seen.clear()
     # "and" stops at the first false part
-    guard = expr.both(expr.cmp("==", "b", 1), expr.cmp("==", "c", 2))
-    assert compile_expr(expr.iverson(guard))(env) == 0
+    guard = ("and", ("==", "b", 1), ("==", "c", 2))
+    assert compile_expr(("iverson", guard))(env) == 0
     assert seen == ["b"]
     # the first guard that holds wins, later guards are never evaluated
-    split = expr.cases((expr.cmp(">=", "c", 2), "a"), (expr.cmp(">=", "b", 0), "b"))
+    split = ("cases", ((">=", "c", 2), "a"), ((">=", "b", 0), "b"))
     seen.clear()
     assert compile_expr(split)(env) == 1
     assert seen == ["c", "a"]
-    assert compile_expr(expr.emin("c", "a", 3))(env) == 1
-    assert compile_expr(expr.emax("c", "a", 3))(env) == 3
+    assert compile_expr(("min", "c", "a", 3))(env) == 1
+    assert compile_expr(("max", "c", "a", 3))(env) == 3
     with pytest.raises(NoCaseMatched, match="no case matched environment"):
-        compile_expr(expr.cases((expr.cmp("<", "c", 0), 0)))(env)
+        compile_expr(("cases", (("<", "c", 0), 0)))(env)
     assert expr.names(split) == {"a", "b", "c"}
 
 
@@ -305,13 +304,17 @@ def test_inputs_are_computed_once_and_left_out_of_equality():
 
 
 def test_catalog_json_and_rhs_values_are_pinned():
-    """The catalog JSON and every rhs outcome on a small grid, as sha256 digests.
+    """The catalog as JSON and every rhs outcome on a small grid, as sha256 digests.
 
     Taken when each expression node was its own class; a change to any
     formula, operator or error message moves them.
     """
-    doc = json.dumps(catalog_json(), sort_keys=True).encode()
-    assert hashlib.sha256(doc).hexdigest() == (
+    fields = ("id", "object", "target", "direction", "rhs")
+    entries = [{f: getattr(b, f) for f in fields} for b in catalog()]
+    assert len(entries) == 20
+    doc = json.dumps(entries, sort_keys=True)
+    assert '"P-S-UB"' in doc
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
         "7530b482ec8d1eed4777cd0b235f83fc56f1f1b29ab461d4c6b56f4a632022e8"
     )
     digest, outcomes = hashlib.sha256(), {"value": 0, "NCM": 0, "CE": 0}
@@ -395,12 +398,3 @@ def test_decoy_is_vacuous_and_validated():
         assert verify_on(d, binseq_features(list(bits))).holds
     with pytest.raises(InvalidArgumentError):
         decoy("partition", "GS", 6)
-
-
-def test_catalog_json_is_serializable_and_complete():
-    doc = catalog_json()
-    assert len(doc) == 20
-    text = json.dumps(doc)
-    assert '"P-S-UB"' in text
-    for entry in doc:
-        assert set(entry) == {"id", "object", "target", "direction", "rhs"}

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from boundforge import bounds, selector
+from boundforge import bounds, oracle, selector
 from boundforge.cli import main
 
 
@@ -207,6 +207,16 @@ def test_max_n_above_the_enumeration_ceiling_exits_2(monkeypatch, capsys):
     code, out, err = run(capsys, ["verify", "--bound", "P-S-UB", "--n", "51"])
     assert (code, out) == (2, "")
     assert "partition n=51 exceeds the enumeration ceiling 50" in err
+    # every size is checked before the first audit, not when its turn comes
+    monkeypatch.setenv("BOUNDFORGE_MAX_N", "21")
+
+    def no_audit(*args):
+        raise AssertionError("audited before the ceiling check")
+
+    monkeypatch.setattr(oracle, "audit", no_audit)
+    code, out, err = run(capsys, ["verify", "--object", "binseq", "--n", "20..21"])
+    assert (code, out) == (2, "")
+    assert err == "error: binseq n=21 exceeds the enumeration ceiling 20\n"
 
 
 def test_out_writes_file(tmp_path, capsys):

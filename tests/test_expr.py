@@ -95,7 +95,7 @@ def _node(op, children):
         return st.lists(children, min_size=1, max_size=4).map(lambda xs: (op, *xs))
     if op in ("sq", "iverson"):
         return st.tuples(st.just(op), children)
-    arms = st.lists(st.tuples(children, children), min_size=0, max_size=3)
+    arms = st.lists(st.tuples(children, children), min_size=1, max_size=3)
     return arms.map(lambda xs: ("cases", *xs))
 
 
@@ -122,7 +122,7 @@ def test_generated_rhs_equals_the_reference_on_random_trees(op, data):
 
 def test_zero_negative_divisors_and_unmatched_cases_raise_as_the_reference():
     env = (0, -1, 0, 2)
-    for node in [("div", 7, "a"), ("mod", "c", "b"), ("div", ("cases",), "a"),
+    for node in [("div", 7, "a"), ("mod", "c", "b"), ("div", ("cases", ((">", "c", 5), 1)), "a"),
                  ("+", ("mod", 1, 0), ("cases", (("<", "c", 0), 1))),
                  ("cases", (("==", "a", 0), 1), ((">", "c", 5), 2))]:
         got = _outcome(expr.compile_expr(node, _LAYOUT), env)
@@ -151,7 +151,8 @@ def test_unknown_operators_are_refused():
 
 def test_wrong_operand_counts_are_refused():
     for rhs, count in [(("-", 1, 2, 3), 3), (("sq",), 0), (("sq", 1, 2), 2), (("min",), 0),
-                       (("and",), 0), (("iverson", 1, 1), 2), (("div", 1), 1)]:
+                       (("and",), 0), (("iverson", 1, 1), 2), (("div", 1), 1),
+                       (("cases",), 0)]:
         _refused(rhs, f"{rhs[0]} cannot take {count} operands")
 
 

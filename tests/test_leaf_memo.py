@@ -8,7 +8,6 @@ criterion 5 cannot see a memo fault; the cross-checks here are its guard.
 
 from __future__ import annotations
 
-import random
 
 import pytest
 
@@ -18,7 +17,7 @@ from boundforge.kernel import LabelResult, labeling
 from boundforge.objects import binseq_tuples, make_model, partition_tuples, post_object
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
-from kernel_helpers import agrees_with_unbudgeted, memo_free, post, solve_all
+from kernel_helpers import agrees_with_unbudgeted, memo_free, post, solve_all, sweep_slice
 
 BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
 
@@ -70,21 +69,11 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
     assert len(table) == 160 and set(table) <= set(binseq_tuples(10))
 
 
-def _sweep_slice():
-    for object_name in ("binseq", "partition"):
-        for n in range(3, 9):
-            cat = catalog(object_name)
-            shuffled = list(cat)
-            random.Random(n).shuffle(shuffled)
-            yield object_name, n, cat
-            yield object_name, n, shuffled[: len(cat) // 2]
-
-
 @pytest.mark.parametrize("engine", [selector.run_selection, selector.run_baseline])
 def test_sweep_slice_equals_the_memo_free_search_on_both_engines(monkeypatch, engine):
     check = _CrossCheck()
     monkeypatch.setattr(selector, "labeling", check)
-    for object_name, n, cands in _sweep_slice():
+    for object_name, n, cands in sweep_slice():
         engine(ObjectScenario(object_name, n), cands)
     assert check.calls > 1000
     assert check.used == check.calls

@@ -9,7 +9,6 @@ memo-free run.
 
 from __future__ import annotations
 
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from boundforge.errors import CatalogSoundnessError
 from boundforge.objects import FEATURES, feature_tuples
 from boundforge.selector import Counters, ObjectScenario, StepMemo
 
-from kernel_helpers import agrees_with_unbudgeted
+from kernel_helpers import agrees_with_unbudgeted, sweep_slice
 from test_metamorphic import _tightened
 
 _search = selector._search
@@ -83,20 +82,10 @@ def test_catalog_order_binseq_10_selection_equals_a_real_search_at_every_step(mo
     assert (check.steps, check.searched) == (1366, 469)
 
 
-def _sweep_slice():
-    for object_name in ("binseq", "partition"):
-        for n in range(3, 9):
-            cat = catalog(object_name)
-            shuffled = list(cat)
-            random.Random(n).shuffle(shuffled)
-            yield object_name, n, cat
-            yield object_name, n, shuffled[: len(cat) // 2]
-
-
 @pytest.mark.parametrize("engine", [selector.run_selection, selector.run_baseline])
 def test_sweep_slice_equals_a_real_search_at_every_step_on_both_engines(monkeypatch, engine):
     check = _CrossCheck(monkeypatch)
-    for object_name, n, cands in _sweep_slice():
+    for object_name, n, cands in sweep_slice():
         engine(ObjectScenario(object_name, n), cands)
     assert check.mismatches == []
     assert check.answered > 500 and check.searched > 500
