@@ -339,6 +339,22 @@ def test_catalog_json_and_rhs_values_are_pinned():
     )
 
 
+def test_catalog_json_is_serializable_and_complete(capsys):
+    """`explain --format json` is the one JSON form of a bound: every entry
+    parses, carries the catalog fields plus its inputs, and round-trips its rhs."""
+    from boundforge.cli import main
+
+    for b in catalog():
+        assert main(["explain", b.id, "--format", "json"]) == 0
+        entry = json.loads(capsys.readouterr().out)
+        assert set(entry) == {"id", "object", "target", "direction", "inputs", "rhs"}
+        assert (entry["id"], entry["object"], entry["target"], entry["direction"]) == (
+            b.id, b.object, b.target, b.direction,
+        )
+        assert entry["inputs"] == list(b.inputs)
+        assert entry["rhs"] == json.loads(json.dumps(b.rhs))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_catalog_soundness_small(n):
     for b in catalog("partition"):
