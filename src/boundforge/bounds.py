@@ -250,7 +250,7 @@ def verify_on(bound: BoundCandidate, features) -> BoundVerdict:
 
 
 class BoundConstraint(Constraint):
-    """Check-on-fix propagator: once every rhs input is fixed, prune the target.
+    """Once every rhs input is fixed, prune the target.
 
     It keeps one slot list in the bound's layout, n in slot 0, and writes
     only the slots the rhs reads; the others are never read.  The list
@@ -259,12 +259,11 @@ class BoundConstraint(Constraint):
     unfixed input or finds the target already inside the bound leaves it
     alone.  The selector's step memo reads it.
 
-    The last input is read first and is the ``trigger``: a fix wakes the
-    constraint only once that input is fixed.
+    The last input is read first: labeling fixes it last, so a wake-up
+    while it is open returns at the first test.
     """
 
     kind = "bound"
-    on_fix = True
 
     def __init__(self, bound: BoundCandidate, featvar_ids: Sequence[int], n: int):
         at, target = bound.layout
@@ -274,8 +273,6 @@ class BoundConstraint(Constraint):
         # (slot, vid), last input first: labeling fixes features left to
         # right, so the last input is the one usually still open
         self.reads = tuple([(i + 1, featvar_ids[i]) for i in reversed(at)])
-        if at:
-            self.trigger = featvar_ids[at[-1]]
         self.slots = [n] + [0] * len(FEATURES[bound.object])
         self.bound = bound
         self.evaluate = bound.evaluate

@@ -19,40 +19,17 @@ Propagation strength is fixed and documented per constraint class; it is
 part of the observable behaviour (backtrack counts), not an optimization
 detail.
 
-Wake-ups follow the modification events a propagator reads (Schulte and
-Stuckey, "Efficient Constraint Propagation Engines", TOPLAS 2008).  A kind
-that declares ``on_fix`` depends only on which of its watched variables
-are fixed and on their values; the model files it in a second
-per-variable watcher list that only a fix wakes.  Those kinds are the
-check-on-fix ones: ``bounds.BoundConstraint`` and the object checks
-``objects.PrefixFeasible`` and ``objects.GroundChecker``.  A domain that
-narrows without becoming fixed changes nothing such a propagator reads,
-and it has run since the last fix of any of its variables (that fix woke
-it), so the skipped wake-up would have returned True without pruning.
-Skipping it moves the propagator in the queue, never the fixpoint, a
-failure, or a backtrack count.
-
-Such a kind may also name a ``trigger``: one watched variable that its
-``propagate`` reads first and returns True on while it is open.  A fix
-then wakes it only once its trigger is fixed (so the fix of the trigger
-itself always does).  This is the watched-literal idea of Gent, Jefferson
-and Miguel ("Watched literals for constraint propagation in Minion", CP
-2006) for one literal: a skipped wake-up would have returned True at its
-first test, so again only the queue order moves.  A bound's trigger is its
-last input, the ground checker's the last sequence variable.
-
-Three more wake-ups are skipped because they could not prune or fail (the
-idempotence and entailment cases of Schulte and Stuckey).  A kind that
-declares ``idempotent`` keeps its queue flag while it runs, so its own
-prunings do not queue it again: a second run straight after it would
-prune nothing.  :func:`labeling` *parks* a propagator by holding its
-queue flag, so nothing queues it: the lex jump named by ``above`` in the
-subtree of a decision that lifts the features above the jump's tuple,
-where it is entailed, and, on the leaf-memo path, the owner's prefix
-check for the whole labeling.  The search tests each feature prefix
-itself: the check never prunes and the prefix sets are prefix-closed, so
-a trial that the check would fail still counts exactly one failure, and
-this moves no fixpoint, failure or count either.
+Every propagator wakes when a domain it watches changes: each variable has
+one watcher list.  Two kinds of wake-up are skipped.  A kind that declares
+``idempotent`` keeps its queue flag while it runs, so its own prunings do
+not queue it again: a second run straight after it would prune nothing
+(the idempotence case of Schulte and Stuckey, "Efficient Constraint
+Propagation Engines", TOPLAS 2008).  On the leaf-memo path,
+:func:`labeling` *parks* the owner's prefix check for the whole search by
+holding its queue flag, so nothing queues it, and tests each feature
+prefix itself: the check never prunes and the prefix sets are
+prefix-closed, so a trial that the check would fail still counts exactly
+one failure.  Neither skip moves a fixpoint, a failure or a count.
 
 A budget bounds one labeling: the search is abandoned as soon as ``nback``
 exceeds it, and the result is marked ``over_budget``.  Its ``nback`` is
@@ -116,20 +93,15 @@ class Constraint:
     """Base class for propagators.
 
     ``watched`` lists, once each, the variable ids whose domain changes
-    re-schedule the propagator.  A kind that sets ``on_fix`` is re-scheduled
-    only when one of them becomes fixed, so its outcome may depend only on
-    the fixed ones; with a ``trigger`` (a watched id that ``propagate`` tests
-    first, returning True while it is open), only once the trigger is fixed.
-    ``propagate`` prunes through the model helpers and returns False exactly
-    when it wiped out a domain.  A kind that sets ``idempotent`` promises
-    that a second ``propagate`` straight after a successful one prunes
-    nothing, so its own prunings do not re-schedule it.
+    re-schedule the propagator.  ``propagate`` prunes through the model
+    helpers and returns False exactly when it wiped out a domain.  A kind
+    that sets ``idempotent`` promises that a second ``propagate`` straight
+    after a successful one prunes nothing, so its own prunings do not
+    re-schedule it.
     """
 
     kind = "constraint"
-    on_fix = False
     idempotent = False
-    trigger: int | None = None
     # every variable the propagator reads or prunes, declared only by the
     # kinds whose scope is exactly that (see LeafMemo.applies)
     footprint: tuple[int, ...] | None = None
@@ -152,14 +124,12 @@ class Model:
         self._doms: list[tuple[int, ...]] = []
         self._trail: list[tuple[int, tuple[int, ...]]] = []
         self._constraints: list[Constraint] = []
-        # per variable: constraints woken by any change, and by a fix only
+        # per variable: the constraints its domain changes wake
         self._watchers: list[list[int]] = []
-        self._fix_watchers: list[list[int]] = []
         self._queue: deque[int] = deque()
         # per constraint: whether it is queued (or running idempotent, or
-        # parked by a search), and its trigger id or -1
+        # parked by a search)
         self._inq: list[bool] = []
-        self._trig: list[int] = []
         self.leaf_memo: LeafMemo | None = None  # attached by an object post
 
     # -- variables ---------------------------------------------------------
@@ -171,7 +141,6 @@ class Model:
         vid = len(self._doms)
         self._doms.append(tuple(range(lo, hi + 1)))
         self._watchers.append([])
-        self._fix_watchers.append([])
         return VarRef(self.model_id, vid)
 
     def var_id(self, v: VarRef) -> int:
@@ -215,14 +184,11 @@ class Model:
         self._undo_to(mark.trail_len)
         if self.leaf_memo is not None and mark.ncons < self.leaf_memo.owned.stop:
             self.leaf_memo = None
-        cons, inq, trig = self._constraints, self._inq, self._trig
+        cons, inq, watchers = self._constraints, self._inq, self._watchers
         while len(cons) > mark.ncons:
-            cid = len(cons) - 1
             con = cons.pop()
             inq.pop()
-            trig.pop()
-            watchers = self._fix_watchers if con.on_fix else self._watchers
-            for vid in con.watched:  # each once, with cid last in its list
+            for vid in con.watched:  # each once, with this constraint last in its list
                 watchers[vid].pop()
 
     def _undo_to(self, trail_len: int) -> None:
@@ -248,14 +214,6 @@ class Model:
             if not inq[cid]:
                 inq[cid] = True
                 queue.append(cid)
-        if len(new) == 1:
-            trig = self._trig
-            for cid in self._fix_watchers[vid]:
-                if not inq[cid]:
-                    t = trig[cid]
-                    if t < 0 or len(doms[t]) == 1:
-                        inq[cid] = True
-                        queue.append(cid)
         return True
 
     def prune_le(self, vid: int, ub: int) -> bool:
@@ -290,20 +248,22 @@ class Model:
 
     def post_constraint(self, con: Constraint) -> int | None:
         """Post ``con`` and return its id; on failure the model is rolled
-        back and None returned."""
+        back and None returned, and a propagator that raises rolls it back
+        before the error propagates."""
         trail_len = len(self._trail)
         cid = len(self._constraints)
         self._constraints.append(con)
         self._inq.append(True)
-        self._trig.append(-1 if con.trigger is None else con.trigger)
-        watchers = self._fix_watchers if con.on_fix else self._watchers
         for vid in con.watched:
-            watchers[vid].append(cid)
+            self._watchers[vid].append(cid)
         self._queue.append(cid)
-        if self._drain():
-            return cid
-        self.retract_to(TrailMark(self.model_id, trail_len, cid))
-        return None
+        ok = False
+        try:
+            ok = self._drain()
+        finally:
+            if not ok:
+                self.retract_to(TrailMark(self.model_id, trail_len, cid))
+        return cid if ok else None
 
     def _drain(self) -> bool:
         queue, inq, cons = self._queue, self._inq, self._constraints
@@ -499,7 +459,6 @@ def _dfs(
     on_solution: Callable[[tuple[int, ...]], bool],
     memo: LeafMemo | None = None,
     budget: int | None = None,
-    above: int | None = None,
 ) -> int:
     """Depth-first search over ``order``, fixing left to right by increasing value.
 
@@ -509,9 +468,7 @@ def _dfs(
     solution) is used when it applies to this search, and gives the same
     count and solution as searching without it.  With a ``budget`` the
     search stops as soon as the count exceeds it, so a count above the
-    budget marks a search that was cut.  ``above`` is the id of a posted
-    :class:`LexGreater` over a prefix of ``order``, parked below every
-    decision that lifts that prefix above its tuple.
+    budget marks a search that was cut.
     """
     vids = model.var_ids(order)
     last = len(vids)
@@ -523,18 +480,10 @@ def _dfs(
     if memo is not None and not memo.applies(model, vids):
         memo = None
     cut, prefixes = (len(memo.featvars), memo.prefixes) if memo is not None else (-1, ())
-    jump: tuple[int, ...] = ()
-    if above is not None:
-        con = model._constraints[above]
-        if type(con) is not LexGreater or con.xs != tuple(vids[: len(con.tup)]):
-            raise InvalidArgumentError("above must name a lex jump over a prefix of the order")
-        jump = con.tup
-    # The queue is empty between searches, so no flag is set here.  A parked
-    # flag is set below (the jump's only at its decision) and cleared on
-    # every way out; nothing queues a parked constraint, so no drain clears it.
-    parked = [above] if jump else []
+    # The queue is empty between searches, so no flag is set on entry.  The
+    # memo's check is parked here and its flag cleared on every way out;
+    # nothing queues a parked constraint, so no drain clears it.
     if memo is not None:
-        parked.append(memo.check)
         inq[memo.check] = True
     found: tuple[int, ...] = ()
 
@@ -548,7 +497,7 @@ def _dfs(
                 return True
             return hit[2] is not None and on_solution(key + hit[2])
         before = nback
-        stop = dfs(cut, None, False)
+        stop = dfs(cut, None)
         if hit is None and nback <= limit:  # a cut subtree is not stored
             memo.table[key] = (state, nback - before, found[cut:] if stop else None)
         return stop
@@ -563,9 +512,7 @@ def _dfs(
     # levels down to the first infeasible one then hold one value each, and
     # the prefix test there counts the one failure the check would have
     # counted at the trial (and at the same point for a budget).
-    # ``tight`` says the values fixed so far equal the jump's tuple, so a
-    # larger value at k makes the jump entailed in its subtree.
-    def dfs(k: int, prefix: tuple[int, ...] | None, tight: bool) -> bool:
+    def dfs(k: int, prefix: tuple[int, ...] | None) -> bool:
         nonlocal nback, found
         if k == last:
             found = tuple([doms[v][0] for v in vids])
@@ -582,30 +529,25 @@ def _dfs(
                     if nback > limit:
                         return True
                     continue
-            entailed = tight and val > jump[k]
-            if entailed:
-                inq[above] = True
             mk = len(trail)
             set_dom(vid, (val,))
             if drain():
-                if dfs(k + 1, nxt, tight and val == jump[k] and k + 1 < len(jump)):
+                if dfs(k + 1, nxt):
                     return True
             else:
                 nback += 1
                 if nback > limit:
                     return True
-            if entailed:
-                inq[above] = False
             undo(mk)
         return False
 
     try:
-        dfs(0, (), bool(jump))
+        dfs(0, ())
     finally:
         if model._queue:  # only when a propagator raised
             model._clear_queue()
-        for cid in parked:
-            inq[cid] = False
+        if memo is not None:
+            inq[memo.check] = False
         undo(base)
     return nback
 
@@ -615,7 +557,6 @@ def labeling(
     featvars: Sequence[VarRef],
     xs: Sequence[VarRef],
     budget: int | None = None,
-    above: int | None = None,
 ) -> LabelResult:
     """Find the lexicographically smallest solution of featvars ++ xs.
 
@@ -623,17 +564,13 @@ def labeling(
     value.  Returns the backtrack count together with the solution, or
     ``finished=True`` with the count spent proving that none remains.  With
     a ``budget``, a search whose count exceeds it is cut there and returns
-    an ``over_budget`` result.  ``above`` may name the lex jump over
-    ``featvars`` posted just before (the id :func:`post_lex_greater`
-    returned); it is parked where it is entailed, which changes no result.
-    The model state is restored before returning.
+    an ``over_budget`` result.  The model state is restored before returning.
     """
     order = list(featvars) + list(xs)
     if not order:
         raise InvalidArgumentError("labeling needs at least one variable")
     found: list[tuple[int, ...]] = []
-    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo, budget,
-                 above)
+    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo, budget)
     if budget is not None and nback > budget:
         return LabelResult(nback, False, (), True)
     if found:

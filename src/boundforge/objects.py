@@ -279,7 +279,6 @@ class PrefixFeasible(Constraint):
     """
 
     kind = "prefix_feasible"
-    on_fix = True
 
     def __init__(self, featvars: Sequence[int], prefixes: tuple[frozenset, ...]):
         super().__init__(tuple(featvars))
@@ -303,20 +302,17 @@ class GroundChecker(Constraint):
     """When every sequence variable is fixed, pin the feature variables.
 
     Labeling fixes the sequence variables left to right, so the last one is
-    the one usually still open: it is tested first and is the ``trigger``,
-    so a fix wakes the checker only once it is fixed.
+    the one usually still open: it is tested first, so a wake-up while it is
+    open returns at once.
     """
 
     kind = "ground_checker"
-    on_fix = True
 
     def __init__(self, featvars: Sequence[int], xs: Sequence[int], extract):
         super().__init__(tuple(xs))
         self.featvars = tuple(featvars)
         self.xs = tuple(xs)
         self.extract = extract
-        if self.xs:
-            self.trigger = self.xs[-1]
 
     def propagate(self, model: Model) -> bool:
         doms = model._doms

@@ -28,8 +28,7 @@ engine.  The drain checks the same transition under one candidate subset
 after another, and a step whose outcome cannot differ from an earlier
 search of it is answered from that search.  ``labelings`` still counts
 every step the algorithm takes, searched or answered, so every count and
-record is the one a memo-free run gives.  Each search names its lex jump
-to ``labeling``, which parks the jump where it is entailed.
+record is the one a memo-free run gives.
 """
 
 from __future__ import annotations
@@ -169,17 +168,16 @@ def _search(model, featvars, xs, prev, budget=None):
 
     Returns the labeling result (over budget when its count passed
     ``budget``), or None when the lex posting failed (the failed post
-    leaves the model unchanged).
+    leaves the model unchanged).  The lex constraint is retracted also
+    when the search raises.
     """
     mark = model.mark()
-    jump = None
-    if prev is not None:
-        jump = post_lex_greater(model, featvars, prev)
-        if jump is None:
-            return None
-    res = labeling(model, featvars, xs, budget, above=jump)
-    model.retract_to(mark)
-    return res
+    if prev is not None and post_lex_greater(model, featvars, prev) is None:
+        return None
+    try:
+        return labeling(model, featvars, xs, budget)
+    finally:
+        model.retract_to(mark)
 
 
 class StepMemo:
@@ -287,13 +285,16 @@ def compute_all_solutions(
     counters: Counters | None = None,
     memo: StepMemo | None = None,
 ) -> list[SolutionRecord]:
-    """Post every candidate, enumerate, sort by (nback, isol), retract posts."""
+    """Post every candidate, enumerate, sort by (nback, isol), retract posts
+    (also when a post or the enumeration raises)."""
     counters = counters if counters is not None else Counters()
     mark = model.mark()
-    _post(model, candidates, featvars, n, counters, "compute", "on the feature box")
-    records = enumerate_all_solutions(model, featvars, xs, counters, memo)
+    try:
+        _post(model, candidates, featvars, n, counters, "compute", "on the feature box")
+        records = enumerate_all_solutions(model, featvars, xs, counters, memo)
+    finally:
+        model.retract_to(mark)
     records.sort(key=lambda r: (r.nback, r.isol))
-    model.retract_to(mark)
     return records
 
 

@@ -47,6 +47,20 @@ def sweep_slice():
             yield object_name, n, shuffled[: len(cat) // 2]
 
 
+def model_state(model: Model) -> tuple:
+    """Every part of a model that a search, a post or a retraction may
+    touch: domains, constraint count, trail length, queue, queue flags and
+    watcher lists."""
+    return (
+        model.snapshot(),
+        len(model._constraints),
+        len(model._trail),
+        list(model._queue),
+        list(model._inq),
+        [list(lst) for lst in model._watchers],
+    )
+
+
 def memo_free(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
     """``labeling`` of the model as it stands, with its leaf memo detached
     for the call (so no subtree is replayed and no prefix bulk-counted)."""
@@ -111,7 +125,6 @@ class Check(Constraint):
     """Predicate over a scope, checked only once every scope variable is fixed."""
 
     kind = "check"
-    on_fix = True
 
     def __init__(self, xs: Sequence[int], predicate: Callable[[tuple[int, ...]], bool]):
         super().__init__(tuple(xs))

@@ -25,6 +25,9 @@ from boundforge.objects import (
     make_model,
     partition_features,
 )
+from boundforge.selector import Counters, ObjectScenario
+
+from kernel_helpers import model_state
 
 CATALOG_IDS = [
     "P-S-UB", "P-RANGE-UB1", "P-RANGE-UB2",
@@ -122,22 +125,23 @@ def test_verify_on_tightness_witnesses():
     assert (v.holds, v.rhs, v.slack) == (True, 6, 0)
 
 
-def test_a_fix_wakes_a_bound_only_once_its_last_input_is_fixed():
-    """B-N1-UB reads G and Gmax; Gmax, its last input, is the trigger."""
+def test_a_bound_prunes_only_once_its_inputs_are_fixed():
+    """B-N1-UB reads G and Gmax; it prunes N1 only once both are fixed,
+    whichever is fixed last."""
     model, featvars, xs = make_model("binseq", 6)
     g, gmax = featvars[1].id, featvars[3].id
-    cid = post_bound(model, by_id("B-N1-UB"), featvars, 6)
-    assert cid is not None and list(model._queue) == []
-    assert model.fix(g, 1) and list(model._queue) == []
-    assert model.fix(gmax, 2) and list(model._queue) == [cid]
-    assert model._drain() and model.domain(featvars[0]) == (0, 1, 2)
+    assert post_bound(model, by_id("B-N1-UB"), featvars, 6) is not None
+    assert model.fix(g, 1) and model._drain()
+    assert model.domain(featvars[0]) == tuple(range(7))  # Gmax is open
+    assert model.fix(gmax, 2) and model._drain()
+    assert model.domain(featvars[0]) == (0, 1, 2)
 
     model, featvars, xs = make_model("binseq", 6)
-    cid = post_bound(model, by_id("B-N1-UB"), featvars, 6)
-    assert model.fix(gmax, 2) and list(model._queue) == [cid]
-    assert model._drain() and model.domain(featvars[0]) == tuple(range(7))  # G is open
-    assert model.fix(g, 1) and list(model._queue) == [cid]
-    assert model._drain() and model.domain(featvars[0]) == (0, 1, 2)
+    assert post_bound(model, by_id("B-N1-UB"), featvars, 6) is not None
+    assert model.fix(gmax, 2) and model._drain()
+    assert model.domain(featvars[0]) == tuple(range(7))  # G is open
+    assert model.fix(g, 1) and model._drain()
+    assert model.domain(featvars[0]) == (0, 1, 2)
 
 
 def test_post_bound_prunes_on_fixed_inputs():
@@ -414,3 +418,15 @@ def test_decoy_is_vacuous_and_validated():
         assert verify_on(d, binseq_features(list(bits))).holds
     with pytest.raises(InvalidArgumentError):
         decoy("partition", "GS", 6)
+
+
+def test_a_bound_whose_rhs_raises_at_its_post_leaves_the_model_unchanged():
+    """With G fixed to 0, a user bound dividing by G raises at its post; the
+    model keeps its constraint count, trail, queue and flags."""
+    model, featvars, xs = ObjectScenario("binseq", 4).fresh(Counters())
+    assert model.assign(featvars[1].id, 0)
+    before = model_state(model)
+    bad = BoundCandidate("U-DIV", "binseq", "N1", "upper", ("div", "n", "G"))
+    with pytest.raises(CatalogError, match="non-positive divisor 0"):
+        post_bound(model, bad, featvars, 4)
+    assert model_state(model) == before

@@ -13,22 +13,11 @@ from boundforge import objects
 from boundforge.kernel import LabelResult, labeling, post_lex_greater
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
-from kernel_helpers import agrees_with_unbudgeted, memo_free
+from kernel_helpers import agrees_with_unbudgeted, memo_free, model_state
 
 # a binseq n=4 step whose search fails 3 trials below the split of the
 # tuple (2, 2, 1, 1, 0, 2, 2, 2, 0, 4), so budgets 12-14 cut inside it
 _STEP = ("binseq", 4, (2, 2, 1, 1, 0, 2, 1, 1, 0, 1))
-
-
-def _state(model):
-    return (
-        model.snapshot(),
-        len(model._trail),
-        list(model._queue),
-        list(model._inq),
-        [list(lst) for lst in model._watchers],
-        [list(lst) for lst in model._fix_watchers],
-    )
 
 
 def _step_model(object_name, n, prev):
@@ -52,9 +41,9 @@ def test_every_budget_of_every_step_agrees_and_restores_the_model(object_name, n
             continue
         full = memo_free(model, featvars, xs)
         for budget in range(full.nback + 2):
-            before = _state(model)
+            before = model_state(model)
             res = labeling(model, featvars, xs, budget)
-            assert _state(model) == before
+            assert model_state(model) == before
             assert agrees_with_unbudgeted(res, full, budget)
             assert res.over_budget == (full.nback > budget)
             cuts += res.over_budget

@@ -11,9 +11,10 @@ from boundforge.errors import (
     InvalidDomainError,
     InvalidMarkError,
 )
-from boundforge.kernel import LabelResult, Model, labeling, post_lex_greater
+from boundforge.kernel import LabelResult, Model, SumEq, labeling, post_lex_greater
 
-from kernel_helpers import UnsupportedConstraintError, post, solve_all
+from kernel_helpers import UnsupportedConstraintError, model_state, post, solve_all
+from test_parking import _Boom
 
 
 def test_new_var_ranges():
@@ -188,6 +189,21 @@ def _brute_force(domains, predicates):
         if all(p(tup) for p in predicates):
             sols.append(tup)
     return sols
+
+
+def test_a_post_whose_propagation_raises_leaves_the_model_unchanged():
+    """The posted constraint fixes b=2, the sum then fixes a=1, and that fix
+    wakes a propagator that raises.  The error propagates, and the post and
+    both prunings are undone."""
+    m = Model()
+    a, b = m.new_var(0, 3).id, m.new_var(0, 3).id
+    assert m.post_constraint(SumEq([a, b], None, 3)) is not None
+    assert m.post_constraint(_Boom(a, 1)) is not None
+    before = model_state(m)
+    with pytest.raises(RuntimeError):
+        m.post_constraint(SumEq([b], None, 2))
+    assert model_state(m) == before
+    assert m.assign(b, 0) and m.dom(a) == (3,)  # every propagator still wakes
 
 
 def test_labeling_returns_lex_smallest_vs_brute_force():

@@ -24,15 +24,14 @@ BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
 
 class _CrossCheck:
     """Stands in for ``selector.labeling``: each call is compared with the
-    same call searched without the memo, without a budget and without the
-    parked lex jump."""
+    same call searched without the memo and without a budget."""
 
     def __init__(self):
         self.calls = self.used = self.cut = 0
         self.mismatches = []
 
-    def __call__(self, model, featvars, xs, budget=None, above=None):
-        res = labeling(model, featvars, xs, budget, above)
+    def __call__(self, model, featvars, xs, budget=None):
+        res = labeling(model, featvars, xs, budget)
         memo = model.leaf_memo
         vids = [v.id for v in list(featvars) + list(xs)]
         self.calls += 1

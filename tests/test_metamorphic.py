@@ -27,8 +27,8 @@ def _fresh(object_name, n):
 
 
 def _watchers(model):
-    """Copies of both per-variable watcher lists."""
-    return [list(lst) for lst in model._watchers], [list(lst) for lst in model._fix_watchers]
+    """A copy of the per-variable watcher lists."""
+    return [list(lst) for lst in model._watchers]
 
 
 def _apply(model, featvars, xs, n, op) -> bool:

@@ -238,17 +238,16 @@ def test_ground_checker_waits_for_every_sequence_variable():
     assert m.snapshot()[: len(fvids)] == tuple((v,) for v in binseq_features([1, 0, 1]).as_tuple())
 
 
-def test_a_fix_wakes_the_ground_checker_only_once_its_last_sequence_variable_is_fixed():
+def test_the_ground_checker_pins_the_features_only_once_every_sequence_variable_is_fixed():
     m = kernel.Model()
     fvids = [m.new_var(0, 9).id for _ in BINSEQ_FEATURES]
     xs = [m.new_var(0, 1).id for _ in range(3)]
-    cid = m.post_constraint(GroundChecker(fvids, xs, objects._binseq_tuple))
-    assert cid is not None and list(m._queue) == []
-    assert m.fix(xs[0], 1) and list(m._queue) == []
-    assert m.fix(xs[2], 1) and list(m._queue) == [cid]
-    assert m._drain()
-    assert m.fix(xs[1], 0) and list(m._queue) == [cid]
-    assert m._drain()
+    assert m.post_constraint(GroundChecker(fvids, xs, objects._binseq_tuple)) is not None
+    open_box = m.snapshot()
+    assert m.fix(xs[0], 1) and m._drain()
+    assert m.fix(xs[2], 1) and m._drain()
+    assert m.snapshot()[: len(fvids)] == open_box[: len(fvids)]
+    assert m.fix(xs[1], 0) and m._drain()
     assert m.snapshot()[: len(fvids)] == tuple((v,) for v in binseq_features([1, 0, 1]).as_tuple())
 
 

@@ -1,9 +1,8 @@
-"""Parked propagators: labeling holds the lex jump out of the queue where it
-is entailed and, on the leaf-memo path, the object's prefix check for the
-whole search.
+"""The parked prefix check: on the leaf-memo path labeling holds the
+object's prefix check out of the queue for the whole search.
 
-Every labeling must equal the same call without ``above`` and the memo-free
-search (which parks nothing), and must leave every queue flag clear.
+Every labeling must equal the memo-free search (which parks nothing), and
+must leave every queue flag clear.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import random
 import pytest
 
 from boundforge.bounds import catalog, decoy, post_bound
-from boundforge.errors import InvalidArgumentError
 from boundforge.kernel import Constraint, labeling, post_lex_greater
 from boundforge.objects import FEATURES
 from boundforge.selector import Counters, ObjectScenario
@@ -58,11 +56,11 @@ def test_parking_changes_no_step_of_the_full_enumeration(object_name, n):
             if prev is not None and jump is None:
                 break
             state = model.snapshot()
-            got = labeling(model, featvars, xs, above=jump)
+            got = labeling(model, featvars, xs)
             assert _idle(model) and model.snapshot() == state
-            assert got == labeling(model, featvars, xs) == memo_free(model, featvars, xs)
+            assert got == memo_free(model, featvars, xs)
             if got.nback:
-                cut = labeling(model, featvars, xs, got.nback - 1, above=jump)
+                cut = labeling(model, featvars, xs, got.nback - 1)
                 assert agrees_with_unbudgeted(cut, got, got.nback - 1) and cut.over_budget
                 assert _idle(model) and model.snapshot() == state
             steps += 1
@@ -81,7 +79,7 @@ def test_a_jump_that_fixes_the_last_feature_onto_an_infeasible_prefix():
     failure at DS, whose only value fails the prefix test."""
     model, featvars, xs = _fresh("binseq", 3)
     prev = (1, 1, 1, 1, 0, 1, 0, 0, 0, 0)
-    jump = post_lex_greater(model, featvars, prev)
+    assert post_lex_greater(model, featvars, prev) is not None
     memo = model.leaf_memo
     assert prev[:9] in memo.prefixes[9] and prev[:9] + (1,) not in memo.prefixes[10]
     mark = model.mark()
@@ -97,8 +95,8 @@ def test_a_jump_that_fixes_the_last_feature_onto_an_infeasible_prefix():
         assert model.assign(var.id, val)
     assert not model.assign(featvars[8].id, 0)  # the check, not parked, fails it
     model.retract_to(mark)
-    got = labeling(model, featvars, xs, above=jump)
-    assert got == labeling(model, featvars, xs) == memo_free(model, featvars, xs)
+    got = labeling(model, featvars, xs)
+    assert got == memo_free(model, featvars, xs)
     assert _idle(model)
 
 
@@ -107,7 +105,6 @@ class _Boom(Constraint):
     feature variables, so the leaf memo still applies."""
 
     kind = "boom"
-    on_fix = True
 
     def __init__(self, vid, val):
         super().__init__((vid,))
@@ -121,24 +118,14 @@ class _Boom(Constraint):
 
 
 def test_a_propagator_that_raises_leaves_no_flag_held_and_the_model_restored():
-    """The first decision lifts N1 above the jump's 0, so both the jump and
-    the prefix check are parked when the propagator raises."""
+    """The prefix check is parked when the propagator raises, at the
+    decision N1=1."""
     model, featvars, xs = _fresh("binseq", 4)
     first = labeling(model, featvars, xs)
     assert first.sol[0] == 0
-    jump = post_lex_greater(model, featvars, first.sol[: len(featvars)])
+    assert post_lex_greater(model, featvars, first.sol[: len(featvars)]) is not None
     assert model.post_constraint(_Boom(featvars[0].id, 1)) is not None
     state, trail = model.snapshot(), len(model._trail)
     with pytest.raises(RuntimeError):
-        labeling(model, featvars, xs, above=jump)
+        labeling(model, featvars, xs)
     assert _idle(model) and model.snapshot() == state and len(model._trail) == trail
-
-
-def test_above_must_name_a_lex_jump_over_the_features():
-    model, featvars, xs = _fresh("binseq", 4)
-    with pytest.raises(InvalidArgumentError):
-        labeling(model, featvars, xs, above=0)  # the object's first constraint
-    jump = post_lex_greater(model, xs, (0, 0, 0, 0))
-    with pytest.raises(InvalidArgumentError):
-        labeling(model, featvars, xs, above=jump)
-    assert _idle(model)

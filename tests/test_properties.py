@@ -160,27 +160,11 @@ def test_fixpoints_and_labeling_do_not_depend_on_queue_order(data, object_name, 
     assert shuffled.snapshot() == fifo.snapshot() == fifo_steps[-1]
 
 
-class _WakeOnEveryChangeModel(Model):
-    """Ignores ``on_fix``: files every constraint in the change list."""
-
-    def post_constraint(self, con):
-        con.on_fix = False  # shadows the class declaration, for post and retract alike
-        return super().post_constraint(con)
-
-
 class _RequeueIdempotentModel(Model):
     """Ignores ``idempotent``: a kind's own prunings queue it again."""
 
     def post_constraint(self, con):
         con.idempotent = False  # shadows the class declaration
-        return super().post_constraint(con)
-
-
-class _IgnoreTriggersModel(Model):
-    """Ignores ``trigger``: a fix wakes every on_fix kind that watches it."""
-
-    def post_constraint(self, con):
-        con.trigger = None  # shadows the class or instance declaration
         return super().post_constraint(con)
 
 
@@ -243,18 +227,6 @@ def _same_as_real_model(data, object_name, other_cls):
     real.leaf_memo = None
     assert labeling(real, *real_vars) == expected
     assert other.snapshot() == real.snapshot() == real_steps[-1]
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(data=st.data(), object_name=st.sampled_from(sorted(objects.FEATURES)))
-def test_waking_check_on_fix_kinds_only_on_fixes_changes_nothing(data, object_name):
-    _same_as_real_model(data, object_name, _WakeOnEveryChangeModel)
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(data=st.data(), object_name=st.sampled_from(sorted(objects.FEATURES)))
-def test_waking_a_triggered_kind_only_once_its_trigger_is_fixed_changes_nothing(data, object_name):
-    _same_as_real_model(data, object_name, _IgnoreTriggersModel)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)

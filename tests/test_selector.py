@@ -8,8 +8,8 @@ import random
 import pytest
 
 from boundforge import bounds, selector
-from boundforge.bounds import catalog, decoy, post_bound
-from boundforge.errors import InternalInvariantError, InvalidArgumentError
+from boundforge.bounds import BoundCandidate, catalog, decoy, post_bound
+from boundforge.errors import CatalogError, InternalInvariantError, InvalidArgumentError
 from boundforge.kernel import LabelResult, Model
 from boundforge.objects import MAX_N, binseq_tuples, canonical_tuples
 from boundforge.selector import (
@@ -24,7 +24,8 @@ from boundforge.selector import (
     _drain,
 )
 
-from kernel_helpers import post
+from kernel_helpers import model_state, post
+from test_parking import _Boom
 
 
 def test_split_mid_fixtures():
@@ -246,6 +247,28 @@ def test_selection_state_is_restorable_to_the_entry_mark():
     assert selected
     model.retract_to(mark)
     assert model.snapshot() == snap
+
+
+def test_an_enumeration_that_raises_leaves_no_lex_jump_posted():
+    """A propagator raises once N1=1 is tried, in a step after the first:
+    that step's lex jump is retracted before the error propagates."""
+    model, featvars, xs = ObjectScenario("binseq", 4).fresh(Counters())
+    assert model.post_constraint(_Boom(featvars[0].id, 1)) is not None
+    before = model_state(model)
+    with pytest.raises(RuntimeError):
+        enumerate_all_solutions(model, featvars, xs)
+    assert model_state(model) == before
+
+
+def test_a_compute_phase_that_raises_retracts_every_candidate():
+    """A user bound dividing by G raises in the first step, where N1=0
+    fixes G=0; it and the 17 catalog bounds posted before it are retracted."""
+    model, featvars, xs = ObjectScenario("binseq", 4).fresh(Counters())
+    bad = BoundCandidate("U-DIV", "binseq", "N1", "upper", ("div", "n", "G"))
+    before = model_state(model)
+    with pytest.raises(CatalogError, match="non-positive divisor 0"):
+        compute_all_solutions(model, featvars, xs, catalog("binseq") + [bad], 4)
+    assert model_state(model) == before
 
 
 def test_scenario_rejects_foreign_candidates():
