@@ -21,29 +21,22 @@ detail.
 
 Every propagator wakes when a domain it watches changes: each variable has
 one watcher list.  Two kinds of wake-up are skipped.  A kind that declares
-``idempotent`` keeps its queue flag while it runs, so its own prunings do
-not queue it again: a second run straight after it would prune nothing
-(the idempotence case of Schulte and Stuckey, "Efficient Constraint
-Propagation Engines", TOPLAS 2008).  On the leaf-memo path,
-:func:`labeling` *parks* the owner's prefix check for the whole search by
-holding its queue flag, so nothing queues it, and tests each feature
-prefix itself: the check never prunes and the prefix sets are
+``idempotent`` keeps its queue flag while it runs, and drops it when it
+returns or raises, so its own prunings do not queue it again: a second run
+straight after it would prune nothing (the idempotence case of Schulte and
+Stuckey, "Efficient Constraint Propagation Engines", TOPLAS 2008).  On the
+leaf-memo path, :func:`labeling` *parks* the owner's prefix check for the
+whole search by holding its queue flag, so nothing queues it, and tests
+each feature prefix itself: the check never prunes and the prefix sets are
 prefix-closed, so a trial that the check would fail still counts exactly
 one failure.  Neither skip moves a fixpoint, a failure or a count.
 
-A budget bounds one labeling: the search is abandoned as soon as ``nback``
-exceeds it, and the result is marked ``over_budget``.  Its ``nback`` is
-the count at the cut, so it is above the budget, and the full search would
-count at least as many; how far above depends on where the cut fell (a
-replayed leaf-memo subtree adds its whole count at once).  So a result is
-over budget exactly when the full search counts more than the budget, and
-otherwise it equals the unbudgeted result.  An abandoned search restores
-the model like any other and stores nothing in the leaf memo.
+Every labeling searches to its full count: it ends at its first solution or
+once it has proved that none remains, never earlier.
 """
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -78,15 +71,12 @@ class LabelResult:
     """Outcome of one labeling run.
 
     ``sol`` holds the values of the labeled variables in labeling order and
-    is empty iff ``finished`` (no solution remains) or ``over_budget`` is
-    true.  An over-budget result, from a search cut at its budget, has
-    ``finished`` false and an ``nback`` above the budget.
+    is empty iff ``finished`` (no solution remains).
     """
 
     nback: int
     finished: bool
     sol: tuple[int, ...]
-    over_budget: bool = False
 
 
 class Constraint:
@@ -271,8 +261,10 @@ class Model:
             cid = queue.popleft()
             con = cons[cid]
             if con.idempotent:  # its flag stays set while it runs
-                ok = con.propagate(self)
-                inq[cid] = False
+                try:
+                    ok = con.propagate(self)
+                finally:  # also when it raises, or nothing would queue it again
+                    inq[cid] = False
             else:
                 inq[cid] = False
                 ok = con.propagate(self)
@@ -458,7 +450,6 @@ def _dfs(
     order: Sequence[VarRef],
     on_solution: Callable[[tuple[int, ...]], bool],
     memo: LeafMemo | None = None,
-    budget: int | None = None,
 ) -> int:
     """Depth-first search over ``order``, fixing left to right by increasing value.
 
@@ -466,9 +457,7 @@ def _dfs(
     search.  Returns the backtrack count; the model state is restored.
     ``memo`` (labeling only: its ``on_solution`` stops at the first
     solution) is used when it applies to this search, and gives the same
-    count and solution as searching without it.  With a ``budget`` the
-    search stops as soon as the count exceeds it, so a count above the
-    budget marks a search that was cut.
+    count and solution as searching without it.
     """
     vids = model.var_ids(order)
     last = len(vids)
@@ -476,7 +465,6 @@ def _dfs(
     set_dom, drain, undo = model._set_dom, model._drain, model._undo_to
     base = len(trail)
     nback = 0
-    limit = sys.maxsize if budget is None else budget
     if memo is not None and not memo.applies(model, vids):
         memo = None
     cut, prefixes = (len(memo.featvars), memo.prefixes) if memo is not None else (-1, ())
@@ -493,25 +481,22 @@ def _dfs(
         hit = memo.table.get(key)
         if hit is not None and hit[0] == state:
             nback += hit[1]
-            if nback > limit:
-                return True
             return hit[2] is not None and on_solution(key + hit[2])
         before = nback
         stop = dfs(cut, None)
-        if hit is None and nback <= limit:  # a cut subtree is not stored
+        if hit is None:
             memo.table[key] = (state, nback - before, found[cut:] if stop else None)
         return stop
 
     # A trial posts no constraint and leaves the queue empty (a failed drain
-    # clears it), so undoing the trail restores the state exactly; so does a
-    # cut, which comes only right after a count, with the queue empty.  The
+    # clears it), so undoing the trail restores the state exactly.  The
     # labeled value lies in the domain, so fixing it cannot fail by itself.
     # Above the split, ``prefix`` holds the fixed feature values; below it,
     # None.  With the prefix check parked, a trial whose propagation fixes
     # later features onto a prefix no feasible tuple extends succeeds; the
     # levels down to the first infeasible one then hold one value each, and
     # the prefix test there counts the one failure the check would have
-    # counted at the trial (and at the same point for a budget).
+    # counted at the trial.
     def dfs(k: int, prefix: tuple[int, ...] | None) -> bool:
         nonlocal nback, found
         if k == last:
@@ -526,8 +511,6 @@ def _dfs(
                 nxt = prefix + (val,)
                 if nxt not in prefixes[k + 1]:
                     nback += 1  # the owner's prefix check would fail this trial
-                    if nback > limit:
-                        return True
                     continue
             mk = len(trail)
             set_dom(vid, (val,))
@@ -536,8 +519,6 @@ def _dfs(
                     return True
             else:
                 nback += 1
-                if nback > limit:
-                    return True
             undo(mk)
         return False
 
@@ -552,27 +533,19 @@ def _dfs(
     return nback
 
 
-def labeling(
-    model: Model,
-    featvars: Sequence[VarRef],
-    xs: Sequence[VarRef],
-    budget: int | None = None,
-) -> LabelResult:
+def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
     """Find the lexicographically smallest solution of featvars ++ xs.
 
     Variables are fixed left to right, scanning each domain by increasing
     value.  Returns the backtrack count together with the solution, or
-    ``finished=True`` with the count spent proving that none remains.  With
-    a ``budget``, a search whose count exceeds it is cut there and returns
-    an ``over_budget`` result.  The model state is restored before returning.
+    ``finished=True`` with the count spent proving that none remains.  The
+    model state is restored before returning.
     """
     order = list(featvars) + list(xs)
     if not order:
         raise InvalidArgumentError("labeling needs at least one variable")
     found: list[tuple[int, ...]] = []
-    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo, budget)
-    if budget is not None and nback > budget:
-        return LabelResult(nback, False, (), True)
+    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo)
     if found:
         return LabelResult(nback, False, found[0])
     return LabelResult(nback, True, ())

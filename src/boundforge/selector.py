@@ -18,10 +18,8 @@ produced solution i (from the lex-greater jump off solution i-1).  The
 transition check for a head record posts lex-greater of its own solution
 and compares the observed count against the stored count of record i+1;
 the final record's successor is the sentinel.  The sentinel itself is
-never drained.  The drain tests only whether the counts differ, so the
-stored count is the step's budget: its search stops as soon as the count
-passes it.  Compute-phase steps have no budget, so records hold full
-counts.
+never drained.  Every step, in the compute phase and in the drain, searches
+to its full count.
 
 Each run keeps a :class:`StepMemo`, shared by its compute phase and its
 engine.  The drain checks the same transition under one candidate subset
@@ -45,7 +43,7 @@ from .errors import (
     InternalInvariantError,
     InvalidArgumentError,
 )
-from .kernel import LabelResult, Model, VarRef, labeling, post_lex_greater
+from .kernel import Model, VarRef, labeling, post_lex_greater
 from .objects import canonical_tuples, check_model_size, make_model, post_object
 
 
@@ -149,33 +147,32 @@ def enumerate_all_solutions(
         records.append(SolutionRecord(len(records), res.nback, prev))
 
 
-def _step(model, featvars, xs, prev, counters, memo, budget=None):
+def _step(model, featvars, xs, prev, counters, memo, expected=None):
     """One step of the algorithm, searched or answered by ``memo``.
 
     ``labelings`` counts every step whose lex post succeeds, whether it
-    was searched here or answered from an earlier search, and whether or
-    not its search was cut at ``budget``.
+    was searched here or answered from an earlier search.  ``expected`` is
+    the stored count a drain step is compared with (see :class:`StepMemo`).
     """
-    res = _search(model, featvars, xs, prev, budget) if memo is None else memo.step(
-        model, featvars, xs, prev, budget)
+    res = _search(model, featvars, xs, prev) if memo is None else memo.step(
+        model, featvars, xs, prev, expected)
     if res is not None:
         counters.labelings += 1
     return res
 
 
-def _search(model, featvars, xs, prev, budget=None):
+def _search(model, featvars, xs, prev):
     """Post featvars >lex prev (skipped when prev is None), label, retract.
 
-    Returns the labeling result (over budget when its count passed
-    ``budget``), or None when the lex posting failed (the failed post
-    leaves the model unchanged).  The lex constraint is retracted also
-    when the search raises.
+    Returns the labeling result, or None when the lex posting failed (the
+    failed post leaves the model unchanged).  The lex constraint is
+    retracted also when the search raises.
     """
     mark = model.mark()
     if prev is not None and post_lex_greater(model, featvars, prev) is None:
         return None
     try:
-        return labeling(model, featvars, xs, budget)
+        return labeling(model, featvars, xs)
     finally:
         model.retract_to(mark)
 
@@ -188,36 +185,31 @@ class StepMemo:
     under its ``prev`` with its outcome (the labeling result, or None when
     the lex post failed), the set of bounds posted, the set of those that
     acted (pruned or failed, lex post included: ``BoundConstraint.acted``
-    moved), the model's domains when it began and, for a search cut at its
-    budget, that budget.  A later step from the same ``prev`` is answered
-    from a stored one, without posting or labeling, when its domains at the
-    start are equal to the stored ones and its posted set lies between the
-    stored acted set and the stored posted set.  A cut outcome answers
-    only a step with the same budget.  A complete one answers any budget:
-    as itself, or as an over-budget result with its own count when that
-    count passes the budget.
+    moved) and the model's domains when it began.  A later step from the
+    same ``prev`` is answered from a stored one, without posting or
+    labeling, when its domains at the start are equal to the stored ones and
+    its posted set lies between the stored acted set and the stored posted
+    set.
 
     That is sound because the propagators are monotone and a fixpoint does
     not depend on propagation order: a posted bound that never pruned or
     failed during a step can be taken away without changing any state the
     step visits, so every fixpoint, failure and count stays the same.  A
     bound that pruned only when it was posted acted before the step began;
-    the domain check is what sees it.  A search cut at its budget keeps
-    the acted set of the part it searched: a bound outside it did not act
-    before the cut, so the search reaches the same cut with the same count.
-    Equal candidates post equal propagators, so they share one bit of the
-    posted and acted sets.
+    the domain check is what sees it.  Equal candidates post equal
+    propagators, so they share one bit of the posted and acted sets.
 
-    The equal-outcome rule drops the upper limit: a complete outcome whose
-    count equals the step's budget answers a step that posts more bounds,
-    given equal start domains and every stored acted bound posted.  It is
-    on only once ``sound`` is set, which ``_run`` does when the compute
-    phase found every feasible tuple with every candidate posted, so no
-    candidate removes one.  Then more bounds can only lower a count (a
-    trial they fail heads a subtree without solutions, where the fewer
-    bounds fail at least once), they leave the next solution where it was,
-    and the count cannot drop below the budget, which is that same
-    transition's count with every candidate posted.
+    The equal-outcome rule drops the upper limit: an outcome whose count
+    equals the ``expected`` count, the one the drain compares the step
+    with, answers a step that posts more bounds, given equal start domains
+    and every stored acted bound posted.  It is on only once ``sound`` is
+    set, which ``_run`` does when the compute phase found every feasible
+    tuple with every candidate posted, so no candidate removes one.  Then
+    more bounds can only lower a count (a trial they fail heads a subtree
+    without solutions, where the fewer bounds fail at least once), they
+    leave the next solution where it was, and the count cannot drop below
+    ``expected``, which is that same transition's count with every
+    candidate posted.
 
     One memo belongs to one run and one object size; it is never shared.
     """
@@ -231,10 +223,10 @@ class StepMemo:
         self.steps: dict[tuple[int, ...] | None, list] = {}
         self.sound = False  # every candidate known sound: the equal-outcome rule is on
 
-    def step(self, model, featvars, xs, prev, budget=None):
-        """The outcome of the step from ``prev`` under ``budget`` on ``model``
-        as it stands: a stored one when the conditions above hold, else
-        searched and stored."""
+    def step(self, model, featvars, xs, prev, expected=None):
+        """The outcome of the step from ``prev`` on ``model`` as it stands,
+        compared with ``expected`` by the drain: a stored one when the
+        conditions above hold, else searched and stored."""
         cons = posted_bounds(model)
         bit = self.bit
         posted = 0
@@ -242,28 +234,21 @@ class StepMemo:
             posted |= bit[id(con.bound)]
         state = model.snapshot()
         entries = self.steps.setdefault(prev, [])
-        for stored, acted, stored_state, cut_at, res in entries:
+        for stored, acted, stored_state, res in entries:
             if acted & ~posted:
                 continue
             if posted & ~stored and not (
-                    self.sound and cut_at is None and res is not None and res.nback == budget):
+                    self.sound and res is not None and res.nback == expected):
                 continue
-            if state != stored_state:
-                continue
-            if cut_at is None:
-                if budget is not None and res is not None and res.nback > budget:
-                    return LabelResult(res.nback, False, (), True)
-                return res
-            if cut_at == budget:
+            if state == stored_state:
                 return res
         before = [con.acted for con in cons]
-        res = _search(model, featvars, xs, prev, budget)
+        res = _search(model, featvars, xs, prev)
         acted = 0
         for con, count in zip(cons, before):
             if con.acted != count:
                 acted |= bit[id(con.bound)]
-        cut_at = budget if res is not None and res.over_budget else None
-        entries.append((posted, acted, state, cut_at, res))
+        entries.append((posted, acted, state, res))
         return res
 
 
@@ -368,8 +353,7 @@ def _drain(model, featvars, xs, sols, by_isol, counters, memo=None):
     Returns (remaining records, missing_bound).  The head record's own
     solution seeds the lex jump; the expected count is the stored count of
     the record one index later (the sentinel for the last real record).
-    That count is also the step's budget: a search that passes it cannot
-    match, so it is cut there.
+    Each step searches to its full count unless the memo answers it.
     """
     for i, head in enumerate(sols):
         succ = by_isol.get(head.isol + 1)

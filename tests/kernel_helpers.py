@@ -24,17 +24,6 @@ from boundforge.kernel import (
 )
 
 
-def agrees_with_unbudgeted(res, ref, budget) -> bool:
-    """Whether ``res``, a labeling or selection step under ``budget``, is
-    what the unbudgeted ``ref`` implies: over budget exactly when ``ref``
-    counts more than the budget, with a count above the budget and at most
-    ``ref``'s, and otherwise equal to ``ref`` (None for a failed lex post)."""
-    if res is None or ref is None or budget is None or ref.nback <= budget:
-        return res == ref
-    return (res.over_budget and not res.finished and res.sol == ()
-            and budget < res.nback <= ref.nback)
-
-
 def sweep_slice():
     """(object, n, candidates) for both objects at n = 3..8: the catalog in
     order, and the first half of a shuffle seeded by n."""

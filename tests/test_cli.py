@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import types
 
 import pytest
 
@@ -65,6 +66,54 @@ def test_select_default_catalog_json(capsys):
     assert set(payload) == {"selected", "posts", "labelings", "wall_ms"}
     assert payload["selected"]
     assert payload["wall_ms"] == 0  # deterministic output unless --timing
+
+
+def _timed_reports(monkeypatch):
+    """Patch the clock ``selector`` reads so that the first run takes 1.5 s
+    and the second 2.25 s; returns the list each run's report goes to."""
+    ticks = iter([0.0, 1.5, 10.0, 12.25])
+    monkeypatch.setattr(selector, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+    reports = []
+    for name in ("run_selection", "run_baseline"):
+        def recorded(scenario, cands, real=getattr(selector, name)):
+            outcome = real(scenario, cands)
+            reports.append(outcome.report)
+            return outcome
+        monkeypatch.setattr(selector, name, recorded)
+    return reports
+
+
+@pytest.mark.parametrize("timing", [True, False])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_select_timing_prints_the_reports_wall_ms(monkeypatch, capsys, timing, fmt):
+    reports = _timed_reports(monkeypatch)
+    argv = ["select", "--object", "partition", "--n", "4", "--format", fmt]
+    code, out, _ = run(capsys, argv + ["--timing"] * timing)
+    assert code == 0
+    (report,) = reports
+    assert report.wall_ms == 1500
+    wall_ms = report.wall_ms if timing else 0
+    if fmt == "json":
+        assert json.loads(out)["wall_ms"] == wall_ms
+    else:
+        assert f"\nwall_ms: {wall_ms}\n" in out
+
+
+@pytest.mark.parametrize("timing", [True, False])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_compare_timing_prints_each_reports_wall_ms(monkeypatch, capsys, timing, fmt):
+    reports = _timed_reports(monkeypatch)
+    argv = ["compare", "--object", "partition", "--n", "4", "--format", fmt]
+    code, out, _ = run(capsys, argv + ["--timing"] * timing)
+    assert code == 0
+    assert [r.wall_ms for r in reports] == [1500, 2250]
+    expected = [r.wall_ms if timing else 0 for r in reports]
+    if fmt == "json":
+        payload = json.loads(out)
+        printed = [payload[engine]["wall_ms"] for engine in ("incremental", "baseline")]
+    else:
+        printed = [int(row["wall_ms"]) for row in csv.DictReader(io.StringIO(out))]
+    assert printed == expected
 
 
 def test_select_shuffle_seed_is_byte_deterministic(capsys):

@@ -17,29 +17,28 @@ from boundforge.kernel import LabelResult, labeling
 from boundforge.objects import binseq_tuples, make_model, partition_tuples, post_object
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
-from kernel_helpers import agrees_with_unbudgeted, memo_free, post, solve_all, sweep_slice
+from kernel_helpers import memo_free, post, solve_all, sweep_slice
 
 BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
 
 
 class _CrossCheck:
     """Stands in for ``selector.labeling``: each call is compared with the
-    same call searched without the memo and without a budget."""
+    same call searched without the memo."""
 
     def __init__(self):
-        self.calls = self.used = self.cut = 0
+        self.calls = self.used = 0
         self.mismatches = []
 
-    def __call__(self, model, featvars, xs, budget=None):
-        res = labeling(model, featvars, xs, budget)
+    def __call__(self, model, featvars, xs):
+        res = labeling(model, featvars, xs)
         memo = model.leaf_memo
         vids = [v.id for v in list(featvars) + list(xs)]
         self.calls += 1
         self.used += memo is not None and memo.applies(model, vids)
-        self.cut += res.over_budget
         ref = memo_free(model, featvars, xs)
-        if not agrees_with_unbudgeted(res, ref, budget):
-            self.mismatches.append((res, ref, budget))
+        if res != ref:
+            self.mismatches.append((res, ref))
         return res
 
 
@@ -61,7 +60,6 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
     # the step memo answers the other 891 steps without labeling
     assert outcome.report.labelings == 1358
     assert check.calls == 467
-    assert check.cut == 49  # drain steps whose count passed the stored one
     assert check.used == check.calls
     assert check.mismatches == []
     table = objects._LEAF_TABLES[("binseq", 10)]

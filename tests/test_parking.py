@@ -12,11 +12,11 @@ import random
 import pytest
 
 from boundforge.bounds import catalog, decoy, post_bound
-from boundforge.kernel import Constraint, labeling, post_lex_greater
+from boundforge.kernel import Constraint, Model, labeling, post_lex_greater
 from boundforge.objects import FEATURES
 from boundforge.selector import Counters, ObjectScenario
 
-from kernel_helpers import agrees_with_unbudgeted, memo_free
+from kernel_helpers import memo_free, model_state, post
 from test_metamorphic import _tightened
 
 
@@ -55,14 +55,10 @@ def test_parking_changes_no_step_of_the_full_enumeration(object_name, n):
             jump = None if prev is None else post_lex_greater(model, featvars, prev)
             if prev is not None and jump is None:
                 break
-            state = model.snapshot()
+            state = model_state(model)
             got = labeling(model, featvars, xs)
-            assert _idle(model) and model.snapshot() == state
+            assert _idle(model) and model_state(model) == state
             assert got == memo_free(model, featvars, xs)
-            if got.nback:
-                cut = labeling(model, featvars, xs, got.nback - 1)
-                assert agrees_with_unbudgeted(cut, got, got.nback - 1) and cut.over_budget
-                assert _idle(model) and model.snapshot() == state
             steps += 1
             model.retract_to(mark)
             if got.finished:
@@ -129,3 +125,34 @@ def test_a_propagator_that_raises_leaves_no_flag_held_and_the_model_restored():
     with pytest.raises(RuntimeError):
         labeling(model, featvars, xs)
     assert _idle(model) and model.snapshot() == state and len(model._trail) == trail
+
+
+class _IdempotentBoom(_Boom):
+    """A :class:`_Boom` whose flag stays set while it runs; counts its runs."""
+
+    idempotent = True
+
+    def __init__(self, vid, val):
+        super().__init__(vid, val)
+        self.runs = 0
+
+    def propagate(self, model):
+        self.runs += 1
+        return super().propagate(model)
+
+
+def test_an_idempotent_propagator_that_raises_is_woken_again():
+    """Its flag is cleared when it raises, so the raising post rolls the
+    model back exactly and a later fix of its variable wakes it again."""
+    model = Model()
+    x = model.new_var(0, 1)
+    boom = _IdempotentBoom(x.id, 1)
+    assert model.post_constraint(boom) is not None and boom.runs == 1
+    state = model_state(model)
+    with pytest.raises(RuntimeError):
+        post(model, ("ge_const", x, 1))  # fixes x to 1, which wakes boom
+    assert boom.runs == 2
+    assert model_state(model) == state
+    with pytest.raises(RuntimeError):
+        model.assign(x.id, 1)
+    assert boom.runs == 3

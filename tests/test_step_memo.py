@@ -20,15 +20,15 @@ from boundforge.errors import CatalogSoundnessError
 from boundforge.objects import FEATURES, feature_tuples
 from boundforge.selector import Counters, ObjectScenario, StepMemo
 
-from kernel_helpers import agrees_with_unbudgeted, sweep_slice
+from kernel_helpers import sweep_slice
 from test_metamorphic import _tightened
 
 _search = selector._search
 
 
 def _without_step_memo(mp):
-    mp.setattr(StepMemo, "step", lambda memo, model, featvars, xs, prev, budget=None: _search(
-        model, featvars, xs, prev, budget))
+    mp.setattr(StepMemo, "step", lambda memo, model, featvars, xs, prev, expected=None: _search(
+        model, featvars, xs, prev))
 
 
 def _observables(outcome):
@@ -43,25 +43,25 @@ def _observables(outcome):
 
 class _CrossCheck:
     """Stands in for ``StepMemo.step``: every step, answered or searched, is
-    compared with a real unbudgeted search of the same model state."""
+    compared with a real search of the same model state."""
 
     def __init__(self, mp):
         self.steps = self.searched = 0
         self.mismatches = []
         step = StepMemo.step
 
-        def counted(model, featvars, xs, prev, budget=None):
+        def counted(model, featvars, xs, prev):
             self.searched += 1
-            return _search(model, featvars, xs, prev, budget)
+            return _search(model, featvars, xs, prev)
 
-        def checked(memo, model, featvars, xs, prev, budget=None):
+        def checked(memo, model, featvars, xs, prev, expected=None):
             state = model.snapshot()
-            res = step(memo, model, featvars, xs, prev, budget)
+            res = step(memo, model, featvars, xs, prev, expected)
             assert model.snapshot() == state
             ref = _search(model, featvars, xs, prev)
             self.steps += 1
-            if not agrees_with_unbudgeted(res, ref, budget):
-                self.mismatches.append((prev, budget, res, ref))
+            if res != ref:
+                self.mismatches.append((prev, expected, res, ref))
             return res
 
         mp.setattr(selector, "_search", counted)
@@ -182,25 +182,6 @@ def test_an_unmatched_guard_counts_as_acting():
     assert con.acted == 1
 
 
-def test_a_cut_step_answers_only_its_own_budget_and_a_full_one_any():
-    model, featvars, xs = ObjectScenario("binseq", 4).fresh(Counters())
-    prev = (2, 2, 1, 1, 0, 2, 1, 1, 0, 1)
-    full = _search(model, featvars, xs, prev)
-    assert full.nback == 15
-    memo = StepMemo([], {})
-    cut = memo.step(model, featvars, xs, prev, 3)
-    assert cut.over_budget and 3 < cut.nback <= 15
-    assert memo.step(model, featvars, xs, prev, 3) is cut
-    assert memo.step(model, featvars, xs, prev, 20) == full  # searched, not answered
-    assert len(memo.steps[prev]) == 2
-    # the full outcome now answers a smaller budget, as a cut one
-    answered = memo.step(model, featvars, xs, prev, 5)
-    assert answered.over_budget and not answered.finished and answered.sol == ()
-    assert answered.nback == 15
-    assert memo.step(model, featvars, xs, prev, 15) is memo.steps[prev][1][-1]
-    assert len(memo.steps[prev]) == 2
-
-
 # -- the equal-outcome rule and its gate ------------------------------------------
 
 
@@ -287,7 +268,7 @@ def _nested_sound_lists(draw):
 @given(_nested_sound_lists())
 def test_more_sound_bounds_never_raise_a_step_count_nor_move_its_solution(lists):
     """The premise of the equal-outcome rule: from the same solution, the
-    unbudgeted count under S is at least the count under T, and the next
+    count under S is at least the count under T, and the next
     solution (features and witness) is the same."""
     object_name, n, small, big = lists
     models = []
