@@ -2,21 +2,22 @@
 
 Each candidate bounds one feature of an object (partition or binary
 sequence) by a guarded integer expression over the remaining features and
-n.  The rhs is compiled once against the object's fixed layout,
-``("n",) + FEATURES[object]``: slot 0 holds n and the next slots the
-features in canonical order, exactly ``(feats.n,) + feats.as_tuple()``.
-That layout is the only form in which features reach an rhs.  Posted on a
-model, a candidate waits until every input feature is fixed, then prunes
-the target's domain to one side of the evaluated right-hand side.  That pruning is sound for arbitrary fixed inputs: if the
-input combination occurs in some feasible tuple the inequality is proven
-for it, and if it occurs in none, no solution can be lost.
+n.  The rhs is checked when its candidate is built and compiled on first
+use, against the object's fixed layout ``("n",) + FEATURES[object]``:
+slot 0 holds n and the next slots the features in canonical order, which
+is exactly a feature record of the object.  That layout is the only form
+in which features reach an rhs.  Posted on a model, a candidate waits
+until every input feature is fixed, then prunes the target's domain to
+one side of the evaluated right-hand side.  That pruning is sound for
+arbitrary fixed inputs: if the input combination occurs in some feasible
+tuple the inequality is proven for it, and if it occurs in none, no
+solution can be lost.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import expr as E
 from .errors import InvalidArgumentError
@@ -24,30 +25,42 @@ from .kernel import Constraint, Model, VarRef
 from .objects import FEATURES, initial_domains
 
 
-@dataclass(frozen=True)
 class BoundCandidate:
     """One guarded arithmetic bound on a single feature.
 
     Checked when built: an unknown object, direction or target raises
     :class:`InvalidArgumentError`, and an rhs that is malformed or names
-    anything outside the object's layout raises :class:`CatalogError` from
-    the compile.
+    anything outside the object's layout raises :class:`CatalogError`.
+    The rhs is compiled on its first evaluation.  Candidates are immutable,
+    and those with equal fields are equal and hash alike.
     """
 
-    id: str
-    object: str  # "partition" | "binseq"
-    target: str
-    direction: str  # "upper" | "lower"
-    rhs: E.Expr
+    def __init__(self, id: str, object: str, target: str, direction: str, rhs: E.Expr):
+        if object not in FEATURES:
+            raise InvalidArgumentError(f"unknown object {object!r}")
+        if direction not in ("upper", "lower"):
+            raise InvalidArgumentError(f"unknown direction {direction!r}")
+        if target not in FEATURES[object]:
+            raise InvalidArgumentError(f"unknown feature {target!r} for {object}")
+        E.check_expr(rhs, ("n",) + FEATURES[object])
+        self.__dict__.update(id=id, object=object, target=target, direction=direction, rhs=rhs)
 
-    def __post_init__(self):
-        if self.object not in FEATURES:
-            raise InvalidArgumentError(f"unknown object {self.object!r}")
-        if self.direction not in ("upper", "lower"):
-            raise InvalidArgumentError(f"unknown direction {self.direction!r}")
-        if self.target not in FEATURES[self.object]:
-            raise InvalidArgumentError(f"unknown feature {self.target!r} for {self.object}")
-        self.evaluate  # compile now, so a bad rhs fails here and not at first use
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.id, self.object, self.target, self.direction, self.rhs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "BoundCandidate(%r, %r, %r, %r, %r)" % self._key()
 
     @cached_property
     def evaluate(self):
@@ -69,8 +82,7 @@ class BoundCandidate:
         return tuple(features.index(f) for f in self.inputs), features.index(self.target)
 
 
-@dataclass(frozen=True)
-class BoundVerdict:
+class BoundVerdict(NamedTuple):
     """Outcome of checking one bound on one ground feature tuple."""
 
     holds: bool
@@ -241,12 +253,12 @@ def by_id(bound_id: str) -> BoundCandidate:
 
 
 def verify_on(bound: BoundCandidate, features) -> BoundVerdict:
-    """Check one bound on one ground feature tuple, a feature dataclass of
-    the bound's object; pure, never mutates."""
+    """Check one bound on one ground feature tuple, a feature record of the
+    bound's object; pure, never mutates."""
     lhs = getattr(features, bound.target)
-    rhs = bound.evaluate((features.n,) + features.as_tuple())
+    rhs = bound.evaluate(features)
     slack = rhs - lhs if bound.direction == "upper" else lhs - rhs
-    return BoundVerdict(holds=slack >= 0, lhs=lhs, rhs=rhs, slack=slack)
+    return BoundVerdict(slack >= 0, lhs, rhs, slack)
 
 
 class BoundConstraint(Constraint):

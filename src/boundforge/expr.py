@@ -9,7 +9,7 @@ slots in order: each name compiles to a read of its own slot, so
 evaluating builds no name -> value mapping and calls no function per node.
 
 The function is built from generated source with ``exec``, as
-``dataclasses`` and ``namedtuple`` build theirs.  That source holds only
+``namedtuple`` builds its ``__new__``.  That source holds only
 slot indices, integer literals passed through ``int()``, tokens from the
 fixed operator table below, and the helpers ``_divisor``, ``sq`` and
 ``_nomatch``; no string of the expression or of the layout is spliced in.
@@ -19,7 +19,9 @@ wrong operand count (a ``cases`` with no arm too), a node that is not an
 ``int``, a ``str`` or a non-empty tuple (a float, ``None``, a list), a
 case arm that is not a (guard, expr) tuple, and a tree nested deeper than
 ``MAX_DEPTH`` (each case arm nests one level below the one before it, as
-in the source).
+in the source).  ``check_expr`` runs the same checks without compiling:
+a catalog rhs is checked when its bound is built and compiled on first
+use.
 
 Evaluation keeps the prefix semantics: operands left to right, ``and``
 short-circuits, ``cases`` takes the first arm whose guard holds, and a
@@ -131,6 +133,12 @@ def _source(node: Expr, layout: Sequence[str], depth: int) -> str:
         head, sep, tail = _VARIADIC[op]
         return srcs[0] if len(srcs) == 1 else head + sep.join(srcs) + tail
     raise CatalogError(f"{op} cannot take {len(srcs)} operands")
+
+
+def check_expr(node: Expr, layout: Sequence[str]) -> None:
+    """Refuse ``node`` exactly as :func:`compile_expr` would, without
+    compiling it."""
+    _source(node, layout, 0)
 
 
 def compile_expr(node: Expr, layout: Sequence[str]) -> Callable[[Sequence[int]], int]:

@@ -39,8 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     InvalidArgumentError,
@@ -49,16 +48,14 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class VarRef:
+class VarRef(NamedTuple):
     """Handle to one finite-domain variable of a :class:`Model`."""
 
     model_id: int
     id: int
 
 
-@dataclass(frozen=True)
-class TrailMark:
+class TrailMark(NamedTuple):
     """Position in a model's trail; ``retract_to`` restores this exact state."""
 
     model_id: int
@@ -66,8 +63,7 @@ class TrailMark:
     ncons: int
 
 
-@dataclass(frozen=True, slots=True)
-class LabelResult:
+class LabelResult(NamedTuple):
     """Outcome of one labeling run.
 
     ``sol`` holds the values of the labeled variables in labeling order and
@@ -136,14 +132,15 @@ class Model:
     def var_id(self, v: VarRef) -> int:
         """The id of ``v`` in this model, for posting a propagator over it;
         a variable of another model raises :class:`InvalidArgumentError`."""
-        if v.model_id != self.model_id:
+        model_id, vid = v
+        if model_id != self.model_id:
             raise InvalidArgumentError("variable belongs to another model")
-        return v.id
+        return vid
 
     def var_ids(self, vs: Sequence[VarRef]) -> list[int]:
         """The ids of ``vs`` in this model, checked as :meth:`var_id` does."""
         mid = self.model_id
-        ids = [v.id for v in vs if v.model_id == mid]
+        ids = [vid for model_id, vid in vs if model_id == mid]
         if len(ids) != len(vs):
             raise InvalidArgumentError("variable belongs to another model")
         return ids
@@ -165,17 +162,18 @@ class Model:
 
     def retract_to(self, mark: TrailMark) -> None:
         """Undo every pruning and constraint posted after ``mark``."""
-        if mark.model_id != self.model_id:
+        model_id, trail_len, ncons = mark
+        if model_id != self.model_id:
             raise InvalidMarkError("mark belongs to another model")
-        if mark.trail_len > len(self._trail) or mark.ncons > len(self._constraints):
+        if trail_len > len(self._trail) or ncons > len(self._constraints):
             raise InvalidMarkError("mark already passed")
         if self._queue:
             self._clear_queue()
-        self._undo_to(mark.trail_len)
-        if self.leaf_memo is not None and mark.ncons < self.leaf_memo.owned.stop:
+        self._undo_to(trail_len)
+        if self.leaf_memo is not None and ncons < self.leaf_memo.owned.stop:
             self.leaf_memo = None
         cons, inq, watchers = self._constraints, self._inq, self._watchers
-        while len(cons) > mark.ncons:
+        while len(cons) > ncons:
             con = cons.pop()
             inq.pop()
             for vid in con.watched:  # each once, with this constraint last in its list
@@ -399,7 +397,6 @@ def post_lex_greater(model: Model, xs: Sequence[VarRef], tup: Sequence[int]) -> 
 # -- search ------------------------------------------------------------------
 
 
-@dataclass(eq=False)
 class LeafMemo:
     """Leaf memo at the split of a labeling between two groups of variables.
 
@@ -420,17 +417,25 @@ class LeafMemo:
     the one that fails the prefix.
     """
 
-    featvars: tuple[int, ...]
-    xs: tuple[int, ...]
-    inner: tuple[int, ...]
-    owned: range
-    check: int
-    prefixes: tuple[frozenset, ...]
-    table: dict
-
-    def __post_init__(self) -> None:
-        self.order = list(self.featvars + self.xs)
-        self.feats = frozenset(self.featvars)
+    def __init__(
+        self,
+        featvars: tuple[int, ...],
+        xs: tuple[int, ...],
+        inner: tuple[int, ...],
+        owned: range,
+        check: int,
+        prefixes: tuple[frozenset, ...],
+        table: dict,
+    ) -> None:
+        self.featvars = featvars
+        self.xs = xs
+        self.inner = inner
+        self.owned = owned
+        self.check = check
+        self.prefixes = prefixes
+        self.table = table
+        self.order = list(featvars + xs)
+        self.feats = frozenset(featvars)
 
     def applies(self, model: Model, vids: list[int]) -> bool:
         """True when labeling ``vids`` may use the memo: they are featvars

@@ -15,10 +15,10 @@ them.  The constraint models post, on top of the feature/variable boxes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
 from .kernel import Constraint, LeafMemo, Model, SumEq, VarRef
@@ -29,9 +29,11 @@ BINSEQ_FEATURES = ("N1", "G", "Gmin", "Gmax", "rangeG", "GS", "Dmin", "Dmax", "r
 # variables, of ``as_tuple()`` and, after n, of the slots an rhs reads
 FEATURES = {"partition": PARTITION_FEATURES, "binseq": BINSEQ_FEATURES}
 
-# largest n whose feasible feature tuples are enumerated (Python 3.11 on a
-# 2-core host: 7 s for the 2**n sequences at n=20, 3 s for the p(n)
-# partitions at n=50, each about 4x more per step of 2 or 10)
+# largest n whose feasible feature tuples are enumerated.  The oracle's
+# exhaustive walk sets them (Python 3.11 on a 2-core host: 7 s for the 2**n
+# sequences at n=20, 3 s for the p(n) partitions at n=50, each about 4x
+# more per step of 2 or 10); the binseq tuple table, built from stretch and
+# gap multisets, takes about 0.02 s at n=20
 MAX_N = {"partition": 50, "binseq": 20}
 
 
@@ -68,9 +70,9 @@ def check_model_size(object_name: str, n: int) -> None:
         raise InvalidArgumentError(f"{object_name} model needs n >= 1")
 
 
-@dataclass(frozen=True)
-class PartitionFeatures:
-    """Feature tuple of one partition of n elements into parts."""
+class PartitionFeatures(NamedTuple):
+    """Feature tuple of one partition of n elements into parts, laid out as
+    ``(n, *features)``: the slots an rhs reads."""
 
     n: int
     P: int
@@ -80,12 +82,12 @@ class PartitionFeatures:
     S: int
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (self.P, self.Mmin, self.Mmax, self.rangeM, self.S)
+        return self[1:]
 
 
-@dataclass(frozen=True)
-class BinSeqFeatures:
-    """Feature tuple of one 0/1 sequence."""
+class BinSeqFeatures(NamedTuple):
+    """Feature tuple of one 0/1 sequence, laid out as ``(n, *features)``:
+    the slots an rhs reads."""
 
     n: int
     N1: int
@@ -100,8 +102,7 @@ class BinSeqFeatures:
     DS: int
 
     def as_tuple(self) -> tuple[int, ...]:
-        return (self.N1, self.G, self.Gmin, self.Gmax, self.rangeG,
-                self.GS, self.Dmin, self.Dmax, self.rangeD, self.DS)
+        return self[1:]
 
 
 def partition_features(sizes: Sequence[int]) -> PartitionFeatures:
@@ -226,12 +227,36 @@ def partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """All feasible binary-sequence feature tuples for this n, sorted."""
+    """All feasible binary-sequence feature tuples for this n, sorted.
+
+    A tuple depends only on the multiset of stretch lengths (G parts
+    summing to N1) and the multiset of gap lengths (G-1 parts summing to
+    D), and any two such multisets with N1 + D <= n occur together: the
+    stretches and gaps alternate in any order, and the n - N1 - D other
+    zeros go outside.  So the table is built from the multisets, not from
+    the 2**n sequences; ``oracle.enum_binseqs`` walks those.
+    """
     check_size("binseq", n)
-    tuples = set()
-    for code in range(1 << n):
-        bits = [(code >> i) & 1 for i in range(n)]
-        tuples.add(_binseq_tuple(bits))
+    # shapes[k]: (sum, min, max, sum of squares) of every multiset of k
+    # positive parts whose sum is at most n; a part added is never above
+    # the least one so far, so each multiset is reached in one order
+    shapes = [set(), {(p, p, p, p * p) for p in range(1, n + 1)}]
+    while shapes[-1]:
+        shapes.append({(t + q, q, hi, sq + q * q) for t, lo, hi, sq in shapes[-1]
+                       for q in range(1, min(lo, n - t) + 1)})
+    tuples = {(0,) * len(BINSEQ_FEATURES)}  # no stretch: the all-zero sequence
+    for g in range(1, len(shapes) - 1):
+        # the least total of g-1 gaps giving each (Dmin, Dmax, rangeD, DS)
+        least = {(0, 0, 0, 0): 0} if g == 1 else {}
+        for d, dmin, dmax, ds in shapes[g - 1]:
+            tail = (dmin, dmax, dmax - dmin, ds)
+            if least.get(tail, n + 1) > d:
+                least[tail] = d
+        tails = sorted(least, key=least.get)
+        totals = [least[tail] for tail in tails]
+        for n1, gmin, gmax, gs in shapes[g]:
+            head = (n1, g, gmin, gmax, gmax - gmin, gs)
+            tuples.update([head + tail for tail in tails[:bisect_right(totals, n - n1)]])
     return tuple(sorted(tuples))
 
 

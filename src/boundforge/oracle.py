@@ -4,14 +4,15 @@ Everything here enumerates objects exhaustively and evaluates definitions
 directly; nothing depends on the constraint kernel, so model behaviour and
 catalog formulas can both be audited against it.
 
-``enum_partitions`` and ``enum_binseqs`` deliberately duplicate the
-enumerations behind ``objects.partition_tuples`` and
-``objects.binseq_tuples``.  Those tables feed the models' prefix check
-(``PrefixFeasible``) and leaf memo, and
+``objects.partition_tuples`` and ``objects.binseq_tuples`` feed the
+models' prefix check (``PrefixFeasible``) and leaf memo, and
 ``test_feature_table_agrees_with_the_tuple_tables`` is the only
 independent check of them: with one shared enumerator, an object it
 dropped would be missing from the models and from the oracle alike, and
-no audit could notice.
+no audit could notice.  So ``enum_partitions`` deliberately duplicates
+the partition enumeration behind ``objects.partition_tuples``, and
+``enum_binseqs`` walks all 2**n sequences, where ``objects.binseq_tuples``
+builds its table from stretch and gap multisets.
 
 An audit still extracts the features of every object of its size, but it
 evaluates each distinct feature tuple once and weights it by how many
@@ -22,7 +23,6 @@ one entry per (object, n); the audit results stay pure.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
@@ -56,16 +56,21 @@ def enum_binseqs(n: int) -> Iterator[tuple[int, ...]]:
     return product((0, 1), repeat=n)
 
 
-@dataclass
 class AuditReport:
     """Exhaustive check of one bound at one size."""
 
-    bound_id: str
-    n: int
-    instances: int
-    violations: list[tuple[tuple[int, ...], int, int]] = field(default_factory=list)
-    witnesses: list[tuple[int, ...]] = field(default_factory=list)
-    min_slack: int | None = None
+    def __init__(self, bound_id: str, n: int, instances: int, min_slack: int | None = None):
+        self.bound_id = bound_id
+        self.n = n
+        self.instances = instances
+        self.violations: list[tuple[tuple[int, ...], int, int]] = []
+        self.witnesses: list[tuple[int, ...]] = []
+        self.min_slack = min_slack
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
@@ -94,7 +99,7 @@ class AuditReport:
 def _feature_table(object_name: str, n: int) -> tuple[tuple, array]:
     """Enumerate the objects of size n once per process.
 
-    Returns the distinct feature dataclasses in order of first occurrence,
+    Returns the distinct feature records in order of first occurrence,
     and, per object in enumeration order, the index of its features there.
     """
     check_size(object_name, n)
@@ -115,14 +120,14 @@ def audit(bound: BoundCandidate, n: int) -> AuditReport:
     objects share it.
     """
     distinct, order = _feature_table(bound.object, n)
-    rows = [(feats.as_tuple(), verify_on(bound, feats)) for feats in distinct]
+    rows = [(feats.as_tuple(), *verify_on(bound, feats)) for feats in distinct]
     report = AuditReport(bound_id=bound.id, n=n, instances=len(order),
-                         min_slack=min(verdict.slack for _, verdict in rows))
+                         min_slack=min(row[4] for row in rows))
     for i in order:
-        tup, verdict = rows[i]
-        if not verdict.holds:
-            report.violations.append((tup, verdict.lhs, verdict.rhs))
-        elif verdict.slack == 0:
+        tup, holds, lhs, rhs, slack = rows[i]
+        if not holds:
+            report.violations.append((tup, lhs, rhs))
+        elif slack == 0:
             report.witnesses.append(tup)
     return report
 

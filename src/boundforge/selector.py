@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bounds import BoundCandidate, post_bound, posted_bounds
 from .errors import (
@@ -47,8 +46,7 @@ from .kernel import Model, VarRef, labeling, post_lex_greater
 from .objects import canonical_tuples, check_model_size, make_model, post_object
 
 
-@dataclass(frozen=True, slots=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     """One enumerated feature solution; the sentinel has an empty sol."""
 
     isol: int
@@ -56,21 +54,25 @@ class SolutionRecord:
     sol: tuple[int, ...]
 
 
-@dataclass
 class Counters:
     """Post/labeling accounting; posts count object and bound postings only."""
 
-    posts: int = 0
-    labelings: int = 0
-    by_tag: Counter = field(default_factory=Counter)  # postings per (tag, bound or object id)
+    def __init__(self) -> None:
+        self.posts = 0
+        self.labelings = 0
+        self.by_tag: Counter = Counter()  # postings per (tag, bound or object id)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def posted(self, tag: str, name: str) -> None:
         self.posts += 1
         self.by_tag[tag, name] += 1
 
 
-@dataclass(frozen=True)
-class SelectionReport:
+class SelectionReport(NamedTuple):
     selected: tuple[str, ...]
     posts: int
     labelings: int
@@ -85,15 +87,31 @@ class SelectionReport:
         }
 
 
-@dataclass(frozen=True)
 class ObjectScenario:
-    """A combinatorial object kind plus size; builds fresh posted models."""
+    """A combinatorial object kind plus size; builds fresh posted models.
 
-    object: str  # a key of objects.FEATURES
-    n: int
+    Checked when built: an object or n that no model can serve raises
+    :class:`InvalidArgumentError`.  Scenarios are immutable, and those with
+    equal fields are equal and hash alike.
+    """
 
-    def __post_init__(self):
-        check_model_size(self.object, self.n)
+    def __init__(self, object: str, n: int):  # object: a key of objects.FEATURES
+        check_model_size(object, n)
+        self.__dict__.update(object=object, n=n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.object, self.n) == (other.object, other.n)
+
+    def __hash__(self):
+        return hash((self.object, self.n))
+
+    def __repr__(self):
+        return f"ObjectScenario({self.object!r}, {self.n!r})"
 
     def fresh(self, counters: Counters) -> tuple[Model, list[VarRef], list[VarRef]]:
         model, featvars, xs = make_model(self.object, self.n)
@@ -104,8 +122,7 @@ class ObjectScenario:
         return model, featvars, xs
 
 
-@dataclass(frozen=True)
-class SelectionOutcome:
+class SelectionOutcome(NamedTuple):
     """Report plus the artifacts needed by verification harnesses."""
 
     report: SelectionReport
@@ -355,13 +372,14 @@ def _drain(model, featvars, xs, sols, by_isol, counters, memo=None):
     the record one index later (the sentinel for the last real record).
     Each step searches to its full count unless the memo answers it.
     """
-    for i, head in enumerate(sols):
-        succ = by_isol.get(head.isol + 1)
+    for i, (isol, _, sol) in enumerate(sols):
+        succ = by_isol.get(isol + 1)
         if succ is None:
-            raise InternalInvariantError(f"no stored record with index {head.isol + 1}")
-        res = _step(model, featvars, xs, head.sol, counters, memo, succ.nback)
+            raise InternalInvariantError(f"no stored record with index {isol + 1}")
+        expected = succ.nback
+        res = _step(model, featvars, xs, sol, counters, memo, expected)
         observed = 0 if res is None else res.nback
-        if observed != succ.nback:
+        if observed != expected:
             return list(sols[i:]), True
     return [], False
 

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +232,21 @@ def test_unknown_target_is_refused_when_built():
         BoundCandidate("t", "binseq", "n", "upper", ("sq", "N1"))
 
 
+def test_cold_cli_import_loads_no_dataclasses_and_compiles_no_rhs():
+    # a fresh interpreter, so nothing imported or evaluated here counts
+    child = (
+        "import json, sys\n"
+        "import boundforge.cli\n"
+        "from boundforge import bounds\n"
+        "print(json.dumps(['dataclasses' in sys.modules,\n"
+        "                  [b.id for b in bounds.catalog() if 'evaluate' in vars(b)]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == [False, []]
+
+
 def test_euclidean_division_conventions():
     with pytest.raises(CatalogError):
         expr.compile_expr(("div", 4, 0), ())(())
@@ -297,7 +316,10 @@ def test_rhs_is_compiled_once_and_left_out_of_equality():
     b = by_id("B-GS-UB2")
     assert b.evaluate is b.evaluate
     twin = BoundCandidate(b.id, b.object, b.target, b.direction, b.rhs)
+    assert "evaluate" not in vars(twin)  # compiled on first use
     assert twin == b and hash(twin) == hash(b) and twin.evaluate is not b.evaluate
+    with pytest.raises(AttributeError):
+        twin.rhs = 0
 
 
 def test_inputs_are_computed_once_and_left_out_of_equality():

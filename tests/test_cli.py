@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import types
@@ -178,7 +177,7 @@ def test_compare_mutant_selector_exit_one(monkeypatch, capsys):
     def mutant(scenario, cands):
         outcome = real(scenario, cands)
         report = outcome.report
-        return dataclasses.replace(outcome, report=selector.SelectionReport(
+        return outcome._replace(report=selector.SelectionReport(
             report.selected[:-1], report.posts, report.labelings, report.wall_ms
         ))
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -284,8 +283,15 @@ def test_selection_refuses_n_above_the_enumeration_ceiling():
 def test_records_and_label_results_are_frozen_and_slotted():
     for value in (SolutionRecord(0, 2, (1,)), LabelResult(2, False, (1,))):
         assert not hasattr(value, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             value.nback = 3
+
+
+def test_scenarios_are_immutable_values():
+    a, b = ObjectScenario("binseq", 6), ObjectScenario("binseq", 6)
+    assert a == b and hash(a) == hash(b) and a != ObjectScenario("binseq", 7)
+    with pytest.raises(AttributeError):
+        a.n = 7
 
 
 def test_records_of_separate_runs_share_one_tuple_per_feature_tuple():
