@@ -281,7 +281,6 @@ class BoundConstraint(Constraint):
         at, target = bound.layout
         self.input_ids = tuple([featvar_ids[i] for i in at])
         self.target_id = featvar_ids[target]
-        self.footprint = self.input_ids + (self.target_id,)
         # (slot, vid), last input first: labeling fixes features left to
         # right, so the last input is the one usually still open
         self.reads = tuple([(i + 1, featvar_ids[i]) for i in reversed(at)])

@@ -20,17 +20,13 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import expr, oracle, selector
 from .bounds import BoundCandidate
-from .errors import BoundforgeError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .objects import FEATURES, check_size
 
 # documented tractable ceilings; BOUNDFORGE_MAX_N overrides both
 _VERIFY_CAP = {"partition": 12, "binseq": 16}
 _MODEL_CAP = {"partition": 8, "binseq": 10}
 _VERIFY_DEFAULT_RANGE = {"partition": (1, 10), "binseq": (1, 14)}
-
-
-class ConfigError(BoundforgeError):
-    """Rejected run configuration (maps to exit code 2)."""
 
 
 def _parse_n(text: str) -> tuple[int, int]:
@@ -41,9 +37,9 @@ def _parse_n(text: str) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise ConfigError(f"bad n specification {text!r} (expected N or A..B)") from None
+        raise InvalidArgumentError(f"bad n specification {text!r} (expected N or A..B)") from None
     if lo < 1 or hi < lo:
-        raise ConfigError(f"bad n range {text!r}")
+        raise InvalidArgumentError(f"bad n range {text!r}")
     return lo, hi
 
 
@@ -54,9 +50,9 @@ def _check_cap(object_name: str, n_hi: int, model_based: bool) -> None:
         try:
             cap = int(env)
         except ValueError:
-            raise ConfigError(f"BOUNDFORGE_MAX_N={env!r} is not an integer") from None
+            raise InvalidArgumentError(f"BOUNDFORGE_MAX_N={env!r} is not an integer") from None
     if n_hi > cap:
-        raise ConfigError(
+        raise InvalidArgumentError(
             f"n={n_hi} exceeds the cap {cap} for {object_name} "
             "(override with BOUNDFORGE_MAX_N)"
         )
@@ -76,7 +72,7 @@ def load_candidates(path: str, object_name: str, n: int) -> list[BoundCandidate]
             continue
         cand = bounds_mod.by_id(line)
         if cand.object != object_name:
-            raise ConfigError(f"bound {line} targets {cand.object}, not {object_name}")
+            raise InvalidArgumentError(f"bound {line} targets {cand.object}, not {object_name}")
         out.append(cand)
     return out
 
@@ -104,7 +100,7 @@ def _single_n(args: argparse.Namespace) -> int:
     """The one n of a model-backed command, checked against its cap."""
     lo, hi = _parse_n(args.n)
     if lo != hi:
-        raise ConfigError(f"{args.cmd} takes a single n, not a range")
+        raise InvalidArgumentError(f"{args.cmd} takes a single n, not a range")
     _check_cap(args.object, hi, model_based=True)
     return hi
 
@@ -116,15 +112,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.bound is not None:
         cand = bounds_mod.by_id(args.bound)
         if args.object is not None and args.object != cand.object:
-            raise ConfigError(f"bound {cand.id} belongs to object {cand.object}")
+            raise InvalidArgumentError(f"bound {cand.id} belongs to object {cand.object}")
         selected = [cand]
-        objects_audited = [cand.object]
-    elif args.object is not None:
-        selected = bounds_mod.catalog(args.object)
-        objects_audited = [args.object]
     else:
-        selected = bounds_mod.catalog()
-        objects_audited = list(FEATURES)
+        selected = bounds_mod.catalog(args.object)
+    objects_audited = list(dict.fromkeys(b.object for b in selected))
     object_name = objects_audited[0] if len(objects_audited) == 1 else "both"
 
     def size_range(obj: str) -> tuple[int, int]:
@@ -322,17 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None)
 
     pv = sub.add_parser("verify", help="exhaustively audit catalog bounds")
+    pv.set_defaults(func=cmd_verify)
     pv.add_argument("--object", choices=list(FEATURES))
     pv.add_argument("--bound", type=str, default=None, help="audit a single bound id")
     pv.add_argument("--n", type=str, default=None, help="size N or range A..B")
     common(pv)
 
-    for name, help_text, takes_candidates in (
-        ("select", "run the incremental selection", True),
-        ("compare", "incremental vs baseline selection", True),
-        ("solutions", "solution/backtrack tables", False),
+    for name, help_text, takes_candidates, func in (
+        ("select", "run the incremental selection", True, cmd_select),
+        ("compare", "incremental vs baseline selection", True, cmd_compare),
+        ("solutions", "solution/backtrack tables", False, cmd_solutions),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--object", choices=list(FEATURES), required=True)
         p.add_argument("--n", type=str, required=True)
         if takes_candidates:
@@ -344,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="include wall-clock times in the report")
 
     pe = sub.add_parser("explain", help="print one bound's expression tree")
+    pe.set_defaults(func=cmd_explain)
     pe.add_argument("bound_id", type=str)
     pe.add_argument("--format", choices=["json", "text"], default="text")
     pe.add_argument("--out", type=str, default=None)
@@ -351,24 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "verify": cmd_verify,
-    "select": cmd_select,
-    "compare": cmd_compare,
-    "solutions": cmd_solutions,
-    "explain": cmd_explain,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.cmd](args)
-    except (ConfigError, InvalidArgumentError, OSError, UnicodeDecodeError) as exc:
+        return args.func(args)
+    except (InvalidArgumentError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

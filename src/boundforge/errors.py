@@ -5,20 +5,8 @@ class BoundforgeError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidDomainError(BoundforgeError):
-    """Variable created with an empty range (lo > hi)."""
-
-
 class InvalidArgumentError(BoundforgeError):
-    """Malformed arguments to a kernel or selector operation."""
-
-
-class InvalidMarkError(BoundforgeError):
-    """Trail mark is stale or belongs to another model."""
-
-
-class InvalidInputError(BoundforgeError):
-    """Ground data rejected by a feature extractor."""
+    """Rejected arguments, ground input or run configuration (CLI exit 2)."""
 
 
 class CatalogError(BoundforgeError):

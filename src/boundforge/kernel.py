@@ -41,11 +41,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import (
-    InvalidArgumentError,
-    InvalidDomainError,
-    InvalidMarkError,
-)
+from .errors import InvalidArgumentError
 
 
 class VarRef(NamedTuple):
@@ -88,9 +84,6 @@ class Constraint:
 
     kind = "constraint"
     idempotent = False
-    # every variable the propagator reads or prunes, declared only by the
-    # kinds whose scope is exactly that (see LeafMemo.applies)
-    footprint: tuple[int, ...] | None = None
 
     def __init__(self, watched: Sequence[int]):
         self.watched = tuple(dict.fromkeys(watched))
@@ -123,7 +116,7 @@ class Model:
     def new_var(self, lo: int, hi: int) -> VarRef:
         """Create a variable with domain {lo..hi}."""
         if lo > hi:
-            raise InvalidDomainError(f"empty initial domain [{lo}, {hi}]")
+            raise InvalidArgumentError(f"empty initial domain [{lo}, {hi}]")
         vid = len(self._doms)
         self._doms.append(tuple(range(lo, hi + 1)))
         self._watchers.append([])
@@ -164,9 +157,9 @@ class Model:
         """Undo every pruning and constraint posted after ``mark``."""
         model_id, trail_len, ncons = mark
         if model_id != self.model_id:
-            raise InvalidMarkError("mark belongs to another model")
+            raise InvalidArgumentError("mark belongs to another model")
         if trail_len > len(self._trail) or ncons > len(self._constraints):
-            raise InvalidMarkError("mark already passed")
+            raise InvalidArgumentError("mark already passed")
         if self._queue:
             self._clear_queue()
         self._undo_to(trail_len)
@@ -345,8 +338,10 @@ class LexGreater(Constraint):
 
     def __init__(self, xs: Sequence[int], tup: Sequence[int]):
         if len(xs) != len(tup):
-            raise InvalidArgumentError("lex-greater arity mismatch")
-        self.xs = self.footprint = tuple(xs)
+            raise InvalidArgumentError(
+                f"lex-greater arity mismatch: {len(xs)} vars vs {len(tup)} values"
+            )
+        self.xs = tuple(xs)
         self.tup = tuple(tup)
         super().__init__(self.xs)
 
@@ -387,10 +382,6 @@ class LexGreater(Constraint):
 
 def post_lex_greater(model: Model, xs: Sequence[VarRef], tup: Sequence[int]) -> int | None:
     """Post (xs) >lex (tup); fails iff the tuple is the box maximum."""
-    if len(xs) != len(tup):
-        raise InvalidArgumentError(
-            f"lex-greater arity mismatch: {len(xs)} vars vs {len(tup)} values"
-        )
     return model.post_constraint(LexGreater(model.var_ids(xs), tup))
 
 
@@ -402,12 +393,14 @@ class LeafMemo:
 
     An object post attaches one to its model.  Labeling fixes every one of
     ``featvars`` before any of ``xs``; from then on only the owner's
-    constraints (indices ``owned``) wake, so the rest of the search, its
-    failed trials and its first solution, depends only on the fixed tuple
-    and on the domains of ``inner`` (every non-feature variable the owner
-    reads).  ``table``, shared by every model of one owner kind and size,
-    maps each tuple to (``inner`` domains, failed trials, witness over
-    ``xs`` or None), so each such subtree is searched once.
+    constraints (indices ``owned``) run, when every other posted constraint
+    watches only feature variables (see :meth:`applies`).  So the rest of
+    the search, its failed trials and its first solution, depends only on
+    the fixed tuple and on the domains of ``inner`` (every non-feature
+    variable the owner reads).  ``table``, shared by every model of one
+    owner kind and size, maps each tuple to (``inner`` domains, failed
+    trials, witness over ``xs`` or None), so each such subtree is searched
+    once.
 
     ``prefixes[k]`` holds every length-k feature prefix that some solution
     extends, closed under prefixes.  The owner posts a check (constraint id
@@ -439,15 +432,17 @@ class LeafMemo:
 
     def applies(self, model: Model, vids: list[int]) -> bool:
         """True when labeling ``vids`` may use the memo: they are featvars
-        then xs, and every constraint the owner did not post declares a
-        footprint inside featvars, so none wakes below the split."""
+        then xs, and every constraint the owner did not post watches only
+        featvars.  Below the split every feature is fixed, and a fixed
+        domain changes only by a wipe-out, which fails before any watcher
+        is queued, so none of those constraints runs there; what one pruned
+        above the split shows in the ``inner`` domains a stored entry is
+        checked against."""
         if vids != self.order:
             return False
         cons, owned, feats = model._constraints, self.owned, self.feats
-        for con in cons[: owned.start] + cons[owned.stop:]:
-            if con.footprint is None or not feats.issuperset(con.footprint):
-                return False
-        return True
+        others = cons[: owned.start] + cons[owned.stop:]
+        return all(feats.issuperset(con.watched) for con in others)
 
 
 def _dfs(

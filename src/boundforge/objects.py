@@ -20,7 +20,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
+from .errors import InternalInvariantError, InvalidArgumentError
 from .kernel import Constraint, LeafMemo, Model, SumEq, VarRef
 
 PARTITION_FEATURES = ("P", "Mmin", "Mmax", "rangeM", "S")
@@ -38,8 +38,9 @@ MAX_N = {"partition": 50, "binseq": 20}
 
 
 def check_size(object_name: str, n: int) -> None:
-    """Refuse an unknown object, an n below 1 (partitions) or 0 (sequences),
-    or an n above the object's enumeration ceiling.
+    """Refuse an unknown object, an n that is not an ``int`` (``bool``
+    included), an n below 1 (partitions) or 0 (sequences), or an n above
+    the object's enumeration ceiling.
 
     Every table cache keyed by n checks this first, so none of them can
     hold more than 50 partition and 21 binseq entries.
@@ -47,6 +48,8 @@ def check_size(object_name: str, n: int) -> None:
     ceiling = MAX_N.get(object_name)
     if ceiling is None:
         raise InvalidArgumentError(f"unknown object {object_name!r}")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidArgumentError(f"n must be an integer, not {n!r}")
     if object_name == "partition" and n < 1:
         raise InvalidArgumentError("partitions need n >= 1")
     if n < 0:
@@ -108,9 +111,9 @@ class BinSeqFeatures(NamedTuple):
 def partition_features(sizes: Sequence[int]) -> PartitionFeatures:
     """Features of a partition given its part sizes (any order)."""
     if not sizes:
-        raise InvalidInputError("a partition needs at least one part")
+        raise InvalidArgumentError("a partition needs at least one part")
     if any(not isinstance(s, int) or s < 1 for s in sizes):
-        raise InvalidInputError(f"part sizes must be positive integers: {list(sizes)!r}")
+        raise InvalidArgumentError(f"part sizes must be positive integers: {list(sizes)!r}")
     return PartitionFeatures(sum(sizes), *_partition_tuple(sizes))
 
 
@@ -123,7 +126,7 @@ def _partition_tuple(sizes: Sequence[int]) -> tuple[int, ...]:
 def binseq_features(bits: Sequence[int]) -> BinSeqFeatures:
     """Features of a 0/1 sequence, with all-zero conventions for no stretch."""
     if any(b not in (0, 1) for b in bits):
-        raise InvalidInputError(f"sequence must be 0/1: {list(bits)!r}")
+        raise InvalidArgumentError(f"sequence must be 0/1: {list(bits)!r}")
     return BinSeqFeatures(len(bits), *_binseq_tuple(bits))
 
 

@@ -117,8 +117,10 @@ def audit(bound: BoundCandidate, n: int) -> AuditReport:
     slack-0 witnesses, in enumeration order and with repeats.
 
     Each distinct feature tuple is evaluated once and weighted by how many
-    objects share it.
+    objects share it.  ``n`` is checked first: an equal float or bool
+    would otherwise hit the cached table of its int.
     """
+    check_size(bound.object, n)
     distinct, order = _feature_table(bound.object, n)
     rows = [(feats.as_tuple(), *verify_on(bound, feats)) for feats in distinct]
     report = AuditReport(bound_id=bound.id, n=n, instances=len(order),

@@ -315,25 +315,25 @@ class _IncrementalEngine:
         self.counters = counters
         self.memo = memo
 
-    def post_selected(self, cand: BoundCandidate) -> None:
-        _post(self.model, [cand], self.featvars, self.n, self.counters, "prev", "when re-posted")
+    def post(self, cands: Sequence[BoundCandidate], tag: str) -> None:
+        _post(self.model, cands, self.featvars, self.n, self.counters, tag, "when re-posted")
 
     def mark(self):
         return self.model.mark()
 
-    def post_suffix(self, cands: Sequence[BoundCandidate]) -> None:
-        _post(self.model, cands, self.featvars, self.n, self.counters, "suffix", "when re-posted")
-
     def retract(self, mark) -> None:
         self.model.retract_to(mark)
 
-    def enumerate_step(self, sols: list[SolutionRecord]):
+    def enumerate_step(self, sols: list[SolutionRecord]) -> list[SolutionRecord]:
         return _drain(self.model, self.featvars, self.xs, sols, self.by_isol, self.counters,
                       self.memo)
 
 
 class _BaselineEngine:
-    """Rebuilds the model from scratch for every transition-checking trial."""
+    """Rebuilds the model from scratch for every transition-checking trial.
+
+    Selected and trial bounds share one stack: :func:`_select` posts a
+    selected bound only once it has retracted its trials."""
 
     def __init__(self, scenario, model, featvars, xs, drain, by_isol, counters, memo=None):
         self.scenario = scenario
@@ -341,25 +341,21 @@ class _BaselineEngine:
         self.by_isol = by_isol
         self.counters = counters
         self.memo = memo
-        self.selected_stack: list[BoundCandidate] = []
-        self.trial_stack: list[BoundCandidate] = []
+        self.stack: list[BoundCandidate] = []
 
-    def post_selected(self, cand: BoundCandidate) -> None:
-        self.selected_stack.append(cand)
+    def post(self, cands: Sequence[BoundCandidate], tag: str) -> None:
+        self.stack.extend(cands)
 
     def mark(self):
-        return len(self.trial_stack)
-
-    def post_suffix(self, cands: Sequence[BoundCandidate]) -> None:
-        self.trial_stack.extend(cands)
+        return len(self.stack)
 
     def retract(self, mark) -> None:
-        del self.trial_stack[mark:]
+        del self.stack[mark:]
 
-    def enumerate_step(self, sols: list[SolutionRecord]):
+    def enumerate_step(self, sols: list[SolutionRecord]) -> list[SolutionRecord]:
         model, featvars, xs = self.scenario.fresh(self.counters)
-        _post(model, self.selected_stack + self.trial_stack, featvars, self.scenario.n,
-              self.counters, "baseline", "when re-posted")
+        _post(model, self.stack, featvars, self.scenario.n, self.counters, "baseline",
+              "when re-posted")
         return _drain(model, featvars, xs, self.full_drain, self.by_isol, self.counters,
                       self.memo)
 
@@ -367,10 +363,11 @@ class _BaselineEngine:
 def _drain(model, featvars, xs, sols, by_isol, counters, memo=None):
     """Check successive solution transitions until one needs more backtracks.
 
-    Returns (remaining records, missing_bound).  The head record's own
-    solution seeds the lex jump; the expected count is the stored count of
-    the record one index later (the sentinel for the last real record).
-    Each step searches to its full count unless the memo answers it.
+    Returns the records from that transition's head on, or [] when every
+    transition held.  The head record's own solution seeds the lex jump;
+    the expected count is the stored count of the record one index later
+    (the sentinel for the last real record).  Each step searches to its
+    full count unless the memo answers it.
     """
     for i, (isol, _, sol) in enumerate(sols):
         succ = by_isol.get(isol + 1)
@@ -380,8 +377,8 @@ def _drain(model, featvars, xs, sols, by_isol, counters, memo=None):
         res = _step(model, featvars, xs, sol, counters, memo, expected)
         observed = 0 if res is None else res.nback
         if observed != expected:
-            return list(sols[i:]), True
-    return [], False
+            return sols[i:]
+    return []
 
 
 # -- the recursive selection (shared by both engines) ---------------------------
@@ -396,40 +393,41 @@ def split_mid(length: int) -> int:
     return (2 * length + 2) // 3
 
 
-def _select_one(engine, top: bool, sols, bounds):
+def _select_one(engine, sols, bounds):
+    """Dichotomic search for one bound some transition needs: it and the
+    candidates left after it, or None first when none is needed.  The
+    suffix is posted as a trial; while a transition still degrades, the
+    prefix is searched with it left posted, for the caller to retract."""
     if not bounds:
         raise InvalidArgumentError("select_one needs at least one candidate")
     mid = split_mid(len(bounds))
-    prefix, suffix = list(bounds[:mid]), list(bounds[mid:])
+    prefix, suffix = bounds[:mid], bounds[mid:]
     mark = engine.mark()
-    result = _dicho(engine, sols, len(bounds), prefix, suffix)
-    if top:
-        engine.retract(mark)
-    return result
-
-
-def _dicho(engine, sols, length, prefix, suffix):
-    mark = engine.mark()
-    engine.post_suffix(suffix)
-    sols2, missing = engine.enumerate_step(sols)
-    if missing and length > 1:
-        selected, rest = _select_one(engine, False, sols2, prefix)
+    engine.post(suffix, "suffix")
+    remaining = engine.enumerate_step(sols)
+    if remaining and len(bounds) > 1:
+        selected, rest = _select_one(engine, remaining, prefix)
         return selected, rest + suffix
     engine.retract(mark)
-    if length == 1:
-        if missing:
-            return prefix[0], []
-        return None, prefix
-    return _select_one(engine, False, sols, suffix)
+    if len(bounds) == 1:
+        return (prefix[0], []) if remaining else (None, prefix)
+    return _select_one(engine, sols, suffix)
 
 
-def _select(engine, sols, bounds, prev):
-    if prev is not None:
-        engine.post_selected(prev)
-    selected, rest = _select_one(engine, True, sols, bounds)
-    if selected is not None and rest:
-        return [selected] + _select(engine, sols, rest, selected)
-    return [] if selected is None else [selected]
+def _select(engine, sols, bounds):
+    """Select bounds one by one; each found bound stays posted as ``prev``
+    for the searches after it."""
+    selected = []
+    while bounds:
+        mark = engine.mark()
+        found, bounds = _select_one(engine, sols, bounds)
+        engine.retract(mark)
+        if found is None:
+            break
+        selected.append(found)
+        if bounds:
+            engine.post([found], "prev")
+    return selected
 
 
 # -- entry points ----------------------------------------------------------------
@@ -453,11 +451,9 @@ def _run(
     # every feasible tuple was found with every candidate posted, so no
     # candidate removes one: each is sound for this scenario
     memo.sound = len(drain) == len(memo.tuples)
-    selected: list[BoundCandidate] = []
-    if candidates:
-        by_isol = {r.isol: r for r in records}
-        engine = engine_cls(scenario, model, featvars, xs, drain, by_isol, counters, memo)
-        selected = _select(engine, drain, list(candidates), None)
+    by_isol = {r.isol: r for r in records}
+    engine = engine_cls(scenario, model, featvars, xs, drain, by_isol, counters, memo)
+    selected = _select(engine, drain, list(candidates))
     report = SelectionReport(
         selected=tuple(c.id for c in selected),
         posts=counters.posts,

@@ -13,11 +13,12 @@ import pytest
 
 from boundforge import objects, selector
 from boundforge.bounds import catalog
-from boundforge.kernel import LabelResult, labeling
+from boundforge.kernel import Constraint, LabelResult, labeling
 from boundforge.objects import binseq_tuples, make_model, partition_tuples, post_object
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
 from kernel_helpers import memo_free, post, solve_all, sweep_slice
+from test_parking import _check_every_step
 
 BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
 
@@ -151,3 +152,37 @@ def test_sequence_variable_narrowed_after_the_post_is_searched_again():
     assert res.sol[BINSEQ_WIDTH:] == (1, 0, 0, 0)
     assert table[res.sol[:BINSEQ_WIDTH]][2] == (0, 0, 0, 1)
     assert table == before
+
+
+class _FeatureCap(Constraint):
+    """Watches one feature variable and nothing else: once it is fixed,
+    caps one sequence variable by its value."""
+
+    kind = "feature_cap"
+
+    def __init__(self, fvid, xvid):
+        super().__init__((fvid,))
+        self.fvid, self.xvid = fvid, xvid
+
+    def propagate(self, model):
+        d = model.dom(self.fvid)
+        return len(d) != 1 or model.prune_le(self.xvid, d[0])
+
+
+@pytest.mark.parametrize("object_name, feature", [("binseq", "rangeG"), ("partition", "Mmin")])
+def test_a_constraint_that_watches_only_features_keeps_the_memo(object_name, feature):
+    """It never runs below the split, where every feature is fixed; what it
+    prunes above the split shows in the split state.  The table it fills
+    from those states must not answer a model without it."""
+    objects._LEAF_TABLES.pop((object_name, 5), None)
+    try:
+        model, featvars, xs = _plain(object_name, 5)
+        fvid = featvars[objects.FEATURES[object_name].index(feature)].id
+        assert model.post_constraint(_FeatureCap(fvid, xs[-1].id)) is not None
+        vids = [v.id for v in featvars + xs]
+        assert model.leaf_memo.applies(model, vids)
+        for _ in range(2):  # cold, then from the filled table
+            assert _check_every_step(model, featvars, xs) > 2
+        assert _check_every_step(*_plain(object_name, 5)) > 2
+    finally:
+        objects._LEAF_TABLES.pop((object_name, 5), None)

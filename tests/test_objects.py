@@ -9,7 +9,7 @@ import pytest
 
 from boundforge import kernel, objects, oracle
 from boundforge.bounds import decoy
-from boundforge.errors import InternalInvariantError, InvalidArgumentError, InvalidInputError
+from boundforge.errors import InternalInvariantError, InvalidArgumentError
 from boundforge.objects import (
     BINSEQ_FEATURES,
     BinSeqFeatures,
@@ -35,9 +35,9 @@ def test_partition_features_examples():
 
 
 def test_partition_features_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidArgumentError):
         partition_features([])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidArgumentError):
         partition_features([2, 0])
 
 
@@ -54,7 +54,7 @@ def test_binseq_features_ignores_outer_zero_runs():
 
 
 def test_binseq_features_rejects_non_binary():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidArgumentError):
         binseq_features([0, 2, 1])
 
 
@@ -318,3 +318,17 @@ def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceili
     assert kernel.Model._next_id == models
     assert len(_BARE.snapshot()) == variables
     assert objects.canonical_tuples.cache_info().currsize == cached
+
+
+@pytest.mark.parametrize("n", [5.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("build", [
+    lambda n: ObjectScenario("partition", n),
+    lambda n: make_model("binseq", n),
+    lambda n: oracle.audit(decoy("binseq", "N1", 3), n),
+], ids=["ObjectScenario", "make_model", "oracle.audit"])
+def test_a_non_integer_n_is_refused_even_with_its_int_cached(build, n):
+    """5.0 == 5 and True == 1 hash alike, so a warm table of the int would
+    otherwise answer them."""
+    build(int(n))
+    with pytest.raises(InvalidArgumentError, match="n must be an integer"):
+        build(n)

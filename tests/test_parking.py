@@ -41,6 +41,27 @@ def _posted_model(object_name, n, rng):
     return model, featvars, xs
 
 
+def _check_every_step(model, featvars, xs) -> int:
+    """Label each step of the full enumeration: every one equals its
+    memo-free search and leaves the model idle and as it was.  Returns the
+    number of steps."""
+    steps, prev = 0, None
+    while True:
+        mark = model.mark()
+        jump = None if prev is None else post_lex_greater(model, featvars, prev)
+        if prev is not None and jump is None:
+            return steps
+        state = model_state(model)
+        got = labeling(model, featvars, xs)
+        assert _idle(model) and model_state(model) == state
+        assert got == memo_free(model, featvars, xs)
+        steps += 1
+        model.retract_to(mark)
+        if got.finished:
+            return steps
+        prev = got.sol[: len(featvars)]
+
+
 @pytest.mark.parametrize("object_name", sorted(FEATURES))
 @pytest.mark.parametrize("n", range(1, 8))
 def test_parking_changes_no_step_of_the_full_enumeration(object_name, n):
@@ -49,21 +70,7 @@ def test_parking_changes_no_step_of_the_full_enumeration(object_name, n):
     for _ in range(8):
         model, featvars, xs = _posted_model(object_name, n, rng)
         assert model.leaf_memo is not None
-        prev = None
-        while True:
-            mark = model.mark()
-            jump = None if prev is None else post_lex_greater(model, featvars, prev)
-            if prev is not None and jump is None:
-                break
-            state = model_state(model)
-            got = labeling(model, featvars, xs)
-            assert _idle(model) and model_state(model) == state
-            assert got == memo_free(model, featvars, xs)
-            steps += 1
-            model.retract_to(mark)
-            if got.finished:
-                break
-            prev = got.sol[: len(featvars)]
+        steps += _check_every_step(model, featvars, xs)
     assert steps >= 8
 
 
@@ -97,14 +104,13 @@ def test_a_jump_that_fixes_the_last_feature_onto_an_infeasible_prefix():
 
 
 class _Boom(Constraint):
-    """Raises once its feature is fixed to ``val``; its footprint lies in the
-    feature variables, so the leaf memo still applies."""
+    """Raises once its feature is fixed to ``val``; it watches only that
+    feature variable, so the leaf memo still applies."""
 
     kind = "boom"
 
     def __init__(self, vid, val):
         super().__init__((vid,))
-        self.footprint = (vid,)
         self.vid, self.val = vid, val
 
     def propagate(self, model):

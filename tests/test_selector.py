@@ -100,8 +100,7 @@ def test_drain_with_all_bounds_posted_matches_everything():
     mark = model.mark()
     for b in cands:
         assert post_bound(model, b, fv, 4) is not None
-    remaining, missing = _drain(model, fv, xs, drain, by_isol, c)
-    assert (remaining, missing) == ([], False)
+    assert _drain(model, fv, xs, drain, by_isol, c) == []
     model.retract_to(mark)
 
 
@@ -111,16 +110,14 @@ def test_drain_single_record_before_sentinel():
     mark = model.mark()
     for b in cands:
         assert post_bound(model, b, fv, 4) is not None
-    remaining, missing = _drain(model, fv, xs, drain[-1:], by_isol, c)
-    assert (remaining, missing) == ([], False)
+    assert _drain(model, fv, xs, drain[-1:], by_isol, c) == []
     model.retract_to(mark)
 
 
 def test_drain_without_bounds_stops_at_first_degraded_transition():
     cands = catalog("binseq")
     model, fv, xs, records, drain, by_isol, c = _binseq_setup(4, cands)
-    remaining, missing = _drain(model, fv, xs, drain, by_isol, c)
-    assert missing is True
+    remaining = _drain(model, fv, xs, drain, by_isol, c)
     assert remaining and remaining == drain[len(drain) - len(remaining):]
 
 
@@ -139,7 +136,7 @@ def test_selection_with_no_candidates_selects_nothing():
 
 def test_select_one_requires_candidates():
     with pytest.raises(InvalidArgumentError):
-        selector._select_one(None, True, [], [])
+        selector._select_one(None, [], [])
 
 
 def test_vacuous_decoy_never_selected_and_never_changes_records():
@@ -242,7 +239,7 @@ def test_selection_state_is_restorable_to_the_entry_mark():
     drain = [r for r in records if r.sol]
     by_isol = {r.isol: r for r in records}
     engine = selector._IncrementalEngine(sc, model, fv, xs, drain, by_isol, c)
-    selected = selector._select(engine, drain, cands, None)
+    selected = selector._select(engine, drain, cands)
     assert selected
     model.retract_to(mark)
     assert model.snapshot() == snap
