@@ -166,10 +166,7 @@ def _scenario_candidates(args, object_name: str, n: int) -> list[BoundCandidate]
 
 
 def _strip_wall(report: selector.SelectionReport, timing: bool) -> dict:
-    payload = report.to_json()
-    if not timing:
-        payload["wall_ms"] = 0
-    return payload
+    return dict(report._asdict(), wall_ms=report.wall_ms if timing else 0)
 
 
 def cmd_select(args: argparse.Namespace) -> int:
@@ -225,9 +222,8 @@ def cmd_solutions(args: argparse.Namespace) -> int:
     counters = selector.Counters()
     model, featvars, xs = scenario.fresh(counters)
     without = selector.enumerate_all_solutions(model, featvars, xs, counters)
-
-    model2, featvars2, xs2 = scenario.fresh(counters)
-    with_all = selector.compute_all_solutions(model2, featvars2, xs2, cands, n, counters)
+    # each step retracts what it posts, so the bounded run reuses the model
+    with_all = selector.compute_all_solutions(model, featvars, xs, cands, n, counters)
     with_by_isol = {r.isol: r for r in with_all}
 
     rows = []

@@ -31,15 +31,17 @@ each feature prefix itself: the check never prunes and the prefix sets are
 prefix-closed, so a trial that the check would fail still counts exactly
 one failure.  Neither skip moves a fixpoint, a failure or a count.
 
-Every labeling searches to its full count: it ends at its first solution or
-once it has proved that none remains, never earlier.
+:func:`labeling` is the kernel's one search, and it has one mode: it ends
+at its first solution or once it has proved that none remains, never
+earlier, so every count is a full one.  Nothing here enumerates every
+solution; the tests do that with an enumerator of their own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidArgumentError
 
@@ -122,16 +124,9 @@ class Model:
         self._watchers.append([])
         return VarRef(self.model_id, vid)
 
-    def var_id(self, v: VarRef) -> int:
-        """The id of ``v`` in this model, for posting a propagator over it;
-        a variable of another model raises :class:`InvalidArgumentError`."""
-        model_id, vid = v
-        if model_id != self.model_id:
-            raise InvalidArgumentError("variable belongs to another model")
-        return vid
-
     def var_ids(self, vs: Sequence[VarRef]) -> list[int]:
-        """The ids of ``vs`` in this model, checked as :meth:`var_id` does."""
+        """The ids of ``vs`` in this model, for posting a propagator over
+        them; a variable of another model raises :class:`InvalidArgumentError`."""
         mid = self.model_id
         ids = [vid for model_id, vid in vs if model_id == mid]
         if len(ids) != len(vs):
@@ -139,7 +134,7 @@ class Model:
         return ids
 
     def domain(self, v: VarRef) -> tuple[int, ...]:
-        return self._doms[self.var_id(v)]
+        return self._doms[self.var_ids((v,))[0]]
 
     def dom(self, vid: int) -> tuple[int, ...]:
         return self._doms[vid]
@@ -445,26 +440,25 @@ class LeafMemo:
         return all(feats.issuperset(con.watched) for con in others)
 
 
-def _dfs(
-    model: Model,
-    order: Sequence[VarRef],
-    on_solution: Callable[[tuple[int, ...]], bool],
-    memo: LeafMemo | None = None,
-) -> int:
-    """Depth-first search over ``order``, fixing left to right by increasing value.
+def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
+    """Find the lexicographically smallest solution of featvars ++ xs.
 
-    ``on_solution`` receives each solution tuple and returns True to stop the
-    search.  Returns the backtrack count; the model state is restored.
-    ``memo`` (labeling only: its ``on_solution`` stops at the first
-    solution) is used when it applies to this search, and gives the same
-    count and solution as searching without it.
+    Variables are fixed left to right, scanning each domain by increasing
+    value.  Returns the backtrack count together with the solution, or
+    ``finished=True`` with the count spent proving that none remains.  The
+    model's leaf memo is used when it applies to this search, and gives the
+    same count and solution as searching without it.  The model state is
+    restored before returning.
     """
-    vids = model.var_ids(order)
+    vids = model.var_ids(list(featvars) + list(xs))
+    if not vids:
+        raise InvalidArgumentError("labeling needs at least one variable")
     last = len(vids)
     doms, trail, inq = model._doms, model._trail, model._inq
     set_dom, drain, undo = model._set_dom, model._drain, model._undo_to
     base = len(trail)
     nback = 0
+    memo = model.leaf_memo
     if memo is not None and not memo.applies(model, vids):
         memo = None
     cut, prefixes = (len(memo.featvars), memo.prefixes) if memo is not None else (-1, ())
@@ -476,12 +470,15 @@ def _dfs(
     found: tuple[int, ...] = ()
 
     def split(key: tuple[int, ...]) -> bool:
-        nonlocal nback
+        nonlocal nback, found
         state = tuple([doms[v] for v in memo.inner])
         hit = memo.table.get(key)
         if hit is not None and hit[0] == state:
             nback += hit[1]
-            return hit[2] is not None and on_solution(key + hit[2])
+            if hit[2] is None:
+                return False
+            found = key + hit[2]
+            return True
         before = nback
         stop = dfs(cut, None)
         if hit is None:
@@ -501,7 +498,7 @@ def _dfs(
         nonlocal nback, found
         if k == last:
             found = tuple([doms[v][0] for v in vids])
-            return on_solution(found)
+            return True
         if k == cut and prefix is not None:
             return split(prefix)
         vid = vids[k]
@@ -530,22 +527,4 @@ def _dfs(
         if memo is not None:
             inq[memo.check] = False
         undo(base)
-    return nback
-
-
-def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
-    """Find the lexicographically smallest solution of featvars ++ xs.
-
-    Variables are fixed left to right, scanning each domain by increasing
-    value.  Returns the backtrack count together with the solution, or
-    ``finished=True`` with the count spent proving that none remains.  The
-    model state is restored before returning.
-    """
-    order = list(featvars) + list(xs)
-    if not order:
-        raise InvalidArgumentError("labeling needs at least one variable")
-    found: list[tuple[int, ...]] = []
-    nback = _dfs(model, order, lambda sol: found.append(sol) or True, model.leaf_memo)
-    if found:
-        return LabelResult(nback, False, found[0])
-    return LabelResult(nback, True, ())
+    return LabelResult(nback, not found, found)

@@ -43,7 +43,9 @@ def check_size(object_name: str, n: int) -> None:
     the object's enumeration ceiling.
 
     Every table cache keyed by n checks this first, so none of them can
-    hold more than 50 partition and 21 binseq entries.
+    hold more than 50 partition and 21 binseq entries.  Those caches are
+    typed, so an equal float or bool misses the entry of its int and is
+    refused here.
     """
     ceiling = MAX_N.get(object_name)
     if ceiling is None:
@@ -73,39 +75,17 @@ def check_model_size(object_name: str, n: int) -> None:
         raise InvalidArgumentError(f"{object_name} model needs n >= 1")
 
 
-class PartitionFeatures(NamedTuple):
-    """Feature tuple of one partition of n elements into parts, laid out as
-    ``(n, *features)``: the slots an rhs reads."""
-
-    n: int
-    P: int
-    Mmin: int
-    Mmax: int
-    rangeM: int
-    S: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return self[1:]
+def _record(name: str, features: tuple[str, ...]) -> type:
+    """A feature record type laid out as ``(n, *features)``: the slots an
+    rhs reads, built from ``FEATURES`` so the two cannot disagree.
+    ``as_tuple()`` drops n."""
+    cls = NamedTuple(name, [("n", int)] + [(f, int) for f in features])
+    cls.as_tuple = lambda self: self[1:]
+    return cls
 
 
-class BinSeqFeatures(NamedTuple):
-    """Feature tuple of one 0/1 sequence, laid out as ``(n, *features)``:
-    the slots an rhs reads."""
-
-    n: int
-    N1: int
-    G: int
-    Gmin: int
-    Gmax: int
-    rangeG: int
-    GS: int
-    Dmin: int
-    Dmax: int
-    rangeD: int
-    DS: int
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return self[1:]
+PartitionFeatures = _record("PartitionFeatures", PARTITION_FEATURES)
+BinSeqFeatures = _record("BinSeqFeatures", BINSEQ_FEATURES)
 
 
 def partition_features(sizes: Sequence[int]) -> PartitionFeatures:
@@ -220,7 +200,7 @@ def _iter_part_sizes(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All feasible partition feature tuples for this n, lexicographically sorted."""
     check_size("partition", n)
@@ -228,7 +208,7 @@ def partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuples))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     """All feasible binary-sequence feature tuples for this n, sorted.
 
@@ -269,7 +249,7 @@ def feature_tuples(object_name: str, n: int) -> tuple[tuple[int, ...], ...]:
     return partition_tuples(n) if object_name == "partition" else binseq_tuples(n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def canonical_tuples(object_name: str, n: int) -> Mapping[tuple[int, ...], tuple[int, ...]]:
     """Each feasible feature tuple of the object at this n, mapped to itself.
 
@@ -282,7 +262,7 @@ def canonical_tuples(object_name: str, n: int) -> Mapping[tuple[int, ...], tuple
     return MappingProxyType({t: t for t in feature_tuples(object_name, n)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _prefix_sets(object_name: str, n: int) -> tuple[frozenset, ...]:
     """Per length k, every length-k prefix of a feasible feature tuple."""
     tuples = feature_tuples(object_name, n)

@@ -72,10 +72,6 @@ class AuditReport:
             return NotImplemented
         return vars(self) == vars(other)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def row(self) -> dict:
         return {
             "bound": self.bound_id,
@@ -95,7 +91,7 @@ class AuditReport:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _feature_table(object_name: str, n: int) -> tuple[tuple, array]:
     """Enumerate the objects of size n once per process.
 
@@ -117,10 +113,8 @@ def audit(bound: BoundCandidate, n: int) -> AuditReport:
     slack-0 witnesses, in enumeration order and with repeats.
 
     Each distinct feature tuple is evaluated once and weighted by how many
-    objects share it.  ``n`` is checked first: an equal float or bool
-    would otherwise hit the cached table of its int.
+    objects share it.
     """
-    check_size(bound.object, n)
     distinct, order = _feature_table(bound.object, n)
     rows = [(feats.as_tuple(), *verify_on(bound, feats)) for feats in distinct]
     report = AuditReport(bound_id=bound.id, n=n, instances=len(order),

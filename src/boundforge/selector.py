@@ -78,14 +78,6 @@ class SelectionReport(NamedTuple):
     labelings: int
     wall_ms: int
 
-    def to_json(self) -> dict:
-        return {
-            "selected": list(self.selected),
-            "posts": self.posts,
-            "labelings": self.labelings,
-            "wall_ms": self.wall_ms,
-        }
-
 
 class ObjectScenario:
     """A combinatorial object kind plus size; builds fresh posted models.

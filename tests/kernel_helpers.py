@@ -1,5 +1,5 @@
 """Test-only constraint kinds, a tuple-spec posting front end and an
-exhaustive enumerator over the kernel's one depth-first search.
+exhaustive enumerator that shares no code with the kernel's search.
 
 Nothing in the library needs these; the kernel tests, the acceptance
 fixtures and a few cross-checks do.
@@ -18,7 +18,6 @@ from boundforge.kernel import (
     Model,
     SumEq,
     VarRef,
-    _dfs,
     labeling,
     post_lex_greater,
 )
@@ -137,33 +136,50 @@ def post(model: Model, spec: tuple) -> int | None:
     Returns its id, or None when posting failed (the model is then
     unchanged).  Unknown kinds raise :class:`UnsupportedConstraintError`.
     """
+
+    def vid(v: VarRef) -> int:
+        return model.var_ids((v,))[0]
+
     kind = spec[0]
     if kind == "eq":
-        return model.post_constraint(EqVars(model.var_id(spec[1]), model.var_id(spec[2])))
+        return model.post_constraint(EqVars(vid(spec[1]), vid(spec[2])))
     if kind == "le_const":
-        return model.post_constraint(LeConst(model.var_id(spec[1]), spec[2]))
+        return model.post_constraint(LeConst(vid(spec[1]), spec[2]))
     if kind == "ge_const":
-        return model.post_constraint(GeConst(model.var_id(spec[1]), spec[2]))
+        return model.post_constraint(GeConst(vid(spec[1]), spec[2]))
     if kind == "sum_eq":
-        xs = [model.var_id(v) for v in spec[1]]
+        xs = model.var_ids(spec[1])
         total = spec[2]
         if isinstance(total, VarRef):
-            return model.post_constraint(SumEq(xs, model.var_id(total)))
+            return model.post_constraint(SumEq(xs, vid(total)))
         return model.post_constraint(SumEq(xs, None, int(total)))
     if kind == "lex_greater":
         return post_lex_greater(model, spec[1], spec[2])
     if kind == "check":
-        xs = [model.var_id(v) for v in spec[1]]
-        return model.post_constraint(Check(xs, spec[2]))
+        return model.post_constraint(Check(model.var_ids(spec[1]), spec[2]))
     raise UnsupportedConstraintError(f"unknown constraint kind {kind!r}")
 
 
 def solve_all(model: Model, order: Sequence[VarRef]) -> list[tuple[int, ...]]:
-    """Exhaustively enumerate every solution over ``order``.
+    """Every solution over ``order``, in lexicographic order.
 
-    Depth-first in the same order/value discipline as ``kernel.labeling``
-    (it is the same search); the model state is restored before returning.
+    An enumerator independent of ``kernel.labeling``, in the same order and
+    value discipline: variables are fixed left to right by increasing value
+    with ``Model.assign``, and each trial is undone on the trail.  It uses
+    no leaf memo.  The model state is restored before returning.
     """
+    vids = model.var_ids(order)
     out: list[tuple[int, ...]] = []
-    _dfs(model, order, lambda sol: out.append(sol) or False)
+
+    def extend(k: int) -> None:
+        if k == len(vids):
+            out.append(tuple(model.dom(v)[0] for v in vids))
+            return
+        for val in model.dom(vids[k]):
+            mark = len(model._trail)
+            if model.assign(vids[k], val):
+                extend(k + 1)
+            model._undo_to(mark)
+
+    extend(0)
     return out

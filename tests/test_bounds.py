@@ -384,9 +384,9 @@ def test_catalog_json_is_serializable_and_complete(capsys):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_catalog_soundness_small(n):
     for b in catalog("partition"):
-        assert oracle.audit(b, n).ok
+        assert not oracle.audit(b, n).violations
     for b in catalog("binseq"):
-        assert oracle.audit(b, n).ok
+        assert not oracle.audit(b, n).violations
 
 
 def test_guard_exhaustiveness_and_exclusivity():

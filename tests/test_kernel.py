@@ -274,7 +274,7 @@ def _lex_tail():
 
 
 @pytest.mark.parametrize("build", [_soup, _eq_chain, _no_solution, _lex_tail])
-def test_labeling_and_solve_all_share_one_search(build):
+def test_labeling_finds_the_first_solution_solve_all_lists(build):
     m, featvars, xs = build()
     before = m.snapshot()
     res = labeling(m, featvars, xs)

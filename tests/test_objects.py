@@ -34,6 +34,17 @@ def test_partition_features_examples():
     assert partition_features([4, 3, 1]) == PartitionFeatures(8, 3, 1, 4, 3, 26)
 
 
+@pytest.mark.parametrize("object_name, record, features", [
+    ("partition", PartitionFeatures, partition_features([4, 3, 1])),
+    ("binseq", BinSeqFeatures, binseq_features([1, 1, 0, 1, 0, 1])),
+])
+def test_the_record_layout_is_the_rhs_layout(object_name, record, features):
+    """``verify_on`` reads the lhs by name and the rhs by slot, so the record's
+    fields after n must be ``FEATURES`` in order."""
+    assert record._fields == ("n",) + objects.FEATURES[object_name]
+    assert features.as_tuple() == tuple(getattr(features, f) for f in objects.FEATURES[object_name])
+
+
 def test_partition_features_rejects_bad_input():
     with pytest.raises(InvalidArgumentError):
         partition_features([])
@@ -325,7 +336,12 @@ def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceili
     lambda n: ObjectScenario("partition", n),
     lambda n: make_model("binseq", n),
     lambda n: oracle.audit(decoy("binseq", "N1", 3), n),
-], ids=["ObjectScenario", "make_model", "oracle.audit"])
+    lambda n: objects.canonical_tuples("binseq", n),
+    lambda n: objects._prefix_sets("partition", n),
+    objects.partition_tuples,
+    objects.binseq_tuples,
+], ids=["ObjectScenario", "make_model", "oracle.audit", "canonical_tuples", "_prefix_sets",
+        "partition_tuples", "binseq_tuples"])
 def test_a_non_integer_n_is_refused_even_with_its_int_cached(build, n):
     """5.0 == 5 and True == 1 hash alike, so a warm table of the int would
     otherwise answer them."""

@@ -23,7 +23,7 @@ from boundforge.selector import (
     _drain,
 )
 
-from kernel_helpers import model_state, post
+from kernel_helpers import model_state, post, sweep_slice
 from test_parking import _Boom
 
 
@@ -205,6 +205,25 @@ def test_filtering_preservation_with_selected_subset():
         stored = {r.isol: r.nback for r in out.records}
         for rec in enumerate_all_solutions(model, fv, xs, c):
             assert rec.nback == stored[rec.isol]
+
+
+def test_every_selected_bound_is_necessary():
+    """The other half of most-filtering: with any one selected bound taken
+    away, the rest let some count rise above its stored one, and none drop."""
+    scenarios = [*sweep_slice(), ("binseq", 10, catalog("binseq")),
+                 ("partition", 8, catalog("partition"))]
+    for obj, n, cands in scenarios:
+        sc = ObjectScenario(obj, n)
+        out = run_selection(sc, cands)
+        stored = [r.nback for r in sorted(out.records, key=lambda r: r.isol)]
+        for i, b in enumerate(out.selected):
+            model, fv, xs = sc.fresh(Counters())
+            for other in out.selected[:i] + out.selected[i + 1:]:
+                assert post_bound(model, other, fv, n) is not None
+            counts = [r.nback for r in enumerate_all_solutions(model, fv, xs)]
+            assert len(counts) == len(stored)
+            assert all(c >= s for c, s in zip(counts, stored)), (obj, n, b.id)
+            assert counts != stored, (obj, n, b.id)
 
 
 def test_object_constraint_and_selected_posted_once():
