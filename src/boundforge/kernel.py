@@ -113,6 +113,25 @@ class Model:
         self._inq: list[bool] = []
         self.leaf_memo: LeafMemo | None = None  # attached by an object post
 
+    def copy(self) -> "Model":
+        """A new model, under a new id, in this model's state: its domains,
+        trail, queue flags and watcher lists, and its constraint objects
+        under the same ids.  The lists are copied, so the two models change
+        apart from then on; the constraint objects are shared, which is
+        sound only for kinds that keep no per-model state (the object's
+        own kinds keep none; a posted bound does).  The copy has no leaf
+        memo.  Only a model with an empty queue, as between searches and
+        posts, can be copied."""
+        if self._queue:
+            raise InvalidArgumentError("cannot copy a model while it propagates")
+        other = Model()
+        other._doms = self._doms.copy()
+        other._trail = self._trail.copy()
+        other._constraints = self._constraints.copy()
+        other._watchers = [w.copy() for w in self._watchers]
+        other._inq = self._inq.copy()
+        return other
+
     # -- variables ---------------------------------------------------------
 
     def new_var(self, lo: int, hi: int) -> VarRef:
@@ -424,6 +443,12 @@ class LeafMemo:
         self.table = table
         self.order = list(featvars + xs)
         self.feats = frozenset(featvars)
+
+    def with_table(self, table: dict) -> "LeafMemo":
+        """This memo for a copy of its model (:meth:`Model.copy`), storing
+        in ``table``."""
+        return LeafMemo(self.featvars, self.xs, self.inner, self.owned, self.check,
+                        self.prefixes, table)
 
     def applies(self, model: Model, vids: list[int]) -> bool:
         """True when labeling ``vids`` may use the memo: they are featvars

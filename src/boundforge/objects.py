@@ -368,12 +368,19 @@ class OccurrenceChannel(Constraint):
     number of used values; S is bracketed by the min/max of the sum of
     squared occurrences subject to the boxes and the total n.  No backward
     pruning from S; the ground checker settles everything at the leaves.
+
+    S is not watched.  The channel never reads S's domain: it prunes S to
+    a bracket computed from the occurrence bounds alone.  After a run S
+    lies inside that bracket, and a change to S only shrinks it, so S
+    stays inside; a change to anything the bracket is computed from
+    queues the channel through its other watches.  A wake-up on S alone
+    would therefore prune nothing and could not fail.
     """
 
     kind = "occurrence_channel"
 
     def __init__(self, xs: Sequence[int], occ: Sequence[int], p: int, s: int):
-        super().__init__(tuple(xs) + tuple(occ) + (p, s))
+        super().__init__(tuple(xs) + tuple(occ) + (p,))
         self.xs = tuple(xs)
         self.occ = tuple(occ)
         self.p = p
@@ -390,10 +397,13 @@ class OccurrenceChannel(Constraint):
                 fixed[d[0]] += 1
             for v in d:
                 possible[v] += 1
+        # each helper is called only where it prunes (a prune_ge that leaves
+        # the domain non-empty keeps its maximum, so d[-1] is still current)
         for j, ovid in enumerate(self.occ, start=1):
-            if not model.prune_ge(ovid, fixed[j]):
+            d = doms[ovid]
+            if d[0] < fixed[j] and not model.prune_ge(ovid, fixed[j]):
                 return False
-            if not model.prune_le(ovid, possible[j]):
+            if d[-1] > possible[j] and not model.prune_le(ovid, possible[j]):
                 return False
         for j, ovid in enumerate(self.occ, start=1):
             od = doms[ovid]
@@ -448,7 +458,13 @@ def _min_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
 
 
 def _max_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
-    # concentrate: fill coordinates to their caps, widest cap first
+    # concentrate: fill coordinates to their caps, widest cap first.  This is
+    # not the maximum on every box: lbs [3, 2, 0], ubs [6, 7, 4], total 6
+    # gives 18, while (4, 2, 0) reaches 20.  An undershoot here would prune
+    # a real solution's S and so change counts without failing anything.
+    # It is exact on the boxes the channel passes in: every call of cold
+    # partition selections, held against an exact maximum in
+    # tests/test_objects.py, agrees with it.
     vals = list(lbs)
     rest = total - sum(vals)
     for i in sorted(range(len(vals)), key=lambda i: -ubs[i]):
@@ -524,6 +540,40 @@ def post_object(
             _LEAF_TABLES.setdefault((object_name, n), {}),
         )
     return cid
+
+
+# one posted model per (object, n), never changed once stored; make_model
+# refuses an object or n before anything is stored, so like _LEAF_TABLES it
+# holds at most one entry per admitted size.  Each entry: the model and its
+# feature and sequence variable ids
+_TEMPLATES: dict[tuple[str, int], tuple[Model, list[int], list[int]]] = {}
+
+
+def posted_model(object_name: str, n: int) -> tuple[Model, list[VarRef], list[VarRef]] | None:
+    """A fresh model with the object posted, as :func:`make_model` then
+    :func:`post_object` build it, or None when the post fails.
+
+    The first call per object and n builds and posts a template; every call
+    returns a copy of it (:meth:`Model.copy`) with new handles to its
+    variables and a leaf memo that stores in the current table of that
+    object and n.  The object's constraints are shared by the copies: they
+    keep no per-model state.  A failed post is never kept, so each call
+    tries it again.
+    """
+    check_model_size(object_name, n)  # an equal float or bool must not hit an int's entry
+    key = (object_name, n)
+    template = _TEMPLATES.get(key)
+    if template is None:
+        model, featvars, xs = make_model(object_name, n)
+        if post_object(model, object_name, featvars, xs) is None:
+            return None
+        template = _TEMPLATES[key] = (model, [v.id for v in featvars], [v.id for v in xs])
+    model, fvids, xvids = template
+    copy = model.copy()
+    if model.leaf_memo is not None:  # the template is never searched: its table may be stale
+        copy.leaf_memo = model.leaf_memo.with_table(_LEAF_TABLES.setdefault(key, {}))
+    mid = copy.model_id
+    return copy, [VarRef(mid, v) for v in fvids], [VarRef(mid, v) for v in xvids]
 
 
 def _partition_ground(vals: list[int]) -> tuple[int, ...]:

@@ -10,8 +10,11 @@ without restarting from the first record.
 A reference baseline runs the identical control flow but rebuilds the
 model from scratch for every transition-checking trial (re-posting the
 object constraint, every already selected bound and the trial subset, and
-re-checking from the first record).  Selected lists are equal by
-construction; the posting counters expose the incremental savings.
+re-checking from the first record).  Every model, in both engines, starts
+as a fresh copy of the posted object model of its size
+(:meth:`ObjectScenario.fresh`), and each counts as one object post.
+Selected lists are equal by construction; the posting counters expose the
+incremental savings.
 
 Record semantics: record i stores the backtrack count of the search that
 produced solution i (from the lex-greater jump off solution i-1).  The
@@ -43,7 +46,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .kernel import Model, VarRef, labeling, post_lex_greater
-from .objects import canonical_tuples, check_model_size, make_model, post_object
+from .objects import canonical_tuples, check_model_size, posted_model
 
 
 class SolutionRecord(NamedTuple):
@@ -106,12 +109,14 @@ class ObjectScenario:
         return f"ObjectScenario({self.object!r}, {self.n!r})"
 
     def fresh(self, counters: Counters) -> tuple[Model, list[VarRef], list[VarRef]]:
-        model, featvars, xs = make_model(self.object, self.n)
-        cid = post_object(model, self.object, featvars, xs)
+        """A fresh model with the object posted, copied from the posted
+        template of this object and n (``objects.posted_model``); counts
+        one object post."""
+        built = posted_model(self.object, self.n)
         counters.posted("ctr", self.object)
-        if cid is None:
+        if built is None:
             raise InfeasibleModelError(f"{self.object} constraint failed at n={self.n}")
-        return model, featvars, xs
+        return built
 
 
 class SelectionOutcome(NamedTuple):
@@ -322,7 +327,9 @@ class _IncrementalEngine:
 
 
 class _BaselineEngine:
-    """Rebuilds the model from scratch for every transition-checking trial.
+    """Rebuilds the model from scratch for every transition-checking trial:
+    each trial starts from a fresh copy of the posted object model and
+    posts every bound again.
 
     Selected and trial bounds share one stack: :func:`_select` posts a
     selected bound only once it has retracted its trials."""

@@ -8,7 +8,7 @@ from itertools import groupby
 import pytest
 
 from boundforge import kernel, objects, oracle
-from boundforge.bounds import decoy
+from boundforge.bounds import catalog, decoy, post_bound
 from boundforge.errors import InternalInvariantError, InvalidArgumentError
 from boundforge.objects import (
     BINSEQ_FEATURES,
@@ -22,7 +22,12 @@ from boundforge.objects import (
     partition_tuples,
     post_object,
 )
-from boundforge.selector import ObjectScenario
+from boundforge.selector import (
+    Counters,
+    ObjectScenario,
+    run_baseline,
+    run_selection,
+)
 
 from kernel_helpers import solve_all
 
@@ -184,6 +189,110 @@ def test_occurrence_channel_fails_when_p_closure_leaves_too_few_slots():
         objects._min_sum_squares_in_box([1, 0], [1, 0], 2)
 
 
+def _exact_max_sum_squares(lbs, ubs, total):
+    """The largest sum of squares of a vector in the box that sums to
+    ``total``, by dynamic programming over the coordinates; None when no
+    vector of the box does."""
+    best = {0: 0}  # per partial sum, the largest sum of squares reaching it
+    for lo, hi in zip(lbs, ubs):
+        step = {}
+        for t, sq in best.items():
+            for v in range(lo, min(hi, total - t) + 1):
+                if step.get(t + v, -1) < sq + v * v:
+                    step[t + v] = sq + v * v
+        best = step
+    return best.get(total)
+
+
+def test_the_s_upper_bound_is_exact_on_every_box_the_channel_passes(monkeypatch):
+    """The greedy maximum undershoots on some boxes; an undershoot would
+    prune a real solution's S.  Every box of cold partition selections
+    (both engines, so the baseline's fresh models too) and of searches for
+    every solution, features first and sequence first, must get the exact
+    maximum."""
+    greedy = objects._max_sum_squares_in_box
+    assert greedy([3, 2, 0], [6, 7, 4], 6) == 18 < _exact_max_sum_squares([3, 2, 0], [6, 7, 4], 6)
+    boxes = set()
+    calls = 0
+
+    def recorded(lbs, ubs, total):
+        nonlocal calls
+        calls += 1
+        boxes.add((tuple(lbs), tuple(ubs), total))
+        return greedy(lbs, ubs, total)
+
+    monkeypatch.setattr(objects, "_max_sum_squares_in_box", recorded)
+    cat = catalog("partition")
+    for n in range(3, 8):
+        for engine in (run_selection, run_baseline):
+            for cands in (cat, cat[::-1]):
+                monkeypatch.delitem(objects._LEAF_TABLES, ("partition", n), raising=False)
+                engine(ObjectScenario("partition", n), cands)
+        model, featvars, xs = ObjectScenario("partition", n).fresh(Counters())
+        solve_all(model, featvars + xs)
+        solve_all(model, xs + featvars)
+    found = [(box, greedy(list(box[0]), list(box[1]), box[2]), _exact_max_sum_squares(*box))
+             for box in sorted(boxes)]
+    assert [f for f in found if f[1] != f[2]] == []
+    assert calls > 10_000 and len(boxes) > 400
+
+
+def _s_alone_prunes_nothing(model, con):
+    """Shrink S's domain inside itself, dropping one value at a time, and
+    fix it to each of its values, with no other domain changed; the channel
+    must succeed each time and leave the trail and queue as they were.
+    Returns the number of calls."""
+    doms, s = model._doms, con.s
+    d = doms[s]
+    if len(d) == 1:
+        return 0
+    trail = len(model._trail)
+    calls = 0
+    try:
+        for new in [d[:i] + d[i + 1:] for i in range(len(d))] + [(v,) for v in d]:
+            doms[s] = new
+            assert con.propagate(model)
+            assert len(model._trail) == trail and not model._queue
+            calls += 1
+    finally:
+        doms[s] = d
+    return calls
+
+
+def test_a_change_to_s_alone_never_prunes_through_the_channel(monkeypatch):
+    """The channel does not watch S: at every fixpoint of partition
+    searches up to n=6, a change to S alone must leave the channel
+    nothing to prune and nothing to fail."""
+    drain = kernel.Model._drain
+    seen = set()
+    calls = 0
+
+    def checked(model):
+        nonlocal calls
+        ok = drain(model)
+        state = model.snapshot()
+        if ok and state not in seen:
+            seen.add(state)
+            for con in model._constraints:
+                if type(con) is objects.OccurrenceChannel:
+                    calls += _s_alone_prunes_nothing(model, con)
+        return ok
+
+    monkeypatch.setattr(kernel.Model, "_drain", checked)
+    for n in range(1, 7):
+        model, featvars, xs = ObjectScenario("partition", n).fresh(Counters())
+        (channel,) = [con for con in model._constraints if type(con) is objects.OccurrenceChannel]
+        assert channel.s == featvars[objects.PARTITION_FEATURES.index("S")].id
+        assert channel.s not in channel.watched
+        assert set(channel.watched) == {*channel.xs, *channel.occ, channel.p}
+        run_selection(ObjectScenario("partition", n), catalog("partition"))
+        solve_all(model, featvars + xs)
+        for cand in catalog("partition"):
+            assert post_bound(model, cand, featvars, n) is not None
+        solve_all(model, featvars + xs)
+    assert len(seen) > 600 and calls > 6000
+
+
 def _stretches_and_gaps(bits):
     """Independent definition: 1-runs, and the 0-runs with a 1-run on each side."""
     runs = [(b, len(list(g))) for b, g in groupby(bits)]
@@ -313,6 +422,7 @@ _ENTRY_POINTS = {
     "initial_domains": objects.initial_domains,
     "canonical_tuples": objects.canonical_tuples,
     "ObjectScenario": ObjectScenario,
+    "posted_model": objects.posted_model,
     "decoy": lambda object_name, n: decoy(object_name, _features(object_name)[0], n),
 }
 
@@ -335,12 +445,13 @@ def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceili
 @pytest.mark.parametrize("build", [
     lambda n: ObjectScenario("partition", n),
     lambda n: make_model("binseq", n),
+    lambda n: objects.posted_model("binseq", n),
     lambda n: oracle.audit(decoy("binseq", "N1", 3), n),
     lambda n: objects.canonical_tuples("binseq", n),
     lambda n: objects._prefix_sets("partition", n),
     objects.partition_tuples,
     objects.binseq_tuples,
-], ids=["ObjectScenario", "make_model", "oracle.audit", "canonical_tuples", "_prefix_sets",
+], ids=["ObjectScenario", "make_model", "posted_model", "oracle.audit", "canonical_tuples", "_prefix_sets",
         "partition_tuples", "binseq_tuples"])
 def test_a_non_integer_n_is_refused_even_with_its_int_cached(build, n):
     """5.0 == 5 and True == 1 hash alike, so a warm table of the int would

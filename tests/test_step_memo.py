@@ -11,16 +11,18 @@ from __future__ import annotations
 
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from boundforge import selector
+from boundforge import oracle, selector
 from boundforge.bounds import BoundCandidate, by_id, catalog, decoy, post_bound, posted_bounds
-from boundforge.errors import CatalogSoundnessError
+from boundforge.errors import CatalogError, CatalogSoundnessError
+from boundforge.expr import NoCaseMatched
 from boundforge.objects import FEATURES, feature_tuples
 from boundforge.selector import Counters, ObjectScenario, StepMemo
 
 from kernel_helpers import sweep_slice
+from test_expr import _OPERATORS, _node
 from test_metamorphic import _tightened
 
 _search = selector._search
@@ -289,3 +291,59 @@ def test_more_sound_bounds_never_raise_a_step_count_nor_move_its_solution(lists)
         if not sol_big:
             return
         prev = sol_big[:width]
+
+
+def _random_rhs(object_name):
+    """``test_expr``'s random-tree strategy over the object's layout."""
+    leaves = st.one_of(st.integers(-3, 4), st.sampled_from(("n",) + FEATURES[object_name]))
+    return st.recursive(
+        leaves, lambda children: st.one_of([_node(op, children) for op in _OPERATORS]),
+        max_leaves=6)
+
+
+@st.composite
+def _gate_lists(draw):
+    """An object, an n, and catalog bounds mixed with one or two drawn
+    bounds: a random rhs tree, or a feature plus a constant."""
+    object_name = draw(st.sampled_from(sorted(FEATURES)))
+    n = draw(st.integers(2, 6 if object_name == "partition" else 7))
+    features = FEATURES[object_name]
+    cands = draw(st.lists(st.sampled_from(catalog(object_name)), max_size=3, unique=True))
+    for i in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            rhs = draw(_random_rhs(object_name))
+        else:
+            rhs = ("+", draw(st.sampled_from(features)), draw(st.integers(-2, 3)))
+        cand = BoundCandidate(f"DRAWN{i}", object_name, draw(st.sampled_from(features)),
+                              draw(st.sampled_from(["upper", "lower"])), rhs)
+        cands.insert(draw(st.integers(0, len(cands))), cand)
+    return object_name, n, cands
+
+
+def _oracle_sound(cand, n):
+    """No feasible tuple of size n violates ``cand``.  A tuple that no
+    guard matches counts as a violation: the search fails it."""
+    try:
+        return not oracle.audit(cand, n).violations
+    except NoCaseMatched:
+        return False
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_gate_lists())
+def test_the_soundness_gate_agrees_with_the_oracle(lists):
+    """``StepMemo.sound`` is on exactly when ``oracle.audit`` finds no
+    violation of any candidate at that n; a post refused as unsound counts
+    as the gate off.  An rhs that divides by a non-positive number is no
+    candidate at all, so such draws are dropped."""
+    object_name, n, cands = lists
+    try:
+        expected = all(_oracle_sound(cand, n) for cand in cands)
+        try:
+            gate = _gate_of(object_name, n, cands)
+        except CatalogSoundnessError:
+            gate = False
+    except CatalogError as exc:
+        assume(isinstance(exc, (NoCaseMatched, CatalogSoundnessError)))
+        raise
+    assert gate == expected
