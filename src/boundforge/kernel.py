@@ -286,10 +286,16 @@ class Model:
         self._queue.clear()
 
     def assign(self, vid: int, val: int) -> bool:
-        """Fix a variable and propagate to fixpoint; False on failure."""
+        """Fix a variable and propagate to fixpoint; False on failure.  A
+        propagator that raises leaves the queue empty and every flag off,
+        so nothing it left queued runs on a later call."""
         if not self.fix(vid, val):
             return False
-        return self._drain()
+        try:
+            return self._drain()
+        finally:
+            if self._queue:  # only when a propagator raised
+                self._clear_queue()
 
 
 # -- concrete constraints ----------------------------------------------------

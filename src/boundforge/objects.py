@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -375,6 +376,22 @@ class OccurrenceChannel(Constraint):
     stays inside; a change to anything the bracket is computed from
     queues the channel through its other watches.  A wake-up on S alone
     would therefore prune nothing and could not fail.
+
+    ``memo`` replays earlier runs (the subproblem equivalence of Chu,
+    Garcia de la Banda and Stuckey, CPAIOR 2010).  It maps P's domain to
+    one run: its state (the domains of ``watched``, in order), the writes
+    it made to them ((vid, new domain), in order, up to and including a
+    wipe-out) and its S bracket, or None when it failed.  A call in that
+    state replays the writes through ``Model._set_dom`` and prunes S from
+    the bracket.  The run reads nothing but the watched domains, so in an
+    equal state it makes the same writes, and the same ``_set_dom`` calls
+    leave the same trail, queue and flags.  S is in neither the state nor
+    the writes: the run never reads it, and each call prunes S's own
+    domain.  Any other call runs the channel, and is stored only when P's
+    domain has no entry.  Every copy of a partition template shares its
+    channel, so there is one memo per n, exact for every model.  The
+    library's propagators prune P only at its ends, so P's domain is an
+    interval and the memo holds at most n(n+1)/2 entries.
     """
 
     kind = "occurrence_channel"
@@ -385,8 +402,32 @@ class OccurrenceChannel(Constraint):
         self.occ = tuple(occ)
         self.p = p
         self.s = s
+        self.memo: dict[tuple[int, ...], tuple] = {}
+        self._state = itemgetter(*self.watched)  # the watched domains, P last
 
     def propagate(self, model: Model) -> bool:
+        doms = model._doms
+        state = self._state(doms)
+        key = state[-1]
+        hit = self.memo.get(key)
+        if hit is not None and hit[0] == state:
+            _, writes, bracket = hit
+            set_dom = model._set_dom
+            for vid, new in writes:
+                if not set_dom(vid, new):
+                    return False
+        else:
+            trail = model._trail
+            start = len(trail)
+            bracket = self._run(model)
+            if hit is None:
+                self.memo.setdefault(key, (state, _writes(trail[start:], doms), bracket))
+        if bracket is None:
+            return False
+        return model.prune_ge(self.s, bracket[0]) and model.prune_le(self.s, bracket[1])
+
+    def _run(self, model: Model) -> tuple[int, int] | None:
+        """Prune every watched variable; the S bracket, or None on failure."""
         doms = model._doms
         n = len(self.xs)
         fixed = [0] * (n + 1)
@@ -402,43 +443,54 @@ class OccurrenceChannel(Constraint):
         for j, ovid in enumerate(self.occ, start=1):
             d = doms[ovid]
             if d[0] < fixed[j] and not model.prune_ge(ovid, fixed[j]):
-                return False
+                return None
             if d[-1] > possible[j] and not model.prune_le(ovid, possible[j]):
-                return False
+                return None
         for j, ovid in enumerate(self.occ, start=1):
             od = doms[ovid]
             if od[-1] == fixed[j] and possible[j] > fixed[j]:
                 for vid in self.xs:
                     if len(doms[vid]) > 1 and not model.remove_value(vid, j):
-                        return False
+                        return None
             if od[0] == possible[j] and possible[j] > fixed[j]:
                 for vid in self.xs:
                     if j in doms[vid] and not model.fix(vid, j):
-                        return False
+                        return None
         lbs = [doms[v][0] for v in self.occ]
         ubs = [doms[v][-1] for v in self.occ]
         if sum(lbs) > n or sum(ubs) < n:
-            return False
+            return None
         pmin = sum(1 for lb in lbs if lb >= 1)
         pmax = sum(1 for ub in ubs if ub >= 1)
         if not (model.prune_ge(self.p, pmin) and model.prune_le(self.p, pmax)):
-            return False
+            return None
         pd = doms[self.p]
         if pd[-1] == pmin:
             for ovid, lb in zip(self.occ, lbs):
                 if lb == 0 and not model.prune_le(ovid, 0):
-                    return False
+                    return None
         if pd[0] == pmax:
             for ovid, ub in zip(self.occ, ubs):
                 if ub >= 1 and not model.prune_ge(ovid, 1):
-                    return False
+                    return None
         lbs = [doms[v][0] for v in self.occ]
         ubs = [doms[v][-1] for v in self.occ]
         if sum(ubs) < n:
-            return False
-        smin = _min_sum_squares_in_box(lbs, ubs, n)
-        smax = _max_sum_squares_in_box(lbs, ubs, n)
-        return model.prune_ge(self.s, smin) and model.prune_le(self.s, smax)
+            return None
+        return _min_sum_squares_in_box(lbs, ubs, n), _max_sum_squares_in_box(lbs, ubs, n)
+
+
+def _writes(entries: list, doms: list) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The (vid, new domain) writes that appended ``entries`` to the trail,
+    in order: each new domain is the old one of the next entry for its
+    variable, or its domain now."""
+    later: dict[int, tuple[int, ...]] = {}
+    writes = []
+    for vid, old in reversed(entries):
+        writes.append((vid, later.get(vid, doms[vid])))
+        later[vid] = old
+    writes.reverse()
+    return tuple(writes)
 
 
 def _min_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from boundforge.errors import InvalidArgumentError
-from boundforge.kernel import LabelResult, Model, SumEq, labeling, post_lex_greater
+from boundforge.kernel import Constraint, LabelResult, Model, SumEq, labeling, post_lex_greater
 
 from kernel_helpers import UnsupportedConstraintError, model_state, post, solve_all
 from test_parking import _Boom
@@ -200,6 +200,39 @@ def test_a_post_whose_propagation_raises_leaves_the_model_unchanged():
         m.post_constraint(SumEq([b], None, 2))
     assert model_state(m) == before
     assert m.assign(b, 0) and m.dom(a) == (3,)  # every propagator still wakes
+
+
+class _Woken(Constraint):
+    """Counts its runs and prunes nothing."""
+
+    kind = "woken"
+
+    def __init__(self, vid):
+        super().__init__((vid,))
+        self.runs = 0
+
+    def propagate(self, model):
+        self.runs += 1
+        return True
+
+
+def test_an_assign_whose_propagation_raises_leaves_nothing_queued():
+    """Fixing x queues both of its constraints; the first raises while the
+    second still waits.  The queue must be empty and every flag off after
+    the error, so the model can be copied and the next assign does not run
+    the constraint that was left waiting."""
+    m = Model()
+    x, y = m.new_var(0, 1).id, m.new_var(0, 1).id
+    assert m.post_constraint(_Boom(x, 1)) is not None
+    woken = _Woken(x)
+    assert m.post_constraint(woken) is not None
+    assert woken.runs == 1
+    with pytest.raises(RuntimeError):
+        m.assign(x, 1)
+    assert not m._queue and not any(m._inq)
+    m.copy()
+    m._undo_to(0)
+    assert m.assign(y, 0) and woken.runs == 1
 
 
 def test_labeling_returns_lex_smallest_vs_brute_force():

@@ -209,21 +209,30 @@ def test_the_s_upper_bound_is_exact_on_every_box_the_channel_passes(monkeypatch)
     prune a real solution's S.  Every box of cold partition selections
     (both engines, so the baseline's fresh models too) and of searches for
     every solution, features first and sequence first, must get the exact
-    maximum."""
+    maximum.  The channel computes the maximum only when it runs, not when
+    it replays a stored run, but a replayed state was run once, so every
+    box it would pass is still recorded; the models start from fresh
+    templates, so their channels' memos start empty."""
     greedy = objects._max_sum_squares_in_box
     assert greedy([3, 2, 0], [6, 7, 4], 6) == 18 < _exact_max_sum_squares([3, 2, 0], [6, 7, 4], 6)
     boxes = set()
     calls = 0
+    propagate = objects.OccurrenceChannel.propagate
 
-    def recorded(lbs, ubs, total):
+    def counted(con, model):
         nonlocal calls
         calls += 1
+        return propagate(con, model)
+
+    def recorded(lbs, ubs, total):
         boxes.add((tuple(lbs), tuple(ubs), total))
         return greedy(lbs, ubs, total)
 
+    monkeypatch.setattr(objects.OccurrenceChannel, "propagate", counted)
     monkeypatch.setattr(objects, "_max_sum_squares_in_box", recorded)
     cat = catalog("partition")
     for n in range(3, 8):
+        monkeypatch.delitem(objects._TEMPLATES, ("partition", n), raising=False)
         for engine in (run_selection, run_baseline):
             for cands in (cat, cat[::-1]):
                 monkeypatch.delitem(objects._LEAF_TABLES, ("partition", n), raising=False)
