@@ -81,11 +81,13 @@ class Constraint:
     helpers and returns False exactly when it wiped out a domain.  A kind
     that sets ``idempotent`` promises that a second ``propagate`` straight
     after a successful one prunes nothing, so its own prunings do not
-    re-schedule it.
+    re-schedule it.  A kind that sets ``shareable`` keeps no per-model
+    state, so :meth:`Model.copy` may hand one object to several models.
     """
 
     kind = "constraint"
     idempotent = False
+    shareable = False
 
     def __init__(self, watched: Sequence[int]):
         self.watched = tuple(dict.fromkeys(watched))
@@ -114,22 +116,24 @@ class Model:
         self.leaf_memo: LeafMemo | None = None  # attached by an object post
 
     def copy(self) -> "Model":
-        """A new model, under a new id, in this model's state: its domains,
-        trail, queue flags and watcher lists, and its constraint objects
-        under the same ids.  The lists are copied, so the two models change
-        apart from then on; the constraint objects are shared, which is
-        sound only for kinds that keep no per-model state (the object's
-        own kinds keep none; a posted bound does).  The copy has no leaf
-        memo.  Only a model with an empty queue, as between searches and
-        posts, can be copied."""
+        """A new model, under a new id, in this model's state: copies of its
+        domains, trail, queue flags and watcher lists, so the two change
+        apart from then on, and its constraint objects (same ids) and leaf
+        memo, table included, shared.  A model can be copied only with an
+        empty queue, as between searches and posts, and only when each of
+        its constraint kinds is ``shareable``; a posted bound is not."""
         if self._queue:
             raise InvalidArgumentError("cannot copy a model while it propagates")
+        for con in self._constraints:
+            if not con.shareable:
+                raise InvalidArgumentError(f"cannot copy a model with a {con.kind!r} constraint")
         other = Model()
         other._doms = self._doms.copy()
         other._trail = self._trail.copy()
         other._constraints = self._constraints.copy()
         other._watchers = [w.copy() for w in self._watchers]
         other._inq = self._inq.copy()
+        other.leaf_memo = self.leaf_memo
         return other
 
     # -- variables ---------------------------------------------------------
@@ -305,6 +309,7 @@ class SumEq(Constraint):
     """sum(xs) = total (variable or constant), bounds-consistent."""
 
     kind = "sum_eq"
+    shareable = True
 
     def __init__(self, xs: Sequence[int], total_var: int | None, total_const: int = 0):
         watched = tuple(xs) + ((total_var,) if total_var is not None else ())
@@ -355,6 +360,7 @@ class LexGreater(Constraint):
 
     kind = "lex_greater"
     idempotent = True
+    shareable = True
 
     def __init__(self, xs: Sequence[int], tup: Sequence[int]):
         if len(xs) != len(tup):
@@ -417,10 +423,10 @@ class LeafMemo:
     watches only feature variables (see :meth:`applies`).  So the rest of
     the search, its failed trials and its first solution, depends only on
     the fixed tuple and on the domains of ``inner`` (every non-feature
-    variable the owner reads).  ``table``, shared by every model of one
-    owner kind and size, maps each tuple to (``inner`` domains, failed
-    trials, witness over ``xs`` or None), so each such subtree is searched
-    once.
+    variable the owner reads).  ``table`` starts empty and maps each such
+    tuple, a feasible one, to (``inner`` domains, failed trials, witness
+    over ``xs`` or None), so each subtree is searched once.  Every copy of
+    the owner's model (:meth:`Model.copy`) shares the memo and its table.
 
     ``prefixes[k]`` holds every length-k feature prefix that some solution
     extends, closed under prefixes.  The owner posts a check (constraint id
@@ -438,7 +444,6 @@ class LeafMemo:
         owned: range,
         check: int,
         prefixes: tuple[frozenset, ...],
-        table: dict,
     ) -> None:
         self.featvars = featvars
         self.xs = xs
@@ -446,15 +451,9 @@ class LeafMemo:
         self.owned = owned
         self.check = check
         self.prefixes = prefixes
-        self.table = table
+        self.table: dict[tuple[int, ...], tuple] = {}
         self.order = list(featvars + xs)
         self.feats = frozenset(featvars)
-
-    def with_table(self, table: dict) -> "LeafMemo":
-        """This memo for a copy of its model (:meth:`Model.copy`), storing
-        in ``table``."""
-        return LeafMemo(self.featvars, self.xs, self.inner, self.owned, self.check,
-                        self.prefixes, table)
 
     def applies(self, model: Model, vids: list[int]) -> bool:
         """True when labeling ``vids`` may use the memo: they are featvars

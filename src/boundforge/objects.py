@@ -288,6 +288,7 @@ class PrefixFeasible(Constraint):
     """
 
     kind = "prefix_feasible"
+    shareable = True
 
     def __init__(self, featvars: Sequence[int], prefixes: tuple[frozenset, ...]):
         super().__init__(tuple(featvars))
@@ -316,6 +317,7 @@ class GroundChecker(Constraint):
     """
 
     kind = "ground_checker"
+    shareable = True
 
     def __init__(self, featvars: Sequence[int], xs: Sequence[int], extract):
         super().__init__(tuple(xs))
@@ -344,6 +346,7 @@ class PrecedenceCaps(Constraint):
     """Value precedence on partition colors: X1=1 and Xi <= max(prefix)+1."""
 
     kind = "value_precedence"
+    shareable = True
 
     def __init__(self, xs: Sequence[int]):
         super().__init__(tuple(xs))
@@ -395,6 +398,7 @@ class OccurrenceChannel(Constraint):
     """
 
     kind = "occurrence_channel"
+    shareable = True  # its memo is exact for every model, as said above
 
     def __init__(self, xs: Sequence[int], occ: Sequence[int], p: int, s: int):
         super().__init__(tuple(xs) + tuple(occ) + (p,))
@@ -494,7 +498,8 @@ def _writes(entries: list, doms: list) -> tuple[tuple[int, tuple[int, ...]], ...
 
 
 def _min_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
-    # water-filling: each extra unit goes to the smallest current value
+    # water-filling: each extra unit goes to the smallest current value.  It is
+    # exact: a separable convex minimum with unit steps is reached greedily
     vals = list(lbs)
     rest = total - sum(vals)
     while rest > 0:
@@ -527,12 +532,6 @@ def _max_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
 
 
 # -- posting -------------------------------------------------------------------
-
-
-# one leaf memo table per (object, n), shared by every model of the process;
-# its keys are feasible feature tuples, so it holds at most
-# len(feature_tuples(object, n)) entries
-_LEAF_TABLES: dict[tuple[str, int], dict] = {}
 
 
 def post_object(
@@ -589,15 +588,14 @@ def post_object(
             tuple(fvids), tuple(xvids), tuple(inner),
             range(mark.ncons, len(model._constraints)),
             mark.ncons + steps.index(check), prefixes,
-            _LEAF_TABLES.setdefault((object_name, n), {}),
         )
     return cid
 
 
-# one posted model per (object, n), never changed once stored; make_model
-# refuses an object or n before anything is stored, so like _LEAF_TABLES it
-# holds at most one entry per admitted size.  Each entry: the model and its
-# feature and sequence variable ids
+# one posted model per (object, n) with its feature and sequence variable
+# ids, never changed once stored: the size's search state, since its copies
+# share its leaf memo and channel, memos included; forget drops it.  Refused
+# sizes are never stored, so it holds at most one entry per admitted size.
 _TEMPLATES: dict[tuple[str, int], tuple[Model, list[int], list[int]]] = {}
 
 
@@ -606,10 +604,8 @@ def posted_model(object_name: str, n: int) -> tuple[Model, list[VarRef], list[Va
     :func:`post_object` build it, or None when the post fails.
 
     The first call per object and n builds and posts a template; every call
-    returns a copy of it (:meth:`Model.copy`) with new handles to its
-    variables and a leaf memo that stores in the current table of that
-    object and n.  The object's constraints are shared by the copies: they
-    keep no per-model state.  A failed post is never kept, so each call
+    returns a copy of it (:meth:`Model.copy`), sharing its memos, with new
+    handles to its variables.  A failed post is never kept, so each call
     tries it again.
     """
     check_model_size(object_name, n)  # an equal float or bool must not hit an int's entry
@@ -622,10 +618,15 @@ def posted_model(object_name: str, n: int) -> tuple[Model, list[VarRef], list[Va
         template = _TEMPLATES[key] = (model, [v.id for v in featvars], [v.id for v in xs])
     model, fvids, xvids = template
     copy = model.copy()
-    if model.leaf_memo is not None:  # the template is never searched: its table may be stale
-        copy.leaf_memo = model.leaf_memo.with_table(_LEAF_TABLES.setdefault(key, {}))
     mid = copy.model_id
     return copy, [VarRef(mid, v) for v in fvids], [VarRef(mid, v) for v in xvids]
+
+
+def forget(object_name: str, n: int) -> None:
+    """Start this size cold: drop its template, and with it the leaf table
+    and the channel memo its copies share.  Copies taken before keep theirs."""
+    check_model_size(object_name, n)  # an equal float or bool must not drop an int's entry
+    _TEMPLATES.pop((object_name, n), None)
 
 
 def _partition_ground(vals: list[int]) -> tuple[int, ...]:

@@ -51,14 +51,14 @@ class _Counted(OccurrenceChannel):
         return super()._run(model)
 
 
-def _cold(monkeypatch, n):
-    monkeypatch.delitem(objects._TEMPLATES, ("partition", n), raising=False)
-    monkeypatch.delitem(objects._LEAF_TABLES, ("partition", n), raising=False)
-
-
 def _channel(model):
     (con,) = [con for con in model._constraints if type(con) is OccurrenceChannel]
     return con
+
+
+def _shared_memo(n):
+    """The channel memo of the partition template at n, read through a copy."""
+    return _channel(ObjectScenario("partition", n).fresh(Counters())[0]).memo
 
 
 def _inputs(monkeypatch):
@@ -84,7 +84,7 @@ def _inputs(monkeypatch):
         for n in range(3, 8):
             for engine in (run_selection, run_baseline):
                 for cands in (cat, cat[::-1]):
-                    _cold(patch, n)
+                    objects.forget("partition", n)
                     engine(ObjectScenario("partition", n), cands)
             model, featvars, xs = ObjectScenario("partition", n).fresh(Counters())
             solve_all(model, featvars + xs)
@@ -154,15 +154,14 @@ def test_every_channel_memo_holds_at_most_one_entry_per_interval_of_p(monkeypatc
     monkeypatch.setattr(OccurrenceChannel, "propagate", checked)
     cat = catalog("partition")
     for n in range(3, 11):
-        _cold(monkeypatch, n)
         for engine in (run_selection, run_baseline):
-            monkeypatch.delitem(objects._LEAF_TABLES, ("partition", n), raising=False)
+            objects.forget("partition", n)
             engine(ObjectScenario("partition", n), cat)
         model, featvars, xs = ObjectScenario("partition", n).fresh(Counters())
         if n <= 8:
             solve_all(model, xs + featvars)
         memo = _channel(model).memo
-        assert _channel(objects._TEMPLATES[("partition", n)][0]).memo is memo
+        assert _shared_memo(n) is memo
         assert all(key == tuple(range(key[0], key[-1] + 1)) for key in memo)
         assert 0 < len(memo) <= n * (n + 1) // 2
     assert calls > 1000
@@ -173,7 +172,7 @@ def _result(outcome):
     return report.selected, report.posts, report.labelings, outcome.records
 
 
-def test_threads_that_share_a_channel_memo_select_as_one_thread_does(monkeypatch):
+def test_threads_that_share_a_channel_memo_select_as_one_thread_does():
     """Copies of one template share its channel, so threads that select at
     once store into one memo, in any order.  Whichever run an entry
     holds, a replay is exact: every threaded selection equals a serial
@@ -183,7 +182,7 @@ def test_threads_that_share_a_channel_memo_select_as_one_thread_does(monkeypatch
     jobs = [(engine, cands) for engine in (run_selection, run_baseline)
             for cands in (cat, cat[::-1], cat[1:], cat[:-1])]
     expected = [_result(engine(ObjectScenario("partition", n), cands)) for engine, cands in jobs]
-    _cold(monkeypatch, n)
+    objects.forget("partition", n)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -194,4 +193,4 @@ def test_threads_that_share_a_channel_memo_select_as_one_thread_does(monkeypatch
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
-    assert len(_channel(objects._TEMPLATES[("partition", n)][0]).memo) <= n * (n + 1) // 2
+    assert len(_shared_memo(n)) <= n * (n + 1) // 2

@@ -206,6 +206,7 @@ class _Woken(Constraint):
     """Counts its runs and prunes nothing."""
 
     kind = "woken"
+    shareable = True  # the one copy taken of its model never propagates
 
     def __init__(self, vid):
         super().__init__((vid,))

@@ -47,6 +47,11 @@ def _plain(object_name, n):
     return ObjectScenario(object_name, n).fresh(Counters())
 
 
+def _table(object_name, n):
+    """The leaf table of the size, read through a fresh copy."""
+    return _plain(object_name, n)[0].leaf_memo.table
+
+
 def _warm(object_name, n):
     """Search every feature tuple once, so the shared table holds them all."""
     model, featvars, xs = _plain(object_name, n)
@@ -54,7 +59,7 @@ def _warm(object_name, n):
 
 
 def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypatch):
-    objects._LEAF_TABLES.pop(("binseq", 10), None)  # start cold: misses, then hits
+    objects.forget("binseq", 10)  # start cold: misses, then hits
     check = _CrossCheck()
     monkeypatch.setattr(selector, "labeling", check)
     outcome = selector.run_selection(ObjectScenario("binseq", 10), catalog("binseq"))
@@ -63,7 +68,7 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
     assert check.calls == 467
     assert check.used == check.calls
     assert check.mismatches == []
-    table = objects._LEAF_TABLES[("binseq", 10)]
+    table = _table("binseq", 10)
     assert len(table) == 160 and set(table) <= set(binseq_tuples(10))
 
 
@@ -77,8 +82,8 @@ def test_sweep_slice_equals_the_memo_free_search_on_both_engines(monkeypatch, en
     assert check.used == check.calls
     assert check.mismatches == []
     for n in range(3, 9):
-        assert set(objects._LEAF_TABLES[("binseq", n)]) <= set(binseq_tuples(n))
-        assert set(objects._LEAF_TABLES[("partition", n)]) <= set(partition_tuples(n))
+        assert set(_table("binseq", n)) <= set(binseq_tuples(n))
+        assert set(_table("partition", n)) <= set(partition_tuples(n))
 
 
 def test_memo_is_attached_by_each_object_post_and_shared_per_size():
@@ -86,8 +91,8 @@ def test_memo_is_attached_by_each_object_post_and_shared_per_size():
     b, _, _ = _plain("binseq", 5)
     c, _, _ = _plain("partition", 5)
     assert a.leaf_memo is not None and c.leaf_memo is not None
-    assert a.leaf_memo.table is b.leaf_memo.table is objects._LEAF_TABLES[("binseq", 5)]
-    assert c.leaf_memo.table is objects._LEAF_TABLES[("partition", 5)]
+    assert a.leaf_memo is b.leaf_memo and a.leaf_memo.table is _table("binseq", 5)
+    assert c.leaf_memo.table is _table("partition", 5) is not a.leaf_memo.table
     assert a.leaf_memo.owned == range(0, 3) and c.leaf_memo.owned == range(0, 5)
 
 
@@ -120,7 +125,7 @@ def test_sequence_variable_narrowed_before_the_post_gets_no_memo():
     res = labeling(model, featvars, xs)
     assert res.sol == _first_solution(model, featvars, xs) == (1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0)
     # the memo's witness for that feature tuple is the lex-smallest single-one sequence
-    assert objects._LEAF_TABLES[("binseq", 4)][res.sol[:BINSEQ_WIDTH]][2] == (0, 0, 0, 1)
+    assert _table("binseq", 4)[res.sol[:BINSEQ_WIDTH]][2] == (0, 0, 0, 1)
 
 
 def test_retract_below_the_object_post_detaches_the_memo():
@@ -140,7 +145,7 @@ def test_sequence_variable_narrowed_after_the_post_is_searched_again():
     """No constraint records this narrowing; the split state differs from
     the stored one, so the subtree is searched and nothing is stored."""
     _warm("binseq", 4)
-    table = objects._LEAF_TABLES[("binseq", 4)]
+    table = _table("binseq", 4)
     before = dict(table)
     model, featvars, xs = _plain("binseq", 4)
     assert model.assign(xs[0].id, 1)
@@ -174,7 +179,7 @@ def test_a_constraint_that_watches_only_features_keeps_the_memo(object_name, fea
     """It never runs below the split, where every feature is fixed; what it
     prunes above the split shows in the split state.  The table it fills
     from those states must not answer a model without it."""
-    objects._LEAF_TABLES.pop((object_name, 5), None)
+    objects.forget(object_name, 5)
     try:
         model, featvars, xs = _plain(object_name, 5)
         fvid = featvars[objects.FEATURES[object_name].index(feature)].id
@@ -185,4 +190,4 @@ def test_a_constraint_that_watches_only_features_keeps_the_memo(object_name, fea
             assert _check_every_step(model, featvars, xs) > 2
         assert _check_every_step(*_plain(object_name, 5)) > 2
     finally:
-        objects._LEAF_TABLES.pop((object_name, 5), None)
+        objects.forget(object_name, 5)

@@ -6,6 +6,8 @@ from collections import Counter
 from itertools import groupby
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundforge import kernel, objects, oracle
 from boundforge.bounds import catalog, decoy, post_bound
@@ -189,19 +191,27 @@ def test_occurrence_channel_fails_when_p_closure_leaves_too_few_slots():
         objects._min_sum_squares_in_box([1, 0], [1, 0], 2)
 
 
-def _exact_max_sum_squares(lbs, ubs, total):
-    """The largest sum of squares of a vector in the box that sums to
-    ``total``, by dynamic programming over the coordinates; None when no
-    vector of the box does."""
-    best = {0: 0}  # per partial sum, the largest sum of squares reaching it
+def _exact_sum_squares(lbs, ubs, total, pick=max):
+    """The largest (``pick=max``) or least (``pick=min``) sum of squares of
+    a vector in the box that sums to ``total``, by dynamic programming over
+    the coordinates; None when no vector of the box does."""
+    best = {0: 0}  # per partial sum, the picked sum of squares reaching it
     for lo, hi in zip(lbs, ubs):
         step = {}
         for t, sq in best.items():
             for v in range(lo, min(hi, total - t) + 1):
-                if step.get(t + v, -1) < sq + v * v:
-                    step[t + v] = sq + v * v
+                step[t + v] = pick(step.get(t + v, sq + v * v), sq + v * v)
         best = step
     return best.get(total)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data(), box=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=5))
+def test_water_filling_reaches_the_exact_minimum_sum_of_squares(data, box):
+    """Every total the box can hold, as the channel calls it."""
+    lbs, ubs = [min(b) for b in box], [max(b) for b in box]
+    total = data.draw(st.integers(sum(lbs), sum(ubs)))
+    assert objects._min_sum_squares_in_box(lbs, ubs, total) == _exact_sum_squares(lbs, ubs, total, min)
 
 
 def test_the_s_upper_bound_is_exact_on_every_box_the_channel_passes(monkeypatch):
@@ -214,7 +224,7 @@ def test_the_s_upper_bound_is_exact_on_every_box_the_channel_passes(monkeypatch)
     box it would pass is still recorded; the models start from fresh
     templates, so their channels' memos start empty."""
     greedy = objects._max_sum_squares_in_box
-    assert greedy([3, 2, 0], [6, 7, 4], 6) == 18 < _exact_max_sum_squares([3, 2, 0], [6, 7, 4], 6)
+    assert greedy([3, 2, 0], [6, 7, 4], 6) == 18 < _exact_sum_squares([3, 2, 0], [6, 7, 4], 6)
     boxes = set()
     calls = 0
     propagate = objects.OccurrenceChannel.propagate
@@ -232,15 +242,14 @@ def test_the_s_upper_bound_is_exact_on_every_box_the_channel_passes(monkeypatch)
     monkeypatch.setattr(objects, "_max_sum_squares_in_box", recorded)
     cat = catalog("partition")
     for n in range(3, 8):
-        monkeypatch.delitem(objects._TEMPLATES, ("partition", n), raising=False)
         for engine in (run_selection, run_baseline):
             for cands in (cat, cat[::-1]):
-                monkeypatch.delitem(objects._LEAF_TABLES, ("partition", n), raising=False)
+                objects.forget("partition", n)
                 engine(ObjectScenario("partition", n), cands)
         model, featvars, xs = ObjectScenario("partition", n).fresh(Counters())
         solve_all(model, featvars + xs)
         solve_all(model, xs + featvars)
-    found = [(box, greedy(list(box[0]), list(box[1]), box[2]), _exact_max_sum_squares(*box))
+    found = [(box, greedy(list(box[0]), list(box[1]), box[2]), _exact_sum_squares(*box))
              for box in sorted(boxes)]
     assert [f for f in found if f[1] != f[2]] == []
     assert calls > 10_000 and len(boxes) > 400
@@ -432,6 +441,7 @@ _ENTRY_POINTS = {
     "canonical_tuples": objects.canonical_tuples,
     "ObjectScenario": ObjectScenario,
     "posted_model": objects.posted_model,
+    "forget": objects.forget,
     "decoy": lambda object_name, n: decoy(object_name, _features(object_name)[0], n),
 }
 
@@ -455,12 +465,13 @@ def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceili
     lambda n: ObjectScenario("partition", n),
     lambda n: make_model("binseq", n),
     lambda n: objects.posted_model("binseq", n),
+    lambda n: objects.forget("binseq", n),
     lambda n: oracle.audit(decoy("binseq", "N1", 3), n),
     lambda n: objects.canonical_tuples("binseq", n),
     lambda n: objects._prefix_sets("partition", n),
     objects.partition_tuples,
     objects.binseq_tuples,
-], ids=["ObjectScenario", "make_model", "posted_model", "oracle.audit", "canonical_tuples", "_prefix_sets",
+], ids=["ObjectScenario", "make_model", "posted_model", "forget", "oracle.audit", "canonical_tuples", "_prefix_sets",
         "partition_tuples", "binseq_tuples"])
 def test_a_non_integer_n_is_refused_even_with_its_int_cached(build, n):
     """5.0 == 5 and True == 1 hash alike, so a warm table of the int would

@@ -108,6 +108,7 @@ class _Boom(Constraint):
     feature variable, so the leaf memo still applies."""
 
     kind = "boom"
+    shareable = True
 
     def __init__(self, vid, val):
         super().__init__((vid,))

@@ -8,13 +8,16 @@ copy or the template.
 
 from __future__ import annotations
 
+import copy
+import operator
+
 import pytest
 
 from boundforge import objects
 from boundforge.bounds import catalog, post_bound
 from boundforge.errors import InfeasibleModelError, InvalidArgumentError
-from boundforge.kernel import Constraint, Model, TrailMark
-from boundforge.objects import make_model, post_object
+from boundforge.kernel import Constraint, Model, TrailMark, labeling
+from boundforge.objects import OccurrenceChannel, make_model, post_object
 from boundforge.selector import (
     Counters,
     ObjectScenario,
@@ -23,7 +26,7 @@ from boundforge.selector import (
     run_selection,
 )
 
-from kernel_helpers import model_state, post, sweep_slice
+from kernel_helpers import memo_free, model_state, post, sweep_slice
 
 SIZES = sorted({(object_name, n) for object_name, n, _ in sweep_slice()})
 
@@ -38,9 +41,8 @@ def _memo(model):
     return (memo.featvars, memo.xs, memo.inner, memo.owned, memo.check, memo.prefixes)
 
 
-def _template(object_name, n):
-    ObjectScenario(object_name, n).fresh(Counters())
-    return objects._TEMPLATES[(object_name, n)][0]
+def _channel_memos(model):
+    return [con.memo for con in model._constraints if type(con) is OccurrenceChannel]
 
 
 @pytest.mark.parametrize("object_name, n", SIZES)
@@ -48,14 +50,15 @@ def test_a_copy_is_the_model_make_model_and_post_object_build(object_name, n):
     built, bfeat, bxs = make_model(object_name, n)
     assert post_object(built, object_name, bfeat, bxs) is not None
     counters = Counters()
-    copy, featvars, xs = ObjectScenario(object_name, n).fresh(counters)
+    model, featvars, xs = ObjectScenario(object_name, n).fresh(counters)
+    other, _, _ = ObjectScenario(object_name, n).fresh(Counters())
     assert counters.by_tag == {("ctr", object_name): 1}
-    assert copy.model_id not in (built.model_id, _template(object_name, n).model_id)
-    assert _state(copy) == _state(built)
+    assert model.model_id not in (built.model_id, other.model_id)
+    assert _state(model) == _state(built)
     assert [v.id for v in featvars + xs] == [v.id for v in bfeat + bxs]
-    assert {v.model_id for v in featvars + xs} == {copy.model_id}
-    assert _memo(copy) == _memo(built)
-    assert copy.leaf_memo.table is objects._LEAF_TABLES[(object_name, n)]
+    assert {v.model_id for v in featvars + xs} == {model.model_id}
+    assert _memo(model) == _memo(built)
+    assert model.leaf_memo is other.leaf_memo and built.leaf_memo.table == {}
 
 
 @pytest.mark.parametrize("object_name, n", [("binseq", 6), ("partition", 6)])
@@ -63,10 +66,7 @@ def test_assign_post_and_retract_on_one_copy_reach_no_other_model(object_name, n
     scenario = ObjectScenario(object_name, n)
     a, featvars, xs = scenario.fresh(Counters())
     b, _, _ = scenario.fresh(Counters())
-    template = _template(object_name, n)
-    others = [b, template]
-    before = [_state(m) for m in others]
-    memos = [m.leaf_memo for m in others]
+    before, memo = _state(b), b.leaf_memo
     assert a.assign(xs[-1].id, a.dom(xs[-1].id)[-1])
     for cand in catalog(object_name):
         assert post_bound(a, cand, featvars, n) is not None
@@ -74,8 +74,10 @@ def test_assign_post_and_retract_on_one_copy_reach_no_other_model(object_name, n
     assert enumerate_all_solutions(a, featvars, xs)
     a.retract_to(TrailMark(a.model_id, 0, 0))  # below the object's own posts
     assert a.leaf_memo is None and not any(a._watchers)
-    assert [_state(m) for m in others] == before
-    assert [m.leaf_memo for m in others] == memos
+    # the template is untouched: a copy taken now is the one taken before
+    after, _, _ = scenario.fresh(Counters())
+    assert _state(b) == _state(after) == before
+    assert b.leaf_memo is after.leaf_memo is memo
 
 
 @pytest.mark.parametrize("object_name, n", [("binseq", 7), ("partition", 7)])
@@ -83,36 +85,79 @@ def test_searches_on_copies_leave_every_shared_constraint_as_it_was(object_name,
     scenario = ObjectScenario(object_name, n)
     a, afeat, axs = scenario.fresh(Counters())
     b, bfeat, bxs = scenario.fresh(Counters())
-    shared = _template(object_name, n)._constraints
-    assert all(x is y is z for x, y, z in zip(a._constraints, b._constraints, shared))
-    before = [dict(vars(con)) for con in shared]
+    shared = list(b._constraints)
+    assert len(a._constraints) == len(shared) and all(map(operator.is_, a._constraints, shared))
+    before = [_contents(con) for con in shared]
     enumerate_all_solutions(a, afeat, axs)
     for cand in catalog(object_name):
         assert post_bound(b, cand, bfeat, n) is not None
     enumerate_all_solutions(b, bfeat, bxs)
     run_selection(scenario, catalog(object_name))
     run_baseline(scenario, catalog(object_name))
-    assert [dict(vars(con)) for con in shared] == before
+    assert [_contents(con) for con in shared] == before
+    assert all(map(operator.is_, scenario.fresh(Counters())[0]._constraints, shared))
+
+
+def _contents(con):
+    """A deep copy of every attribute of ``con`` but the per-size cache it
+    keeps by design (``OccurrenceChannel.memo``), so a list or dict that
+    some run appends to shows.  A callable, such as the ground checker's
+    extractor or the channel's getter, is immutable and kept as itself."""
+    return {name: value if callable(value) else copy.deepcopy(value)
+            for name, value in vars(con).items()
+            if not (name == "memo" and isinstance(con, OccurrenceChannel))}
 
 
 def test_a_failed_object_post_raises_every_time_and_is_never_kept(monkeypatch):
-    key = ("binseq", 7)
-    monkeypatch.delitem(objects._TEMPLATES, key, raising=False)
-    monkeypatch.setattr(objects, "post_object", lambda *args: None)
+    objects.forget("binseq", 7)
+    posts = []
+    monkeypatch.setattr(objects, "post_object", lambda *args: posts.append(args))
     counters = Counters()
     for _ in range(2):
         with pytest.raises(InfeasibleModelError):
-            ObjectScenario(*key).fresh(counters)
+            ObjectScenario("binseq", 7).fresh(counters)
     assert counters.by_tag == {("ctr", "binseq"): 2}
-    assert key not in objects._TEMPLATES
+    assert len(posts) == 2  # the second call posted again: no template was kept
+
+
+@pytest.mark.parametrize("object_name", ["binseq", "partition"])
+def test_forget_starts_the_size_cold_and_leaves_earlier_copies_their_memos(object_name):
+    scenario = ObjectScenario(object_name, 6)
+    old, featvars, xs = scenario.fresh(Counters())
+    enumerate_all_solutions(old, featvars, xs)
+    table, channels = old.leaf_memo.table, _channel_memos(old)
+    assert table and len(channels) == (object_name == "partition")
+    assert all(len(memo) > 1 for memo in channels)
+    saved = copy.deepcopy((table, channels))
+    objects.forget(object_name, 6)
+    new, nfeat, nxs = scenario.fresh(Counters())
+    built, bfeat, bxs = make_model(object_name, 6)
+    assert post_object(built, object_name, bfeat, bxs) is not None
+    assert new.leaf_memo is not old.leaf_memo and new.leaf_memo.table == {}
+    # the channel runs once when the object is posted, and stores that run
+    assert _channel_memos(new) == _channel_memos(built)
+    assert all(len(memo) == 1 for memo in _channel_memos(new))
+    enumerate_all_solutions(new, nfeat, nxs)
+    assert old.leaf_memo.table is table and (table, channels) == saved
+    assert labeling(old, featvars, xs) == memo_free(old, featvars, xs)
 
 
 class _CopiesItsModel(Constraint):
     kind = "copies"
+    shareable = True
 
     def propagate(self, model):
         model.copy()
         return True
+
+
+def test_a_model_with_a_posted_bound_cannot_be_copied():
+    """A posted bound keeps per-model state (its slot list and ``acted``),
+    so a copy that shared it would let one model's searches reach another."""
+    model, featvars, _ = ObjectScenario("binseq", 6).fresh(Counters())
+    assert post_bound(model, catalog("binseq")[0], featvars, 6) is not None
+    with pytest.raises(InvalidArgumentError, match="'bound'"):
+        model.copy()
 
 
 def test_a_model_cannot_be_copied_while_it_propagates():
