@@ -19,7 +19,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalInvariantError, InvalidArgumentError
 from .kernel import Constraint, LeafMemo, Model, SumEq, VarRef
@@ -33,8 +33,9 @@ FEATURES = {"partition": PARTITION_FEATURES, "binseq": BINSEQ_FEATURES}
 # largest n whose feasible feature tuples are enumerated.  The oracle's
 # exhaustive walk sets them (Python 3.11 on a 2-core host: 7 s for the 2**n
 # sequences at n=20, 3 s for the p(n) partitions at n=50, each about 4x
-# more per step of 2 or 10); the binseq tuple table, built from stretch and
-# gap multisets, takes about 0.02 s at n=20
+# more per step of 2 or 10); both tuple tables are built from multiset
+# shapes instead, in about 0.02 s for binseq n=20 and 0.8 s for partition
+# n=50
 MAX_N = {"partition": 50, "binseq": 20}
 
 
@@ -43,10 +44,11 @@ def check_size(object_name: str, n: int) -> None:
     included), an n below 1 (partitions) or 0 (sequences), or an n above
     the object's enumeration ceiling.
 
-    Every table cache keyed by n checks this first, so none of them can
-    hold more than 50 partition and 21 binseq entries.  Those caches are
-    typed, so an equal float or bool misses the entry of its int and is
-    refused here.
+    Every table cache keyed by n checks this first, so
+    :func:`feature_tuples`, the one tuple table, holds at most 50 partition
+    and 21 binseq entries, and no cache read from it holds more.  Those
+    caches are typed, so an equal float or bool misses the entry of its
+    int and is refused here.
     """
     ceiling = MAX_N.get(object_name)
     if ceiling is None:
@@ -191,36 +193,25 @@ def make_model(object_name: str, n: int) -> tuple[Model, list[VarRef], list[VarR
 # -- feasible feature tuples (ground truth used by the check-only tests) ------
 
 
-def _iter_part_sizes(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    top = min(cap, n) if cap is not None else n
-    for first in range(top, 0, -1):
-        for rest in _iter_part_sizes(n - first, first):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None, typed=True)
-def partition_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """All feasible partition feature tuples for this n, lexicographically sorted."""
-    check_size("partition", n)
-    tuples = {partition_features(sizes).as_tuple() for sizes in _iter_part_sizes(n)}
-    return tuple(sorted(tuples))
+def feature_tuples(object_name: str, n: int) -> tuple[tuple[int, ...], ...]:
+    """All feasible feature tuples of the object at this n, sorted.
 
+    Both tables are built from multiset shapes, not from the objects;
+    ``oracle.enum_partitions`` and ``oracle.enum_binseqs`` walk those.
 
-@lru_cache(maxsize=None, typed=True)
-def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
-    """All feasible binary-sequence feature tuples for this n, sorted.
+    A partition's features are the count, least, greatest and sum of
+    squares of its parts, so its tuple is the shape of the multiset of its
+    part sizes, and every multiset of positive parts summing to n is a
+    partition of n: the tuples are the shapes whose sum is exactly n.
 
-    A tuple depends only on the multiset of stretch lengths (G parts
+    A binseq tuple depends only on the multiset of stretch lengths (G parts
     summing to N1) and the multiset of gap lengths (G-1 parts summing to
     D), and any two such multisets with N1 + D <= n occur together: the
     stretches and gaps alternate in any order, and the n - N1 - D other
-    zeros go outside.  So the table is built from the multisets, not from
-    the 2**n sequences; ``oracle.enum_binseqs`` walks those.
+    zeros go outside.
     """
-    check_size("binseq", n)
+    check_size(object_name, n)
     # shapes[k]: (sum, min, max, sum of squares) of every multiset of k
     # positive parts whose sum is at most n; a part added is never above
     # the least one so far, so each multiset is reached in one order
@@ -228,6 +219,9 @@ def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
     while shapes[-1]:
         shapes.append({(t + q, q, hi, sq + q * q) for t, lo, hi, sq in shapes[-1]
                        for q in range(1, min(lo, n - t) + 1)})
+    if object_name == "partition":
+        return tuple(sorted((k, lo, hi, hi - lo, sq) for k, level in enumerate(shapes)
+                            for t, lo, hi, sq in level if t == n))
     tuples = {(0,) * len(BINSEQ_FEATURES)}  # no stretch: the all-zero sequence
     for g in range(1, len(shapes) - 1):
         # the least total of g-1 gaps giving each (Dmin, Dmax, rangeD, DS)
@@ -242,12 +236,6 @@ def binseq_tuples(n: int) -> tuple[tuple[int, ...], ...]:
             head = (n1, g, gmin, gmax, gmax - gmin, gs)
             tuples.update([head + tail for tail in tails[:bisect_right(totals, n - n1)]])
     return tuple(sorted(tuples))
-
-
-def feature_tuples(object_name: str, n: int) -> tuple[tuple[int, ...], ...]:
-    """All feasible feature tuples of the object at this n, sorted."""
-    check_size(object_name, n)
-    return partition_tuples(n) if object_name == "partition" else binseq_tuples(n)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -544,9 +532,10 @@ def post_object(
     A partition also gets n hidden occurrence variables, and its colour
     witnesses are value precedence canonical.  Every step is posted, or
     all of them are rolled back: returns the id of the last one posted, or
-    None.  On success the model gets the object's leaf memo, if every
-    sequence variable had its :func:`make_model` domain at post time;
-    otherwise it gets none, and labeling searches every subtree.
+    None.  On success the model gets its own leaf memo, with an empty
+    table: it is filled from this model's searches, and every entry is
+    checked against the domains at the split, so it is exact whatever the
+    sequence variables' domains were at post time.
     """
     n = len(xs)
     prefixes = _prefix_sets(object_name, n)  # refuses the object or n before any new var
@@ -555,8 +544,6 @@ def post_object(
         raise InvalidArgumentError(f"{object_name} takes {width} feature variables")
     fvids = model.var_ids(featvars)
     xvids = model.var_ids(xs)
-    dom = _sequence_domain(object_name, n)
-    fresh = all(model._doms[v] == dom for v in xvids)
     check = PrefixFeasible(fvids, prefixes)
     if object_name == "partition":
         ovids = [model.new_var(0, n).id for _ in range(n)]
@@ -582,13 +569,11 @@ def post_object(
         if cid is None:
             model.retract_to(mark)
             return None
-    model.leaf_memo = None
-    if fresh:
-        model.leaf_memo = LeafMemo(
-            tuple(fvids), tuple(xvids), tuple(inner),
-            range(mark.ncons, len(model._constraints)),
-            mark.ncons + steps.index(check), prefixes,
-        )
+    model.leaf_memo = LeafMemo(
+        tuple(fvids), tuple(xvids), tuple(inner),
+        range(mark.ncons, len(model._constraints)),
+        mark.ncons + steps.index(check), prefixes,
+    )
     return cid
 
 

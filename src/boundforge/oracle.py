@@ -4,15 +4,15 @@ Everything here enumerates objects exhaustively and evaluates definitions
 directly; nothing depends on the constraint kernel, so model behaviour and
 catalog formulas can both be audited against it.
 
-``objects.partition_tuples`` and ``objects.binseq_tuples`` feed the
-models' prefix check (``PrefixFeasible``) and leaf memo, and
+``objects.feature_tuples`` feeds the models' prefix check
+(``PrefixFeasible``) and leaf memo, and
 ``test_feature_table_agrees_with_the_tuple_tables`` is the only
-independent check of them: with one shared enumerator, an object it
+independent check of it: with one shared enumerator, an object it
 dropped would be missing from the models and from the oracle alike, and
-no audit could notice.  So ``enum_partitions`` deliberately duplicates
-the partition enumeration behind ``objects.partition_tuples``, and
-``enum_binseqs`` walks all 2**n sequences, where ``objects.binseq_tuples``
-builds its table from stretch and gap multisets.
+no audit could notice.  So the oracle is the only walk of the objects:
+``enum_partitions`` walks all p(n) partitions and ``enum_binseqs`` all
+2**n sequences, where ``objects.feature_tuples`` builds both objects'
+tables from multiset shapes.
 
 An audit still extracts the features of every object of its size, but it
 evaluates each distinct feature tuple once and weights it by how many
@@ -34,8 +34,7 @@ from .objects import binseq_features, check_size, partition_features
 
 def enum_partitions(n: int) -> list[tuple[int, ...]]:
     """All multisets of positive integers summing to n, non-increasing."""
-    if n < 1:
-        raise InvalidArgumentError("partitions need n >= 1")
+    check_size("partition", n)
     out: list[tuple[int, ...]] = []
 
     def rec(rest: int, cap: int, acc: tuple[int, ...]) -> None:
@@ -51,8 +50,7 @@ def enum_partitions(n: int) -> list[tuple[int, ...]]:
 
 def enum_binseqs(n: int) -> Iterator[tuple[int, ...]]:
     """All 2**n binary sequences of length n, each exactly once."""
-    if n < 0:
-        raise InvalidArgumentError("sequences need n >= 0")
+    check_size("binseq", n)
     return product((0, 1), repeat=n)
 
 

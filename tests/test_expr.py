@@ -13,7 +13,7 @@ from boundforge import expr
 from boundforge.bounds import BoundCandidate, catalog
 from boundforge.errors import CatalogError
 from boundforge.expr import NoCaseMatched
-from boundforge.objects import FEATURES, binseq_tuples, partition_tuples
+from boundforge.objects import FEATURES, feature_tuples
 
 
 def _reference(node, layout, env):
@@ -67,13 +67,12 @@ def _outcome(fn, *args):
 
 
 def test_every_catalog_rhs_equals_the_reference_on_every_feasible_tuple():
-    tables = {"partition": (partition_tuples, 10), "binseq": (binseq_tuples, 12)}
+    tops = {"partition": 10, "binseq": 12}
     checked = 0
     for b in catalog():
         layout = ("n",) + FEATURES[b.object]
-        tuples, top = tables[b.object]
-        for n in range(1, top + 1):
-            for tup in tuples(n):
+        for n in range(1, tops[b.object] + 1):
+            for tup in feature_tuples(b.object, n):
                 env = (n,) + tup
                 got = _outcome(b.evaluate, env)
                 assert got == _outcome(_reference, b.rhs, layout, env), (b.id, env)

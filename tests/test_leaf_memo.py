@@ -14,7 +14,7 @@ import pytest
 from boundforge import objects, selector
 from boundforge.bounds import catalog
 from boundforge.kernel import Constraint, LabelResult, labeling
-from boundforge.objects import binseq_tuples, make_model, partition_tuples, post_object
+from boundforge.objects import feature_tuples, make_model, post_object
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
 from kernel_helpers import memo_free, post, solve_all, sweep_slice
@@ -69,7 +69,7 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
     assert check.used == check.calls
     assert check.mismatches == []
     table = _table("binseq", 10)
-    assert len(table) == 160 and set(table) <= set(binseq_tuples(10))
+    assert len(table) == 160 and set(table) <= set(feature_tuples("binseq", 10))
 
 
 @pytest.mark.parametrize("engine", [selector.run_selection, selector.run_baseline])
@@ -82,8 +82,8 @@ def test_sweep_slice_equals_the_memo_free_search_on_both_engines(monkeypatch, en
     assert check.used == check.calls
     assert check.mismatches == []
     for n in range(3, 9):
-        assert set(_table("binseq", n)) <= set(binseq_tuples(n))
-        assert set(_table("partition", n)) <= set(partition_tuples(n))
+        assert set(_table("binseq", n)) <= set(feature_tuples("binseq", n))
+        assert set(_table("partition", n)) <= set(feature_tuples("partition", n))
 
 
 def test_memo_is_attached_by_each_object_post_and_shared_per_size():
@@ -116,15 +116,19 @@ def test_check_posted_after_the_object_bypasses_the_memo():
     assert res != plain
 
 
-def test_sequence_variable_narrowed_before_the_post_gets_no_memo():
+def test_sequence_variable_narrowed_before_the_post_gets_its_own_memo():
+    """Its table starts empty and is filled from this model's own split
+    states, so the warm table of the size cannot answer it."""
     _warm("binseq", 4)
     model, featvars, xs = make_model("binseq", 4)
     assert model.assign(xs[0].id, 1)
     assert post_object(model, "binseq", featvars, xs) is not None
-    assert model.leaf_memo is None
-    res = labeling(model, featvars, xs)
+    assert model.leaf_memo is not None and model.leaf_memo.table == {}
+    for _ in range(2):  # cold, then from its own table
+        res = labeling(model, featvars, xs)
+        assert res == memo_free(model, featvars, xs)
     assert res.sol == _first_solution(model, featvars, xs) == (1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0)
-    # the memo's witness for that feature tuple is the lex-smallest single-one sequence
+    # the size's witness for that feature tuple is the lex-smallest single-one sequence
     assert _table("binseq", 4)[res.sol[:BINSEQ_WIDTH]][2] == (0, 0, 0, 1)
 
 

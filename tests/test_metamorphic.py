@@ -16,10 +16,8 @@ from boundforge import oracle
 from boundforge.bounds import BoundCandidate, catalog, post_bound
 from boundforge.errors import CatalogSoundnessError
 from boundforge.kernel import labeling, post_lex_greater
-from boundforge.objects import binseq_tuples, partition_tuples
+from boundforge.objects import FEATURES, feature_tuples
 from boundforge.selector import Counters, ObjectScenario, compute_all_solutions
-
-_TUPLES = {"binseq": binseq_tuples, "partition": partition_tuples}
 
 
 def _fresh(object_name, n):
@@ -41,7 +39,7 @@ def _apply(model, featvars, xs, n, op) -> bool:
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(data=st.data(), object_name=st.sampled_from(sorted(_TUPLES)))
+@given(data=st.data(), object_name=st.sampled_from(sorted(FEATURES)))
 def test_retract_to_restores_every_mark_of_a_random_interleaving(data, object_name):
     """Posts of bounds and lex constraints, assignments, marks and retractions
     in random order: each ``retract_to`` gives back the exact domains and
@@ -50,7 +48,7 @@ def test_retract_to_restores_every_mark_of_a_random_interleaving(data, object_na
     the operations still in effect."""
     n = data.draw(st.integers(1, 6), label="n")
     cat = catalog(object_name)
-    tuples = _TUPLES[object_name](n)
+    tuples = feature_tuples(object_name, n)
     model, featvars, xs = _fresh(object_name, n)
     ops = []  # the successful operations since the object post, in order
     marks = [(model.mark(), model.snapshot(), len(model._constraints), 0, _watchers(model))]

@@ -18,10 +18,9 @@ from boundforge.objects import (
     GroundChecker,
     PartitionFeatures,
     binseq_features,
-    binseq_tuples,
+    feature_tuples,
     make_model,
     partition_features,
-    partition_tuples,
     post_object,
 )
 from boundforge.selector import (
@@ -143,7 +142,7 @@ def test_post_binseq_small_solution_sets():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_partition_projection_completeness(n):
     tuples, sols = _model_tuples("partition", n)
-    assert tuples == set(partition_tuples(n))
+    assert tuples == set(feature_tuples("partition", n))
     for s in sols:  # witness soundness
         counts: dict[int, int] = {}
         for v in s[:n]:
@@ -154,7 +153,7 @@ def test_partition_projection_completeness(n):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_binseq_projection_completeness(n):
     tuples, sols = _model_tuples("binseq", n)
-    assert tuples == set(binseq_tuples(n))
+    assert tuples == set(feature_tuples("binseq", n))
     for s in sols:  # witness soundness
         assert binseq_features(list(s[:n])).as_tuple() == s[n:]
 
@@ -392,9 +391,14 @@ def test_the_ground_checker_pins_the_features_only_once_every_sequence_variable_
 def test_tuple_tables_refuse_n_above_the_enumeration_ceiling():
     assert objects.MAX_N == {"partition": 50, "binseq": 20}
     with pytest.raises(InvalidArgumentError, match="binseq n=21 exceeds"):
-        binseq_tuples(21)
+        feature_tuples("binseq", 21)
     with pytest.raises(InvalidArgumentError, match="partition n=51 exceeds"):
-        partition_tuples(51)
+        feature_tuples("partition", 51)
+    # the oracle's walks too: p(n) and 2**n grow too fast to run there
+    with pytest.raises(InvalidArgumentError, match="binseq n=21 exceeds"):
+        oracle.enum_binseqs(21)
+    with pytest.raises(InvalidArgumentError, match="partition n=51 exceeds"):
+        oracle.enum_partitions(51)
     model = kernel.Model()
     featvars = [model.new_var(1, 60) for _ in objects.PARTITION_FEATURES]
     xs = [model.new_var(1, 60) for _ in range(60)]
@@ -405,20 +409,20 @@ def test_tuple_tables_refuse_n_above_the_enumeration_ceiling():
 
 
 @pytest.mark.parametrize(
-    "table,n,message",
+    "object_name,n,message",
     [
-        (binseq_tuples, -1, "sequences need n >= 0"),
-        (binseq_tuples, -5, "sequences need n >= 0"),
-        (partition_tuples, 0, "partitions need n >= 1"),
-        (partition_tuples, -2, "partitions need n >= 1"),
+        ("binseq", -1, "sequences need n >= 0"),
+        ("binseq", -5, "sequences need n >= 0"),
+        ("partition", 0, "partitions need n >= 1"),
+        ("partition", -2, "partitions need n >= 1"),
     ],
     ids=["binseq-1", "binseq-5", "partition0", "partition-2"],
 )
-def test_tuple_tables_refuse_n_below_the_smallest_size(table, n, message):
-    before = table.cache_info().currsize
+def test_tuple_tables_refuse_n_below_the_smallest_size(object_name, n, message):
+    before = feature_tuples.cache_info().currsize
     with pytest.raises(InvalidArgumentError, match=message):
-        table(n)
-    assert table.cache_info().currsize == before
+        feature_tuples(object_name, n)
+    assert feature_tuples.cache_info().currsize == before
 
 
 # a model with the variables of an object post over any n <= 60, on which
@@ -469,10 +473,12 @@ def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceili
     lambda n: oracle.audit(decoy("binseq", "N1", 3), n),
     lambda n: objects.canonical_tuples("binseq", n),
     lambda n: objects._prefix_sets("partition", n),
-    objects.partition_tuples,
-    objects.binseq_tuples,
+    lambda n: feature_tuples("partition", n),
+    lambda n: feature_tuples("binseq", n),
+    oracle.enum_partitions,
+    oracle.enum_binseqs,
 ], ids=["ObjectScenario", "make_model", "posted_model", "forget", "oracle.audit", "canonical_tuples", "_prefix_sets",
-        "partition_tuples", "binseq_tuples"])
+        "feature_tuples-partition", "feature_tuples-binseq", "enum_partitions", "enum_binseqs"])
 def test_a_non_integer_n_is_refused_even_with_its_int_cached(build, n):
     """5.0 == 5 and True == 1 hash alike, so a warm table of the int would
     otherwise answer them."""

@@ -7,7 +7,7 @@ import pytest
 from boundforge import oracle
 from boundforge.bounds import BoundCandidate, by_id, catalog, decoy, verify_on
 from boundforge.errors import CatalogError, InvalidArgumentError
-from boundforge.objects import binseq_features, binseq_tuples, partition_features, partition_tuples
+from boundforge.objects import binseq_features, feature_tuples, partition_features
 
 PARTITION_COUNTS = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15, 8: 22, 9: 30, 10: 42}
 
@@ -228,14 +228,12 @@ def test_audit_raises_like_the_reference_when_the_rhs_raises(divisor):
 
 @pytest.mark.parametrize(
     "object_name,n",
-    [("binseq", n) for n in range(0, 15)] + [("partition", n) for n in range(1, 11)],
+    [("binseq", n) for n in range(0, 15)] + [("partition", n) for n in range(1, 36)],
 )
 def test_feature_table_agrees_with_the_tuple_tables(object_name, n):
     distinct, order = oracle._feature_table(object_name, n)
-    if object_name == "binseq":
-        tuples, count = binseq_tuples(n), 2**n
-    else:
-        tuples, count = partition_tuples(n), len(oracle.enum_partitions(n))
+    tuples = feature_tuples(object_name, n)
+    count = 2**n if object_name == "binseq" else len(oracle.enum_partitions(n))
     assert len(distinct) == len(set(distinct))
     assert {f.as_tuple() for f in distinct} == set(tuples)
     assert all(f.n == n for f in distinct)

@@ -10,7 +10,7 @@ from boundforge import bounds, selector
 from boundforge.bounds import BoundCandidate, catalog, decoy, post_bound
 from boundforge.errors import CatalogError, InternalInvariantError, InvalidArgumentError
 from boundforge.kernel import LabelResult, Model
-from boundforge.objects import MAX_N, binseq_tuples, canonical_tuples
+from boundforge.objects import MAX_N, canonical_tuples, feature_tuples
 from boundforge.selector import (
     Counters,
     ObjectScenario,
@@ -312,7 +312,7 @@ def test_scenarios_are_immutable_values():
 
 def test_records_of_separate_runs_share_one_tuple_per_feature_tuple():
     table = canonical_tuples("binseq", 6)
-    assert len(table) == len(binseq_tuples(6))
+    assert len(table) == len(feature_tuples("binseq", 6))
     first = run_selection(ObjectScenario("binseq", 6), catalog("binseq"))
     second = run_baseline(ObjectScenario("binseq", 6), list(reversed(catalog("binseq"))))
     sols = {r.sol: r.sol for r in first.records if r.sol}
