@@ -75,11 +75,36 @@ class BoundCandidate:
         return tuple(f for f in FEATURES[self.object] if f in names)
 
     @cached_property
-    def layout(self) -> tuple[tuple[int, ...], int]:
-        """Positions in ``FEATURES[object]`` of the inputs, in canonical
-        order, and of the target, computed once for every post."""
-        features = FEATURES[self.object]
-        return tuple(features.index(f) for f in self.inputs), features.index(self.target)
+    def _placements(self) -> dict[tuple[int, ...], tuple]:
+        return {}
+
+    def placement(self, fvids: tuple[int, ...]) -> tuple:
+        """Where a post of this bound over the feature variables ``fvids``
+        (canonical order) reads and writes: its input ids in canonical
+        order, its (slot, id) reads with the last input first, its target
+        id and its watched ids.
+
+        Kept on the candidate per ``fvids``, at most ``_PLACEMENTS`` of
+        them (emptied when full): every model the library builds numbers
+        its features alike, so the baseline engine's many re-posts of one
+        bound compute this once, and a candidate built for one run takes
+        its placements with it when it goes."""
+        cache = self._placements
+        hit = cache.get(fvids)
+        if hit is None:
+            features = FEATURES[self.object]
+            at = [features.index(f) for f in self.inputs]
+            inputs = tuple([fvids[i] for i in at])
+            reads = tuple([(i + 1, fvids[i]) for i in reversed(at)])
+            if len(cache) >= _PLACEMENTS:
+                cache.clear()
+            hit = cache[fvids] = (
+                inputs, reads, fvids[features.index(self.target)], tuple(dict.fromkeys(inputs)))
+        return hit
+
+
+# most feature-variable numberings whose placement one candidate keeps
+_PLACEMENTS = 4
 
 
 class BoundVerdict(NamedTuple):
@@ -272,24 +297,20 @@ class BoundConstraint(Constraint):
     alone.  The selector's step memo reads it.
 
     The last input is read first: labeling fixes it last, so a wake-up
-    while it is open returns at the first test.
+    while it is open returns at the first test.  The ids it reads and
+    writes come from the candidate's :meth:`BoundCandidate.placement`.
     """
 
     kind = "bound"
 
-    def __init__(self, bound: BoundCandidate, featvar_ids: Sequence[int], n: int):
-        at, target = bound.layout
-        self.input_ids = tuple([featvar_ids[i] for i in at])
-        self.target_id = featvar_ids[target]
-        # (slot, vid), last input first: labeling fixes features left to
-        # right, so the last input is the one usually still open
-        self.reads = tuple([(i + 1, featvar_ids[i]) for i in reversed(at)])
-        self.slots = [n] + [0] * len(FEATURES[bound.object])
+    def __init__(self, bound: BoundCandidate, featvar_ids: tuple[int, ...], n: int):
+        # watched comes deduplicated from the placement, as Constraint makes it
+        self.input_ids, self.reads, self.target_id, self.watched = bound.placement(featvar_ids)
+        self.slots = [n] + [0] * len(featvar_ids)
         self.bound = bound
         self.evaluate = bound.evaluate
         self.upper = bound.direction == "upper"
         self.acted = 0
-        super().__init__(self.input_ids)
 
     def propagate(self, model: Model) -> bool:
         doms, slots = model._doms, self.slots

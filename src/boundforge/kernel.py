@@ -35,6 +35,12 @@ one failure.  Neither skip moves a fixpoint, a failure or a count.
 at its first solution or once it has proved that none remains, never
 earlier, so every count is a full one.  Nothing here enumerates every
 solution; the tests do that with an enumerator of their own.
+
+A search pays once per model, not once per call, for what does not change
+between calls: :meth:`Model.var_ids` keeps the ids of each tuple of
+handles it resolved, and the model counts, as constraints are posted and
+retracted, those that keep its leaf memo off, so deciding whether the
+memo applies reads one number.
 """
 
 from __future__ import annotations
@@ -44,6 +50,10 @@ from collections import deque
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidArgumentError
+
+# most entries a model's ``var_ids`` cache holds before it is emptied: the
+# library resolves three or four variable lists per model
+_VAR_IDS_CACHE = 8
 
 
 class VarRef(NamedTuple):
@@ -114,14 +124,20 @@ class Model:
         # parked by a search)
         self._inq: list[bool] = []
         self.leaf_memo: LeafMemo | None = None  # attached by an object post
+        # posted constraints outside the memo owner's that watch a variable
+        # other than a feature: while any is posted the memo is off
+        self._blockers = 0
+        # ids per tuple of variable handles, see var_ids
+        self._ids: dict[tuple[VarRef, ...], tuple[int, ...]] = {}
 
     def copy(self) -> "Model":
         """A new model, under a new id, in this model's state: copies of its
-        domains, trail, queue flags and watcher lists, so the two change
-        apart from then on, and its constraint objects (same ids) and leaf
-        memo, table included, shared.  A model can be copied only with an
-        empty queue, as between searches and posts, and only when each of
-        its constraint kinds is ``shareable``; a posted bound is not."""
+        domains, trail, queue flags, watcher lists and count of memo
+        blockers, so the two change apart from then on, and its constraint
+        objects (same ids) and leaf memo, table included, shared.  A model
+        can be copied only with an empty queue, as between searches and
+        posts, and only when each of its constraint kinds is ``shareable``;
+        a posted bound is not."""
         if self._queue:
             raise InvalidArgumentError("cannot copy a model while it propagates")
         for con in self._constraints:
@@ -134,6 +150,7 @@ class Model:
         other._watchers = [w.copy() for w in self._watchers]
         other._inq = self._inq.copy()
         other.leaf_memo = self.leaf_memo
+        other._blockers = self._blockers
         return other
 
     # -- variables ---------------------------------------------------------
@@ -147,13 +164,25 @@ class Model:
         self._watchers.append([])
         return VarRef(self.model_id, vid)
 
-    def var_ids(self, vs: Sequence[VarRef]) -> list[int]:
+    def var_ids(self, vs: Sequence[VarRef]) -> tuple[int, ...]:
         """The ids of ``vs`` in this model, for posting a propagator over
-        them; a variable of another model raises :class:`InvalidArgumentError`."""
-        mid = self.model_id
-        ids = [vid for model_id, vid in vs if model_id == mid]
-        if len(ids) != len(vs):
-            raise InvalidArgumentError("variable belongs to another model")
+        them or labeling them; a variable of another model raises
+        :class:`InvalidArgumentError`.
+
+        The answer is kept per tuple of handles, at most ``_VAR_IDS_CACHE``
+        of them (emptied when full).  A handle carries its model's id, so
+        an equal tuple names the same variables of the same model, and
+        only a miss needs the check."""
+        key = tuple(vs)
+        ids = self._ids.get(key)
+        if ids is None:
+            mid = self.model_id
+            ids = tuple([vid for model_id, vid in key if model_id == mid])
+            if len(ids) != len(key):
+                raise InvalidArgumentError("variable belongs to another model")
+            if len(self._ids) >= _VAR_IDS_CACHE:
+                self._ids.clear()
+            self._ids[key] = ids
         return ids
 
     def domain(self, v: VarRef) -> tuple[int, ...]:
@@ -181,14 +210,18 @@ class Model:
         if self._queue:
             self._clear_queue()
         self._undo_to(trail_len)
-        if self.leaf_memo is not None and ncons < self.leaf_memo.owned.stop:
-            self.leaf_memo = None
+        memo = self.leaf_memo
+        if memo is not None and ncons < memo.owned.stop:
+            self.leaf_memo = memo = None
+            self._blockers = 0
         cons, inq, watchers = self._constraints, self._inq, self._watchers
         while len(cons) > ncons:
             con = cons.pop()
             inq.pop()
             for vid in con.watched:  # each once, with this constraint last in its list
                 watchers[vid].pop()
+            if memo is not None and memo.blocked_by(con):
+                self._blockers -= 1
 
     def _undo_to(self, trail_len: int) -> None:
         """Restore every domain pruned after the trail had ``trail_len`` entries."""
@@ -252,6 +285,8 @@ class Model:
         trail_len = len(self._trail)
         cid = len(self._constraints)
         self._constraints.append(con)
+        if self.leaf_memo is not None and self.leaf_memo.blocked_by(con):
+            self._blockers += 1  # retract_to takes it off again
         self._inq.append(True)
         for vid in con.watched:
             self._watchers[vid].append(cid)
@@ -288,6 +323,14 @@ class Model:
         for cid in self._queue:
             inq[cid] = False
         self._queue.clear()
+
+    def attach(self, memo: LeafMemo) -> None:
+        """Make ``memo``, whose owner's constraints are posted, the leaf
+        memo, and count the other posted constraints that keep it off."""
+        self.leaf_memo = memo
+        owned = memo.owned
+        self._blockers = sum([cid not in owned and memo.blocked_by(con)
+                              for cid, con in enumerate(self._constraints)])
 
     def assign(self, vid: int, val: int) -> bool:
         """Fix a variable and propagate to fixpoint; False on failure.  A
@@ -417,16 +460,17 @@ def post_lex_greater(model: Model, xs: Sequence[VarRef], tup: Sequence[int]) -> 
 class LeafMemo:
     """Leaf memo at the split of a labeling between two groups of variables.
 
-    An object post attaches one to its model.  Labeling fixes every one of
-    ``featvars`` before any of ``xs``; from then on only the owner's
-    constraints (indices ``owned``) run, when every other posted constraint
-    watches only feature variables (see :meth:`applies`).  So the rest of
-    the search, its failed trials and its first solution, depends only on
-    the fixed tuple and on the domains of ``inner`` (every non-feature
-    variable the owner reads).  ``table`` starts empty and maps each such
-    tuple, a feasible one, to (``inner`` domains, failed trials, witness
-    over ``xs`` or None), so each subtree is searched once.  Every copy of
-    the owner's model (:meth:`Model.copy`) shares the memo and its table.
+    An object post attaches one to its model (:meth:`Model.attach`).
+    Labeling fixes every one of ``featvars`` before any of ``xs``; from then
+    on only the owner's constraints (indices ``owned``) run, when every
+    other posted constraint watches only feature variables (see
+    :meth:`applies`).  So the rest of the search, its failed trials and its
+    first solution, depends only on the fixed tuple and on the domains of
+    ``inner`` (every non-feature variable the owner reads).  ``table``
+    starts empty and maps each such tuple, a feasible one, to (``inner``
+    domains, failed trials, witness over ``xs`` or None), so each subtree
+    is searched once.  Every copy of the owner's model (:meth:`Model.copy`)
+    shares the memo and its table.
 
     ``prefixes[k]`` holds every length-k feature prefix that some solution
     extends, closed under prefixes.  The owner posts a check (constraint id
@@ -452,22 +496,25 @@ class LeafMemo:
         self.check = check
         self.prefixes = prefixes
         self.table: dict[tuple[int, ...], tuple] = {}
-        self.order = list(featvars + xs)
+        self.order = featvars + xs
         self.feats = frozenset(featvars)
 
-    def applies(self, model: Model, vids: list[int]) -> bool:
+    def blocked_by(self, con: Constraint) -> bool:
+        """Whether ``con``, posted by anyone but the owner, keeps the memo
+        off: it watches a variable that is not a feature."""
+        return not self.feats.issuperset(con.watched)
+
+    def applies(self, model: Model, vids: Sequence[int]) -> bool:
         """True when labeling ``vids`` may use the memo: they are featvars
         then xs, and every constraint the owner did not post watches only
         featvars.  Below the split every feature is fixed, and a fixed
         domain changes only by a wipe-out, which fails before any watcher
         is queued, so none of those constraints runs there; what one pruned
         above the split shows in the ``inner`` domains a stored entry is
-        checked against."""
-        if vids != self.order:
-            return False
-        cons, owned, feats = model._constraints, self.owned, self.feats
-        others = cons[: owned.start] + cons[owned.stop:]
-        return all(feats.issuperset(con.watched) for con in others)
+        checked against.  The model counts the constraints that break the
+        second condition as they are posted and retracted, so the test
+        reads one number and does not scan them."""
+        return model._blockers == 0 and tuple(vids) == self.order
 
 
 def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
@@ -480,7 +527,7 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
     same count and solution as searching without it.  The model state is
     restored before returning.
     """
-    vids = model.var_ids(list(featvars) + list(xs))
+    vids = model.var_ids((*featvars, *xs))
     if not vids:
         raise InvalidArgumentError("labeling needs at least one variable")
     last = len(vids)

@@ -382,7 +382,9 @@ class OccurrenceChannel(Constraint):
     domain has no entry.  Every copy of a partition template shares its
     channel, so there is one memo per n, exact for every model.  The
     library's propagators prune P only at its ends, so P's domain is an
-    interval and the memo holds at most n(n+1)/2 entries.
+    interval and the memo holds at most n(n+1)/2 entries.  ``smax`` keeps
+    the exact S maximum of each occurrence box the channel has run on, a
+    pure function of the box, so it too is exact for every model.
     """
 
     kind = "occurrence_channel"
@@ -395,6 +397,9 @@ class OccurrenceChannel(Constraint):
         self.p = p
         self.s = s
         self.memo: dict[tuple[int, ...], tuple] = {}
+        # S's upper end per occurrence box (lbs, ubs, n), at most _SMAX_CACHE
+        # entries: emptied when full
+        self.smax: dict[tuple, int] = {}
         self._state = itemgetter(*self.watched)  # the watched domains, P last
 
     def propagate(self, model: Model) -> bool:
@@ -465,11 +470,17 @@ class OccurrenceChannel(Constraint):
             for ovid, ub in zip(self.occ, ubs):
                 if ub >= 1 and not model.prune_ge(ovid, 1):
                     return None
-        lbs = [doms[v][0] for v in self.occ]
-        ubs = [doms[v][-1] for v in self.occ]
+        lbs = tuple([doms[v][0] for v in self.occ])
+        ubs = tuple([doms[v][-1] for v in self.occ])
         if sum(ubs) < n:
             return None
-        return _min_sum_squares_in_box(lbs, ubs, n), _max_sum_squares_in_box(lbs, ubs, n)
+        key = (lbs, ubs, n)
+        smax = self.smax.get(key)
+        if smax is None:
+            if len(self.smax) >= _SMAX_CACHE:
+                self.smax.clear()
+            smax = self.smax[key] = _max_sum_squares_in_box(lbs, ubs, n)
+        return _min_sum_squares_in_box(lbs, ubs, n), smax
 
 
 def _writes(entries: list, doms: list) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -485,7 +496,13 @@ def _writes(entries: list, doms: list) -> tuple[tuple[int, tuple[int, ...]], ...
     return tuple(writes)
 
 
-def _min_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
+# most occurrence boxes whose S maximum one channel keeps: a cold
+# catalog-order partition selection passes 103 distinct boxes at n=8, 342 at
+# n=10 and 1 270 at n=12
+_SMAX_CACHE = 4096
+
+
+def _min_sum_squares_in_box(lbs: Sequence[int], ubs: Sequence[int], total: int) -> int:
     # water-filling: each extra unit goes to the smallest current value.  It is
     # exact: a separable convex minimum with unit steps is reached greedily
     vals = list(lbs)
@@ -502,21 +519,29 @@ def _min_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
     return sum(v * v for v in vals)
 
 
-def _max_sum_squares_in_box(lbs: list[int], ubs: list[int], total: int) -> int:
-    # concentrate: fill coordinates to their caps, widest cap first.  This is
-    # not the maximum on every box: lbs [3, 2, 0], ubs [6, 7, 4], total 6
-    # gives 18, while (4, 2, 0) reaches 20.  An undershoot here would prune
-    # a real solution's S and so change counts without failing anything.
-    # It is exact on the boxes the channel passes in: every call of cold
-    # partition selections, held against an exact maximum in
-    # tests/test_objects.py, agrees with it.
-    vals = list(lbs)
-    rest = total - sum(vals)
-    for i in sorted(range(len(vals)), key=lambda i: -ubs[i]):
-        take = min(rest, ubs[i] - vals[i])
-        vals[i] += take
-        rest -= take
-    return sum(v * v for v in vals)
+def _max_sum_squares_in_box(lbs: Sequence[int], ubs: Sequence[int], total: int) -> int:
+    # A convex function's maximum over the box's slice at this total lies at
+    # a vertex of that polytope, where every coordinate sits at a bound but
+    # at most one, which the total then fixes; with integer data the vertex
+    # is integral, so it is also the integer maximum.  The DP runs over
+    # (partial sum, free coordinate used) and keeps the largest sum of
+    # squares of each.
+    best = {(0, False): 0}
+    for lo, hi in zip(lbs, ubs):
+        step: dict[tuple[int, bool], int] = {}
+        for (t, used), sq in best.items():
+            moves = [(lo, used), (hi, used)]
+            if not used:
+                moves += [(v, True) for v in range(lo + 1, hi)]
+            for v, u in moves:
+                key = (t + v, u)
+                if key[0] <= total and step.get(key, -1) < sq + v * v:
+                    step[key] = sq + v * v
+        best = step
+    top = max(best.get((total, False), -1), best.get((total, True), -1))
+    if top < 0:
+        raise InternalInvariantError("occurrence box cannot hold the total")
+    return top
 
 
 # -- posting -------------------------------------------------------------------
@@ -546,7 +571,7 @@ def post_object(
     xvids = model.var_ids(xs)
     check = PrefixFeasible(fvids, prefixes)
     if object_name == "partition":
-        ovids = [model.new_var(0, n).id for _ in range(n)]
+        ovids = tuple([model.new_var(0, n).id for _ in range(n)])
         inner = xvids + ovids
         steps = [
             PrecedenceCaps(xvids),
@@ -569,11 +594,11 @@ def post_object(
         if cid is None:
             model.retract_to(mark)
             return None
-    model.leaf_memo = LeafMemo(
-        tuple(fvids), tuple(xvids), tuple(inner),
+    model.attach(LeafMemo(
+        fvids, xvids, inner,
         range(mark.ncons, len(model._constraints)),
         mark.ncons + steps.index(check), prefixes,
-    )
+    ))
     return cid
 
 

@@ -30,6 +30,13 @@ after another, and a step whose outcome cannot differ from an earlier
 search of it is answered from that search.  ``labelings`` still counts
 every step the algorithm takes, searched or answered, so every count and
 record is the one a memo-free run gives.
+
+The steps come in two step loops, the enumeration and the drain.  Every
+step of one loop starts from the same model state, so what the memo reads
+of that state (the posted bounds and every domain) is taken once per loop
+(:meth:`StepMemo.loop`), and each step only checks that the state is
+still the loop's.  Each search still goes through ``labeling`` and each
+post through ``post_lex_greater`` or ``post_bound``, once.
 """
 
 from __future__ import annotations
@@ -38,14 +45,14 @@ import time
 from collections import Counter
 from typing import Mapping, NamedTuple, Sequence
 
-from .bounds import BoundCandidate, post_bound, posted_bounds
+from .bounds import BoundCandidate, BoundConstraint, post_bound, posted_bounds
 from .errors import (
     CatalogSoundnessError,
     InfeasibleModelError,
     InternalInvariantError,
     InvalidArgumentError,
 )
-from .kernel import Model, VarRef, labeling, post_lex_greater
+from .kernel import Model, TrailMark, VarRef, labeling, post_lex_greater
 from .objects import canonical_tuples, check_model_size, posted_model
 
 
@@ -149,10 +156,11 @@ def enumerate_all_solutions(
     """
     counters = counters if counters is not None else Counters()
     tuples = memo.tuples if memo is not None else {}
+    loop = memo.loop(model) if memo is not None else None
     records: list[SolutionRecord] = []
     prev: tuple[int, ...] | None = None
     while True:
-        res = _step(model, featvars, xs, prev, counters, memo)
+        res = _step(model, featvars, xs, prev, counters, memo, loop)
         if res is None or res.finished:
             records.append(SolutionRecord(len(records), 0 if res is None else res.nback, ()))
             return records
@@ -161,15 +169,16 @@ def enumerate_all_solutions(
         records.append(SolutionRecord(len(records), res.nback, prev))
 
 
-def _step(model, featvars, xs, prev, counters, memo, expected=None):
-    """One step of the algorithm, searched or answered by ``memo``.
+def _step(model, featvars, xs, prev, counters, memo, loop, expected=None):
+    """One step of the algorithm, searched or answered by ``memo``, whose
+    ``loop`` (:meth:`StepMemo.loop`) holds what the steps of this loop share.
 
     ``labelings`` counts every step whose lex post succeeds, whether it
     was searched here or answered from an earlier search.  ``expected`` is
     the stored count a drain step is compared with (see :class:`StepMemo`).
     """
     res = _search(model, featvars, xs, prev) if memo is None else memo.step(
-        model, featvars, xs, prev, expected)
+        model, featvars, xs, prev, loop, expected)
     if res is not None:
         counters.labelings += 1
     return res
@@ -189,6 +198,16 @@ def _search(model, featvars, xs, prev):
         return labeling(model, featvars, xs)
     finally:
         model.retract_to(mark)
+
+
+class StepLoop(NamedTuple):
+    """What every step of one step loop reads from the model, taken once
+    when the loop starts (:meth:`StepMemo.loop`)."""
+
+    mark: TrailMark  # the model's trail length and constraint count
+    bounds: list[BoundConstraint]  # the posted bounds, in posting order
+    posted: int  # their bits in the memo's posted sets
+    state: tuple[tuple[int, ...], ...]  # every domain, Model.snapshot()
 
 
 class StepMemo:
@@ -225,6 +244,13 @@ class StepMemo:
     ``expected``, which is that same transition's count with every
     candidate posted.
 
+    A step loop, the enumeration or one drain, takes its steps on a model
+    that is the same at the start of each: a step posts the lex constraint
+    and retracts it, and the loop posts nothing in between.  So the posted
+    bounds, their bits and the start domains are taken once per loop
+    (:meth:`loop`), and each step checks in O(1) that the model still has
+    the loop's trail length and constraint count.
+
     One memo belongs to one run and one object size; it is never shared.
     """
 
@@ -237,16 +263,25 @@ class StepMemo:
         self.steps: dict[tuple[int, ...] | None, list] = {}
         self.sound = False  # every candidate known sound: the equal-outcome rule is on
 
-    def step(self, model, featvars, xs, prev, expected=None):
-        """The outcome of the step from ``prev`` on ``model`` as it stands,
-        compared with ``expected`` by the drain: a stored one when the
-        conditions above hold, else searched and stored."""
+    def loop(self, model: Model) -> StepLoop:
+        """What the steps of a loop on ``model``, as it stands, share."""
         cons = posted_bounds(model)
         bit = self.bit
         posted = 0
         for con in cons:
             posted |= bit[id(con.bound)]
-        state = model.snapshot()
+        return StepLoop(model.mark(), cons, posted, model.snapshot())
+
+    def step(self, model, featvars, xs, prev, loop: StepLoop, expected=None):
+        """The outcome of the step from ``prev`` on ``model``, in the state
+        ``loop`` was taken in, compared with ``expected`` by the drain: a
+        stored one when the conditions above hold, else searched and
+        stored.  A model whose trail or constraints changed since raises
+        :class:`InternalInvariantError`."""
+        mark, cons, posted, state = loop
+        if model.mark() != mark:
+            raise InternalInvariantError("the model changed between two steps of one loop")
+        bit = self.bit
         entries = self.steps.setdefault(prev, [])
         for stored, acted, stored_state, res in entries:
             if acted & ~posted:
@@ -368,12 +403,13 @@ def _drain(model, featvars, xs, sols, by_isol, counters, memo=None):
     (the sentinel for the last real record).  Each step searches to its
     full count unless the memo answers it.
     """
+    loop = memo.loop(model) if memo is not None else None
     for i, (isol, _, sol) in enumerate(sols):
         succ = by_isol.get(isol + 1)
         if succ is None:
             raise InternalInvariantError(f"no stored record with index {isol + 1}")
         expected = succ.nback
-        res = _step(model, featvars, xs, sol, counters, memo, expected)
+        res = _step(model, featvars, xs, sol, counters, memo, loop, expected)
         observed = 0 if res is None else res.nback
         if observed != expected:
             return sols[i:]

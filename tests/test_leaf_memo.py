@@ -13,7 +13,7 @@ import pytest
 
 from boundforge import objects, selector
 from boundforge.bounds import catalog
-from boundforge.kernel import Constraint, LabelResult, labeling
+from boundforge.kernel import Constraint, LabelResult, TrailMark, VarRef, labeling
 from boundforge.objects import feature_tuples, make_model, post_object
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
@@ -195,3 +195,74 @@ def test_a_constraint_that_watches_only_features_keeps_the_memo(object_name, fea
         assert _check_every_step(*_plain(object_name, 5)) > 2
     finally:
         objects.forget(object_name, 5)
+
+
+# -- the count of constraints that keep the memo off ---------------------------------
+
+
+class _SequenceWatch(Constraint):
+    """Watches one sequence variable and never prunes; shareable, so a
+    model that has it can be copied."""
+
+    kind = "sequence_watch"
+    shareable = True
+
+    def __init__(self, vid):
+        super().__init__((vid,))
+
+    def propagate(self, model):
+        return True
+
+
+def _handles(model, refs):
+    """The handles of the same variables in ``model``, a copy."""
+    return [VarRef(model.model_id, v.id) for v in refs]
+
+
+def _uses_memo(model, featvars, xs):
+    """Whether labeling the model goes through its leaf memo: such a call
+    stores the subtree of its first solution in the emptied table, a call
+    without it stores nothing.  The table is put back after, and the call
+    must equal the memo-free one."""
+    table = model.leaf_memo.table
+    saved = dict(table)
+    table.clear()
+    try:
+        res = labeling(model, featvars, xs)
+        assert res == memo_free(model, featvars, xs)
+        return bool(table)
+    finally:
+        table.clear()
+        table.update(saved)
+
+
+@pytest.mark.parametrize("object_name", sorted(objects.FEATURES))
+def test_a_constraint_on_a_sequence_variable_keeps_the_memo_off_while_posted(object_name):
+    model, featvars, xs = _plain(object_name, 4)
+    assert _uses_memo(model, featvars, xs)
+    mark = model.mark()
+    assert model.post_constraint(_SequenceWatch(xs[-1].id)) is not None
+    assert not _uses_memo(model, featvars, xs)
+    copy = model.copy()
+    copy_featvars, copy_xs = _handles(copy, featvars), _handles(copy, xs)
+    assert not _uses_memo(copy, copy_featvars, copy_xs)
+    model.retract_to(mark)
+    assert _uses_memo(model, featvars, xs)
+    assert not _uses_memo(copy, copy_featvars, copy_xs)  # the copy keeps its own
+    copy.retract_to(TrailMark(copy.model_id, mark.trail_len, mark.ncons))
+    assert _uses_memo(copy, copy_featvars, copy_xs)
+
+
+@pytest.mark.parametrize("object_name", sorted(objects.FEATURES))
+def test_a_constraint_on_a_sequence_variable_posted_before_the_object_keeps_the_memo_off(
+        object_name):
+    model, featvars, xs = make_model(object_name, 4)
+    assert model.post_constraint(_SequenceWatch(xs[0].id)) is not None
+    assert post_object(model, object_name, featvars, xs) is not None
+    assert model.leaf_memo is not None
+    assert not _uses_memo(model, featvars, xs)
+    copy = model.copy()
+    assert not _uses_memo(copy, _handles(copy, featvars), _handles(copy, xs))
+    model, featvars, xs = make_model(object_name, 4)  # the same without it
+    assert post_object(model, object_name, featvars, xs) is not None
+    assert _uses_memo(model, featvars, xs)

@@ -213,17 +213,27 @@ def test_water_filling_reaches_the_exact_minimum_sum_of_squares(data, box):
     assert objects._min_sum_squares_in_box(lbs, ubs, total) == _exact_sum_squares(lbs, ubs, total, min)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data(), box=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=5))
+def test_the_vertex_dp_reaches_the_exact_maximum_sum_of_squares(data, box):
+    """Every total the box can hold, as the channel calls it."""
+    lbs, ubs = [min(b) for b in box], [max(b) for b in box]
+    total = data.draw(st.integers(sum(lbs), sum(ubs)))
+    assert objects._max_sum_squares_in_box(lbs, ubs, total) == _exact_sum_squares(lbs, ubs, total)
+
+
 def test_the_s_upper_bound_is_exact_on_every_box_the_channel_passes(monkeypatch):
-    """The greedy maximum undershoots on some boxes; an undershoot would
-    prune a real solution's S.  Every box of cold partition selections
-    (both engines, so the baseline's fresh models too) and of searches for
-    every solution, features first and sequence first, must get the exact
-    maximum.  The channel computes the maximum only when it runs, not when
-    it replays a stored run, but a replayed state was run once, so every
-    box it would pass is still recorded; the models start from fresh
-    templates, so their channels' memos start empty."""
-    greedy = objects._max_sum_squares_in_box
-    assert greedy([3, 2, 0], [6, 7, 4], 6) == 18 < _exact_sum_squares([3, 2, 0], [6, 7, 4], 6)
+    """A maximum that undershoots would prune a real solution's S; a
+    widest-cap-first greedy gives 18 on the box below.  Every box of cold
+    partition selections (both engines, so the baseline's fresh models too)
+    and of searches for every solution, features first and sequence first,
+    must get the exact maximum.  The channel computes the maximum only when
+    it runs, not when it replays a stored run, and once per box, but a
+    replayed state was run once and a kept box computed once, so every box
+    it would pass is still recorded; the models start from fresh templates,
+    so their channels' memos start empty."""
+    upper = objects._max_sum_squares_in_box
+    assert upper([3, 2, 0], [6, 7, 4], 6) == 20 == _exact_sum_squares([3, 2, 0], [6, 7, 4], 6)
     boxes = set()
     calls = 0
     propagate = objects.OccurrenceChannel.propagate
@@ -235,7 +245,7 @@ def test_the_s_upper_bound_is_exact_on_every_box_the_channel_passes(monkeypatch)
 
     def recorded(lbs, ubs, total):
         boxes.add((tuple(lbs), tuple(ubs), total))
-        return greedy(lbs, ubs, total)
+        return upper(lbs, ubs, total)
 
     monkeypatch.setattr(objects.OccurrenceChannel, "propagate", counted)
     monkeypatch.setattr(objects, "_max_sum_squares_in_box", recorded)
@@ -248,7 +258,7 @@ def test_the_s_upper_bound_is_exact_on_every_box_the_channel_passes(monkeypatch)
         model, featvars, xs = ObjectScenario("partition", n).fresh(Counters())
         solve_all(model, featvars + xs)
         solve_all(model, xs + featvars)
-    found = [(box, greedy(list(box[0]), list(box[1]), box[2]), _exact_sum_squares(*box))
+    found = [(box, upper(list(box[0]), list(box[1]), box[2]), _exact_sum_squares(*box))
              for box in sorted(boxes)]
     assert [f for f in found if f[1] != f[2]] == []
     assert calls > 10_000 and len(boxes) > 400

@@ -328,3 +328,31 @@ def test_canonical_tuples_refuse_what_the_tuple_tables_refuse():
         with pytest.raises(InvalidArgumentError):
             canonical_tuples(object_name, n)
     assert canonical_tuples.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("engine, expected", [
+    (run_selection, {"labeling": 467, "post_lex_greater": 468, "post_bound": 119}),
+    (run_baseline, {"labeling": 467, "post_lex_greater": 468, "post_bound": 768}),
+])
+def test_each_search_and_post_goes_through_its_selector_name(monkeypatch, engine, expected):
+    """A traced benchmark run counts kernel work only through
+    ``selector.labeling``, ``selector.post_lex_greater`` and
+    ``selector.post_bound``, so a selection calls each once per search or
+    post it makes, and no work reaches the kernel by another way."""
+    calls = dict.fromkeys(expected, 0)
+
+    def counting(name):
+        fn = getattr(selector, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in expected:
+        monkeypatch.setattr(selector, name, counting(name))
+    outcome = engine(ObjectScenario("binseq", 10), catalog("binseq"))
+    assert calls == expected
+    # every post but the object posts is a bound post
+    objects_posted = sum(k for (tag, _), k in outcome.counters.by_tag.items() if tag == "ctr")
+    assert calls["post_bound"] == outcome.report.posts - objects_posted

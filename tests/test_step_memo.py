@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from boundforge import oracle, selector
 from boundforge.bounds import BoundCandidate, by_id, catalog, decoy, post_bound, posted_bounds
-from boundforge.errors import CatalogError, CatalogSoundnessError
+from boundforge.errors import CatalogError, CatalogSoundnessError, InternalInvariantError
 from boundforge.expr import NoCaseMatched
-from boundforge.objects import FEATURES, feature_tuples
-from boundforge.selector import Counters, ObjectScenario, StepMemo
+from boundforge.objects import FEATURES, canonical_tuples, feature_tuples
+from boundforge.selector import Counters, ObjectScenario, StepMemo, enumerate_all_solutions
 
-from kernel_helpers import sweep_slice
+from kernel_helpers import post, sweep_slice
 from test_expr import _OPERATORS, _node
 from test_metamorphic import _tightened
 
@@ -29,8 +29,8 @@ _search = selector._search
 
 
 def _without_step_memo(mp):
-    mp.setattr(StepMemo, "step", lambda memo, model, featvars, xs, prev, expected=None: _search(
-        model, featvars, xs, prev))
+    mp.setattr(StepMemo, "step", lambda memo, model, featvars, xs, prev, loop, expected=None:
+               _search(model, featvars, xs, prev))
 
 
 def _observables(outcome):
@@ -45,7 +45,8 @@ def _observables(outcome):
 
 class _CrossCheck:
     """Stands in for ``StepMemo.step``: every step, answered or searched, is
-    compared with a real search of the same model state."""
+    compared with a real search of the same model state, and the state its
+    loop took once is checked to be that state."""
 
     def __init__(self, mp):
         self.steps = self.searched = 0
@@ -56,9 +57,11 @@ class _CrossCheck:
             self.searched += 1
             return _search(model, featvars, xs, prev)
 
-        def checked(memo, model, featvars, xs, prev, expected=None):
+        def checked(memo, model, featvars, xs, prev, loop, expected=None):
             state = model.snapshot()
-            res = step(memo, model, featvars, xs, prev, expected)
+            assert loop.state == state and loop.mark == model.mark()
+            assert loop.bounds == posted_bounds(model)
+            res = step(memo, model, featvars, xs, prev, loop, expected)
             assert model.snapshot() == state
             ref = _search(model, featvars, xs, prev)
             self.steps += 1
@@ -347,3 +350,41 @@ def test_the_soundness_gate_agrees_with_the_oracle(lists):
         assume(isinstance(exc, (NoCaseMatched, CatalogSoundnessError)))
         raise
     assert gate == expected
+
+
+# -- what a step loop takes once ---------------------------------------------------
+
+
+def _grow(kind, model, xs):
+    """Give the model a constraint or a trail entry, as no step may."""
+    if kind == "constraint":
+        assert post(model, ("check", [xs[0]], lambda vals: True)) is not None
+    else:
+        assert model.assign(xs[0].id, 0)
+
+
+@pytest.mark.parametrize("kind", ["constraint", "trail entry"])
+@pytest.mark.parametrize("loop", ["enumeration", "drain"])
+def test_a_model_that_changes_between_two_steps_of_a_loop_raises(monkeypatch, kind, loop):
+    """Each loop takes the posted bounds and the start domains once, so a
+    step must find the model with the loop's trail length and constraint
+    count; a fresh memo searches every step, and each search grows the model."""
+    cands = catalog("binseq")
+    model, featvars, xs = ObjectScenario("binseq", 4).fresh(Counters())
+    records = enumerate_all_solutions(model, featvars, xs, Counters())
+    drain = [r for r in records if r.sol]
+    assert len(drain) > 2
+    by_isol = {r.isol: r for r in records}
+
+    def growing(model, featvars, xs, prev):
+        res = _search(model, featvars, xs, prev)
+        _grow(kind, model, xs)
+        return res
+
+    monkeypatch.setattr(selector, "_search", growing)
+    memo = StepMemo(cands, canonical_tuples("binseq", 4))
+    with pytest.raises(InternalInvariantError, match="changed between two steps"):
+        if loop == "enumeration":
+            enumerate_all_solutions(model, featvars, xs, Counters(), memo)
+        else:
+            selector._drain(model, featvars, xs, drain, by_isol, Counters(), memo)
