@@ -16,6 +16,7 @@ solution can be lost.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -291,10 +292,11 @@ class BoundConstraint(Constraint):
 
     It keeps one slot list in the bound's layout, n in slot 0, and writes
     only the slots the rhs reads; the others are never read.  The list
-    belongs to this constraint, so to one model.  ``acted`` counts the
-    calls that pruned the target or failed; a call that returns at an
-    unfixed input or finds the target already inside the bound leaves it
-    alone.  The selector's step memo reads it.
+    belongs to this constraint, so to one model.  ``bit`` is its owner bit
+    (see ``kernel``), 0 until a step memo numbers the posted bounds: it
+    owns the target end it prunes, and joins the owners of an owned end
+    its rhs equals.  A call that fixes or wipes out the target records its
+    bit and the owners of the other end; an unmatched guard, its bit.
 
     The last input is read first: labeling fixes it last, so a wake-up
     while it is open returns at the first test.  The ids it reads and
@@ -310,7 +312,7 @@ class BoundConstraint(Constraint):
         self.bound = bound
         self.evaluate = bound.evaluate
         self.upper = bound.direction == "upper"
-        self.acted = 0
+        self.bit = 0
 
     def propagate(self, model: Model) -> bool:
         doms, slots = model._doms, self.slots
@@ -324,18 +326,44 @@ class BoundConstraint(Constraint):
         except E.NoCaseMatched:
             # guards are exhaustive on feasible tuples, so this fixed input
             # combination occurs in no solution; failing the subtree is sound
-            self.acted += 1
+            if self.bit:
+                model.clauses.add(self.bit)
             return False
-        target = doms[self.target_id]
+        tid = self.target_id
+        d = doms[tid]
         if self.upper:
-            if target and target[-1] <= rhs:
+            if d[-1] < rhs:
                 return True
-            self.acted += 1
-            return model.prune_le(self.target_id, rhs)
-        if target and target[0] >= rhs:
-            return True
-        self.acted += 1
-        return model.prune_ge(self.target_id, rhs)
+            if d[-1] == rhs:
+                if model._hi_owners[tid]:
+                    model._join(tid, self.bit, True)
+                return True
+            new = d[: bisect_right(d, rhs)]
+        else:
+            if d[0] > rhs:
+                return True
+            if d[0] == rhs:
+                if model._lo_owners[tid]:
+                    model._join(tid, self.bit, False)
+                return True
+            new = d[bisect_left(d, rhs):]
+        # this bound moves one end: it becomes that end's one owner
+        lo_owners, hi_owners = model._lo_owners, model._hi_owners
+        lo, hi, bit = lo_owners[tid], hi_owners[tid], self.bit
+        if len(new) <= 1:  # fixed or wiped out: this bound and the other end were read
+            if bit:
+                model.clauses.add(bit)
+            other = lo if self.upper else hi
+            if other and len(d) > 1:
+                model.clauses.add(other)
+        ok = model._set_dom(tid, new)
+        if new and (hi if self.upper else lo) != bit:
+            model._trail[-1] = (~tid, (d, lo, hi))  # the entry restores the owners too
+            if self.upper:
+                hi_owners[tid] = bit
+            else:
+                lo_owners[tid] = bit
+        return ok
 
 
 def posted_bounds(model: Model) -> list[BoundConstraint]:

@@ -36,6 +36,27 @@ at its first solution or once it has proved that none remains, never
 earlier, so every count is a full one.  Nothing here enumerates every
 solution; the tests do that with an enumerator of their own.
 
+Each end of a domain has *owners*: the bits (``BoundConstraint.bit``) of
+the posted bounds each of which alone reproduces that end.  A bound that
+prunes an end becomes its one owner, and a bound whose rhs equals an end
+that already has owners joins them; any other propagator that moves an
+end clears its owners, and an end that no propagator has moved has none.
+A propagator read whose answer a wider domain could change records the
+owners of the unfixed end it read, as one clause, in ``Model.clauses``:
+labeling reads the lower end of each variable it branches on, and the
+upper end once it has tried the last value; a propagator that fixes a
+variable reads the ends it did not move, one that wipes a domain out
+reads the end that stood against it, and a failing bound records its own
+bit.  A read of a fixed variable records nothing: its ends were read when
+propagation fixed it, or a decision fixed it.  So a search from the same
+start state under other posted bounds, as long as it keeps one owner of
+each recorded clause, reads the same answer at every read, and reaches
+the same count and solution (the explanations of lazy clause generation,
+Ohrimenko, Stuckey and Codish, Constraints 2009).  Ownership is state:
+the two owner lists are restored through the trail like the domains,
+and :meth:`Model.copy` copies them.  ``clauses`` is a log, not state:
+whoever reads it clears it first.
+
 A search pays once per model, not once per call, for what does not change
 between calls: :meth:`Model.var_ids` keeps the ids of each tuple of
 handles it resolved, and the model counts, as constraints are posted and
@@ -129,12 +150,18 @@ class Model:
         self._blockers = 0
         # ids per tuple of variable handles, see var_ids
         self._ids: dict[tuple[VarRef, ...], tuple[int, ...]] = {}
+        # per variable: the owner bits of its lower and upper end; the trail
+        # keeps their old values under the variable's complement id
+        self._lo_owners: list[int] = []
+        self._hi_owners: list[int] = []
+        # the owner sets that reads recorded, see the module docstring
+        self.clauses: set[int] = set()
 
     def copy(self) -> "Model":
         """A new model, under a new id, in this model's state: copies of its
-        domains, trail, queue flags, watcher lists and count of memo
-        blockers, so the two change apart from then on, and its constraint
-        objects (same ids) and leaf memo, table included, shared.  A model
+        domains, owner lists, trail, queue flags, watcher lists and count
+        of memo blockers, so the two change apart from then on, and its
+        constraint objects (same ids) and leaf memo, table included, shared.  A model
         can be copied only with an empty queue, as between searches and
         posts, and only when each of its constraint kinds is ``shareable``;
         a posted bound is not."""
@@ -145,6 +172,8 @@ class Model:
                 raise InvalidArgumentError(f"cannot copy a model with a {con.kind!r} constraint")
         other = Model()
         other._doms = self._doms.copy()
+        other._lo_owners = self._lo_owners.copy()
+        other._hi_owners = self._hi_owners.copy()
         other._trail = self._trail.copy()
         other._constraints = self._constraints.copy()
         other._watchers = [w.copy() for w in self._watchers]
@@ -162,6 +191,8 @@ class Model:
         vid = len(self._doms)
         self._doms.append(tuple(range(lo, hi + 1)))
         self._watchers.append([])
+        self._lo_owners.append(0)
+        self._hi_owners.append(0)
         return VarRef(self.model_id, vid)
 
     def var_ids(self, vs: Sequence[VarRef]) -> tuple[int, ...]:
@@ -201,7 +232,7 @@ class Model:
         return TrailMark(self.model_id, len(self._trail), len(self._constraints))
 
     def retract_to(self, mark: TrailMark) -> None:
-        """Undo every pruning and constraint posted after ``mark``."""
+        """Undo every pruning, owner change and constraint posted after ``mark``."""
         model_id, trail_len, ncons = mark
         if model_id != self.model_id:
             raise InvalidArgumentError("mark belongs to another model")
@@ -224,11 +255,75 @@ class Model:
                 self._blockers -= 1
 
     def _undo_to(self, trail_len: int) -> None:
-        """Restore every domain pruned after the trail had ``trail_len`` entries."""
+        """Restore every domain and owner pair changed after the trail had
+        ``trail_len`` entries."""
         trail, doms = self._trail, self._doms
         while len(trail) > trail_len:
             vid, old = trail.pop()
-            doms[vid] = old
+            if vid >= 0:
+                doms[vid] = old
+            else:  # under ~vid: the domain and both owners
+                vid = ~vid
+                doms[vid], self._lo_owners[vid], self._hi_owners[vid] = old
+
+    # -- ownership (see the module docstring) --------------------------------
+    #
+    # A trail entry under ~vid restores vid's domain and both owners.  A
+    # bound's pruning turns the entry ``_set_dom`` just pushed into one, so
+    # it costs no second entry.
+
+    def _own(self, vid: int, lo: int, hi: int) -> None:
+        """Set the owners of both ends of ``vid``, on the trail."""
+        lo_owners, hi_owners = self._lo_owners, self._hi_owners
+        self._trail.append((~vid, (self._doms[vid], lo_owners[vid], hi_owners[vid])))
+        lo_owners[vid] = lo
+        hi_owners[vid] = hi
+
+    def disown(self) -> None:
+        """Clear every owner, on the trail, so the ends as they stand record
+        no clause: a step memo compares start domains itself."""
+        lo, hi = self._lo_owners, self._hi_owners
+        if any(lo) or any(hi):
+            for vid in range(len(lo)):
+                if lo[vid] or hi[vid]:
+                    self._own(vid, 0, 0)
+
+    def _join(self, vid: int, bit: int, upper: bool) -> None:
+        """A bound whose rhs equals an owned end of ``vid`` joins its owners."""
+        lo, hi = self._lo_owners[vid], self._hi_owners[vid]
+        if len(self._doms[vid]) > 1:
+            if upper and hi | bit != hi:
+                self._own(vid, lo, hi | bit)
+            elif not upper and lo | bit != lo:
+                self._own(vid, lo | bit, hi)
+
+    def read(self, vid: int) -> None:
+        """Record a read of both ends of ``vid``: the owners of each, when
+        it is not fixed."""
+        lo, hi = self._lo_owners[vid], self._hi_owners[vid]
+        if (lo or hi) and len(self._doms[vid]) > 1:
+            if lo:
+                self.clauses.add(lo)
+            if hi:
+                self.clauses.add(hi)
+
+    def _narrowed(self, vid: int, old: tuple[int, ...], new: tuple[int, ...],
+                  keep_lo: bool, keep_hi: bool) -> None:
+        """Owner upkeep of a propagator's change of ``vid`` from ``old`` to
+        ``new``, called only when an end of ``vid`` has owners.  ``keep_lo``
+        and ``keep_hi`` name the ends the change leaves where they were (for
+        a wipe-out: the end that stood against it).  A moved end loses its
+        owners; when the change fixes or wipes out an unfixed variable, the
+        ends it kept are read."""
+        lo, hi = self._lo_owners[vid], self._hi_owners[vid]
+        if len(new) <= 1 and len(old) > 1:
+            clauses = self.clauses
+            if keep_lo and lo:
+                clauses.add(lo)
+            if keep_hi and hi:
+                clauses.add(hi)
+        if new and (lo and not keep_lo or hi and not keep_hi):
+            self._own(vid, lo if keep_lo else 0, hi if keep_hi else 0)
 
     # -- pruning helpers (used by propagators) ------------------------------
 
@@ -248,33 +343,47 @@ class Model:
                 queue.append(cid)
         return True
 
+    # Each helper keeps the owners of the ends it moves up to date; the
+    # check that either end has owners is all it pays when none has.
+
     def prune_le(self, vid: int, ub: int) -> bool:
         d = self._doms[vid]
         if d and d[-1] <= ub:
             return True
-        return self._set_dom(vid, d[: bisect_right(d, ub)])
+        new = d[: bisect_right(d, ub)]
+        if self._lo_owners[vid] or self._hi_owners[vid]:
+            self._narrowed(vid, d, new, True, False)
+        return self._set_dom(vid, new)
 
     def prune_ge(self, vid: int, lb: int) -> bool:
         d = self._doms[vid]
         if d and d[0] >= lb:
             return True
-        return self._set_dom(vid, d[bisect_left(d, lb):])
+        new = d[bisect_left(d, lb):]
+        if self._lo_owners[vid] or self._hi_owners[vid]:
+            self._narrowed(vid, d, new, False, True)
+        return self._set_dom(vid, new)
 
     def remove_value(self, vid: int, val: int) -> bool:
         d = self._doms[vid]
         i = bisect_left(d, val)
         if i >= len(d) or d[i] != val:
             return True
-        return self._set_dom(vid, d[:i] + d[i + 1:])
+        new = d[:i] + d[i + 1:]
+        if self._lo_owners[vid] or self._hi_owners[vid]:
+            self._narrowed(vid, d, new, i > 0, i < len(d) - 1)
+        return self._set_dom(vid, new)
 
     def fix(self, vid: int, val: int) -> bool:
         d = self._doms[vid]
         if len(d) == 1 and d[0] == val:
             return True
         i = bisect_left(d, val)
-        if i >= len(d) or d[i] != val:
-            return self._set_dom(vid, ())
-        return self._set_dom(vid, (val,))
+        new = (val,) if i < len(d) and d[i] == val else ()
+        if self._lo_owners[vid] or self._hi_owners[vid]:
+            # kept: an end equal to val, or, for a wipe-out, the whole domain
+            self._narrowed(vid, d, new, not new or d[0] == val, not new or d[-1] == val)
+        return self._set_dom(vid, new)
 
     # -- posting and propagation --------------------------------------------
 
@@ -373,6 +482,8 @@ class SumEq(Constraint):
                 return False
             d = doms[self.total_var]
             tlo, thi = d[0], d[-1]
+            if tlo != thi:
+                model.read(self.total_var)  # the ends the xs are pruned from
         else:
             tlo = thi = self.total_const
             if not (lo <= thi and hi >= tlo):
@@ -399,6 +510,12 @@ class LexGreater(Constraint):
     the forced-equal prefix; the tie value itself is dropped when the suffix
     cannot break the tie upward.  Fails exactly when the domain box maximum
     is lexicographically <= the tuple.
+
+    It reads a lower end that it leaves at or above the tie value, and in
+    the suffix an upper end at or below the tuple's value; a wider domain
+    could change either answer, and no other.  (The suffix test reaches a
+    lower end only when it is above the tuple's value, and then the upper
+    end already answered.)
     """
 
     kind = "lex_greater"
@@ -417,9 +534,14 @@ class LexGreater(Constraint):
     def _suffix_can_exceed(self, model: Model, j: int) -> bool:
         doms = model._doms
         for p in range(j, len(self.xs)):
-            d = doms[self.xs[p]]
+            vid = self.xs[p]
+            d = doms[vid]
             if d[-1] > self.tup[p]:
                 return True
+            if len(d) > 1:  # the upper end, at or below the tuple's value, was read
+                owners = model._hi_owners[vid]
+                if owners:
+                    model.clauses.add(owners)
             if self.tup[p] not in d:
                 return False
         return False
@@ -437,9 +559,14 @@ class LexGreater(Constraint):
                 if not model.prune_ge(vid, t):
                     return False
                 d = doms[vid]
-            if d[-1] > t:
+                if d[-1] > t:
+                    break
+            elif d[-1] > t:  # the lower end, at or above t, was read
+                owners = model._lo_owners[vid]
+                if owners and len(d) > 1:
+                    model.clauses.add(owners)
                 break
-            i += 1
+            i += 1  # d is (t,): its ends were read when it was fixed
         if d[0] == t and not self._suffix_can_exceed(model, i + 1):
             if not model.remove_value(vid, t):
                 return False
@@ -532,6 +659,7 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
         raise InvalidArgumentError("labeling needs at least one variable")
     last = len(vids)
     doms, trail, inq = model._doms, model._trail, model._inq
+    lo_owners, hi_owners, clauses = model._lo_owners, model._hi_owners, model.clauses
     set_dom, drain, undo = model._set_dom, model._drain, model._undo_to
     base = len(trail)
     nback = 0
@@ -579,7 +707,10 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
         if k == cut and prefix is not None:
             return split(prefix)
         vid = vids[k]
-        for val in doms[vid]:
+        d = doms[vid]
+        if lo_owners[vid] and len(d) > 1:  # the first value tried
+            clauses.add(lo_owners[vid])
+        for val in d:
             nxt = prefix
             if k < cut:
                 nxt = prefix + (val,)
@@ -594,6 +725,8 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
             else:
                 nback += 1
             undo(mk)
+        if hi_owners[vid] and len(d) > 1:  # the last value tried
+            clauses.add(hi_owners[vid])
         return False
 
     try:

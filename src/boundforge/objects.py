@@ -385,6 +385,10 @@ class OccurrenceChannel(Constraint):
     interval and the memo holds at most n(n+1)/2 entries.  ``smax`` keeps
     the exact S maximum of each occurrence box the channel has run on, a
     pure function of the box, so it too is exact for every model.
+
+    A call reads both ends of P and clears their owners first (see
+    ``kernel``), so the writes it runs or replays move no owned end and
+    leave the same trail.
     """
 
     kind = "occurrence_channel"
@@ -403,6 +407,10 @@ class OccurrenceChannel(Constraint):
         self._state = itemgetter(*self.watched)  # the watched domains, P last
 
     def propagate(self, model: Model) -> bool:
+        p = self.p
+        if model._lo_owners[p] or model._hi_owners[p]:  # see the class docstring
+            model.read(p)
+            model._own(p, 0, 0)
         doms = model._doms
         state = self._state(doms)
         key = state[-1]

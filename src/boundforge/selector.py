@@ -45,7 +45,7 @@ import time
 from collections import Counter
 from typing import Mapping, NamedTuple, Sequence
 
-from .bounds import BoundCandidate, BoundConstraint, post_bound, posted_bounds
+from .bounds import BoundCandidate, post_bound, posted_bounds
 from .errors import (
     CatalogSoundnessError,
     InfeasibleModelError,
@@ -205,8 +205,7 @@ class StepLoop(NamedTuple):
     when the loop starts (:meth:`StepMemo.loop`)."""
 
     mark: TrailMark  # the model's trail length and constraint count
-    bounds: list[BoundConstraint]  # the posted bounds, in posting order
-    posted: int  # their bits in the memo's posted sets
+    posted: int  # the posted bounds' bits in the memo's posted sets
     state: tuple[tuple[int, ...], ...]  # every domain, Model.snapshot()
 
 
@@ -216,40 +215,50 @@ class StepMemo:
     The drain searches the same transition, the step out of one ``prev``,
     under one candidate subset after another.  Each searched step is kept
     under its ``prev`` with its outcome (the labeling result, or None when
-    the lex post failed), the set of bounds posted, the set of those that
-    acted (pruned or failed, lex post included: ``BoundConstraint.acted``
-    moved) and the model's domains when it began.  A later step from the
-    same ``prev`` is answered from a stored one, without posting or
-    labeling, when its domains at the start are equal to the stored ones and
-    its posted set lies between the stored acted set and the stored posted
-    set.
+    the lex post failed), the set of bounds posted, the clauses its reads
+    recorded and the model's domains when it began.  A clause is the set
+    of owners of one domain end the search read (see ``kernel``): the
+    posted bounds each of which alone reproduces that end.  A later step
+    from the same ``prev`` is answered from a stored one, without posting
+    or labeling, when its domains at the start are equal to the stored
+    ones, its posted set meets every stored clause, and it lies within the
+    stored posted set.  Equal candidates post equal propagators, so they
+    share one bit of the posted sets and clauses.
 
-    That is sound because the propagators are monotone and a fixpoint does
-    not depend on propagation order: a posted bound that never pruned or
-    failed during a step can be taken away without changing any state the
-    step visits, so every fixpoint, failure and count stays the same.  A
-    bound that pruned only when it was posted acted before the step began;
-    the domain check is what sees it.  Equal candidates post equal
-    propagators, so they share one bit of the posted and acted sets.
+    That is sound because a search reads nothing else that a posted set
+    could change.  Take the stored search under P and the new one under Q
+    within P, from equal start domains, and follow the stored search's
+    reads in order.  At each, the new search has made the same decisions,
+    and its domains are no smaller, since fewer monotone propagators reach
+    a fixpoint no smaller.  The end read is no wider either: one of its
+    owners is in Q, and its inputs are fixed alike, since the fix of each
+    was read too; or it has no owner, and the lex jump or the object's own
+    propagators set it from reads already shown equal.  So every read gets
+    the same answer, and the two searches make the same trials, failures
+    and leaf replays, so they reach the same count and solution.  A bound
+    that pruned only when it was posted shows in the start domains, which
+    the domain check compares; :meth:`loop` clears every owner, so those
+    ends carry no clause.
 
     The equal-outcome rule drops the upper limit: an outcome whose count
     equals the ``expected`` count, the one the drain compares the step
     with, answers a step that posts more bounds, given equal start domains
-    and every stored acted bound posted.  It is on only once ``sound`` is
-    set, which ``_run`` does when the compute phase found every feasible
-    tuple with every candidate posted, so no candidate removes one.  Then
-    more bounds can only lower a count (a trial they fail heads a subtree
-    without solutions, where the fewer bounds fail at least once), they
-    leave the next solution where it was, and the count cannot drop below
-    ``expected``, which is that same transition's count with every
-    candidate posted.
+    and every stored clause met.  It is on only once ``sound`` is set,
+    which ``_run`` does when the compute phase found every feasible tuple
+    with every candidate posted, so no candidate removes one.  The stored
+    clauses hold only bits of the stored set, so the part of Q within it
+    meets them too and gets the stored outcome.  More bounds can only
+    lower a count (a trial they fail heads a subtree without solutions,
+    where the fewer bounds fail at least once), they leave the next
+    solution where it was, and the count cannot drop below ``expected``,
+    which is that same transition's count with every candidate posted.
 
     A step loop, the enumeration or one drain, takes its steps on a model
     that is the same at the start of each: a step posts the lex constraint
     and retracts it, and the loop posts nothing in between.  So the posted
-    bounds, their bits and the start domains are taken once per loop
-    (:meth:`loop`), and each step checks in O(1) that the model still has
-    the loop's trail length and constraint count.
+    bits and the start domains are taken once per loop (:meth:`loop`), and
+    each step checks in O(1) that the model still has the loop's trail
+    length and constraint count.
 
     One memo belongs to one run and one object size; it is never shared.
     """
@@ -264,13 +273,16 @@ class StepMemo:
         self.sound = False  # every candidate known sound: the equal-outcome rule is on
 
     def loop(self, model: Model) -> StepLoop:
-        """What the steps of a loop on ``model``, as it stands, share."""
-        cons = posted_bounds(model)
+        """What the steps of a loop on ``model``, as it stands, share.  It
+        gives each posted bound its bit and clears every owner (on the
+        trail, so a retraction brings them back)."""
         bit = self.bit
         posted = 0
-        for con in cons:
-            posted |= bit[id(con.bound)]
-        return StepLoop(model.mark(), cons, posted, model.snapshot())
+        for con in posted_bounds(model):
+            con.bit = bit[id(con.bound)]
+            posted |= con.bit
+        model.disown()
+        return StepLoop(model.mark(), posted, model.snapshot())
 
     def step(self, model, featvars, xs, prev, loop: StepLoop, expected=None):
         """The outcome of the step from ``prev`` on ``model``, in the state
@@ -278,26 +290,24 @@ class StepMemo:
         stored one when the conditions above hold, else searched and
         stored.  A model whose trail or constraints changed since raises
         :class:`InternalInvariantError`."""
-        mark, cons, posted, state = loop
+        mark, posted, state = loop
         if model.mark() != mark:
             raise InternalInvariantError("the model changed between two steps of one loop")
-        bit = self.bit
         entries = self.steps.setdefault(prev, [])
-        for stored, acted, stored_state, res in entries:
-            if acted & ~posted:
-                continue
+        for stored, clauses, stored_state, res in entries:
             if posted & ~stored and not (
                     self.sound and res is not None and res.nback == expected):
                 continue
-            if state == stored_state:
-                return res
-        before = [con.acted for con in cons]
+            for clause in clauses:
+                if not posted & clause:
+                    break
+            else:
+                if state == stored_state:
+                    return res
+        clauses = model.clauses
+        clauses.clear()
         res = _search(model, featvars, xs, prev)
-        acted = 0
-        for con, count in zip(cons, before):
-            if con.acted != count:
-                acted |= bit[id(con.bound)]
-        entries.append((posted, acted, state, res))
+        entries.append((posted, tuple(clauses), state, res))
         return res
 
 

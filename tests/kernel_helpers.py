@@ -37,10 +37,14 @@ def sweep_slice():
 
 def model_state(model: Model) -> tuple:
     """Every part of a model that a search, a post or a retraction may
-    touch: domains, constraint count, trail length, queue, queue flags and
-    watcher lists."""
+    touch: domains, owner lists, constraint count, trail (the owner trail
+    is part of it) and its length, queue, queue flags and watcher lists.
+    The clauses reads record are a log, not state, so they are left out."""
     return (
         model.snapshot(),
+        list(model._lo_owners),
+        list(model._hi_owners),
+        list(model._trail),
         len(model._constraints),
         len(model._trail),
         list(model._queue),

@@ -21,10 +21,12 @@ from kernel_helpers import model_state, solve_all
 
 
 def _clone(model):
-    """A model in ``model``'s exact state, queue and flags included
+    """A model in ``model``'s exact state, owners, queue and flags included
     (``Model.copy`` refuses a model that propagates)."""
     other = Model()
     other._doms = model._doms.copy()
+    other._lo_owners = model._lo_owners.copy()
+    other._hi_owners = model._hi_owners.copy()
     other._trail = model._trail.copy()
     other._constraints = model._constraints.copy()
     other._watchers = [w.copy() for w in model._watchers]
@@ -194,3 +196,14 @@ def test_threads_that_share_a_channel_memo_select_as_one_thread_does():
         sys.setswitchinterval(interval)
     assert results == expected
     assert len(_shared_memo(n)) <= n * (n + 1) // 2
+
+
+def test_a_call_reads_both_ends_of_p_and_clears_their_owners():
+    """So no run or replay moves an owned end of P (see ``kernel``)."""
+    model, featvars, _ = ObjectScenario("partition", 4).fresh(Counters())
+    p = featvars[0].id
+    model._own(p, 1, 2)
+    model.clauses.clear()
+    assert _channel(model).propagate(model)
+    assert model.clauses == {1, 2}
+    assert (model._lo_owners[p], model._hi_owners[p]) == (0, 0)

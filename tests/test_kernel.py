@@ -317,3 +317,53 @@ def test_labeling_finds_the_first_solution_solve_all_lists(build):
     assert m.snapshot() == before
     assert res.finished == (sols == [])
     assert res.sol == (sols[0] if sols else ())
+
+
+# -- the reads that record owners (see the kernel docstring) -------------------
+
+
+def _owned(boxes, owners):
+    """A model with one variable per (lo, hi) box, the (lower, upper) owner
+    bits of each as given, and no clause recorded yet."""
+    m = Model()
+    vs = [m.new_var(lo, hi) for lo, hi in boxes]
+    for v, (lo_bits, hi_bits) in zip(vs, owners):
+        m._own(v.id, lo_bits, hi_bits)
+    m.clauses.clear()
+    return m, vs
+
+
+@pytest.mark.parametrize("accept, clauses", [(True, {1}), (False, {1, 2})])
+def test_labeling_reads_the_lower_end_and_the_upper_one_once_it_tried_the_last(accept, clauses):
+    m, (x,) = _owned([(0, 2)], [(1, 2)])
+    assert post(m, ("check", [x], lambda vals: accept)) is not None
+    labeling(m, [x], [])
+    assert m.clauses == clauses
+
+
+def test_sum_eq_reads_the_ends_of_its_total_that_it_leaves():
+    """x0 = 1 moves the total's lower end, which loses its owners; the sum
+    then prunes the others from the upper end it kept."""
+    m, (*xs, total) = _owned([(0, 1)] * 3 + [(0, 3)], [(0, 0)] * 3 + [(2, 4)])
+    assert post(m, ("sum_eq", xs, total)) is not None
+    m.clauses.clear()
+    assert m.assign(xs[0].id, 1)
+    assert m.domain(total) == (1, 2, 3)
+    assert (m._lo_owners[total.id], m._hi_owners[total.id]) == (0, 4)
+    assert m.clauses == {4}
+
+
+def test_lex_greater_reads_the_lower_end_it_stops_at_and_the_suffix_upper_ends():
+    """(a, b) >lex (1, 2) with a in 1..3 and b in 0..2: a's lower end is the
+    tie value and b cannot exceed 2, so 1 leaves a."""
+    m, (a, b) = _owned([(1, 3), (0, 2)], [(8, 0), (0, 16)])
+    assert post_lex_greater(m, [a, b], (1, 2)) is not None
+    assert m.domain(a) == (2, 3) and m._lo_owners[a.id] == 0
+    assert m.clauses == {8, 16}
+
+
+@pytest.mark.parametrize("value, clauses", [(0, {1}), (1, set()), (2, {2}), (5, {1, 2})])
+def test_a_fix_reads_the_ends_it_keeps_and_a_wipe_out_reads_both(value, clauses):
+    m, (x,) = _owned([(0, 2)], [(1, 2)])
+    assert m.fix(x.id, value) is (value <= 2)
+    assert m.clauses == clauses

@@ -63,9 +63,9 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
     check = _CrossCheck()
     monkeypatch.setattr(selector, "labeling", check)
     outcome = selector.run_selection(ObjectScenario("binseq", 10), catalog("binseq"))
-    # the step memo answers the other 891 steps without labeling
+    # the step memo answers the other 1 107 steps without labeling
     assert outcome.report.labelings == 1358
-    assert check.calls == 467
+    assert check.calls == 251
     assert check.used == check.calls
     assert check.mismatches == []
     table = _table("binseq", 10)

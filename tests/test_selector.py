@@ -331,8 +331,8 @@ def test_canonical_tuples_refuse_what_the_tuple_tables_refuse():
 
 
 @pytest.mark.parametrize("engine, expected", [
-    (run_selection, {"labeling": 467, "post_lex_greater": 468, "post_bound": 119}),
-    (run_baseline, {"labeling": 467, "post_lex_greater": 468, "post_bound": 768}),
+    (run_selection, {"labeling": 251, "post_lex_greater": 252, "post_bound": 119}),
+    (run_baseline, {"labeling": 251, "post_lex_greater": 252, "post_bound": 768}),
 ])
 def test_each_search_and_post_goes_through_its_selector_name(monkeypatch, engine, expected):
     """A traced benchmark run counts kernel work only through

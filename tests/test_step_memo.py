@@ -18,10 +18,11 @@ from boundforge import oracle, selector
 from boundforge.bounds import BoundCandidate, by_id, catalog, decoy, post_bound, posted_bounds
 from boundforge.errors import CatalogError, CatalogSoundnessError, InternalInvariantError
 from boundforge.expr import NoCaseMatched
+from boundforge.kernel import Constraint, Model, labeling, post_lex_greater
 from boundforge.objects import FEATURES, canonical_tuples, feature_tuples
 from boundforge.selector import Counters, ObjectScenario, StepMemo, enumerate_all_solutions
 
-from kernel_helpers import post, sweep_slice
+from kernel_helpers import model_state, post, sweep_slice
 from test_expr import _OPERATORS, _node
 from test_metamorphic import _tightened
 
@@ -60,7 +61,12 @@ class _CrossCheck:
         def checked(memo, model, featvars, xs, prev, loop, expected=None):
             state = model.snapshot()
             assert loop.state == state and loop.mark == model.mark()
-            assert loop.bounds == posted_bounds(model)
+            posted = 0
+            for con in posted_bounds(model):
+                assert con.bit == memo.bit[id(con.bound)]
+                posted |= con.bit
+            assert loop.posted == posted
+            assert not any(model._lo_owners) and not any(model._hi_owners)
             res = step(memo, model, featvars, xs, prev, loop, expected)
             assert model.snapshot() == state
             ref = _search(model, featvars, xs, prev)
@@ -82,9 +88,9 @@ def test_catalog_order_binseq_10_selection_equals_a_real_search_at_every_step(mo
     outcome = selector.run_selection(ObjectScenario("binseq", 10), catalog("binseq"))
     assert outcome.report.labelings == 1358
     assert check.mismatches == []
-    # 1 358 steps label and 8 end at a failed lex post; the searched 469
-    # are 467 labelings and 2 failed lex posts, and the other 897 are answered
-    assert (check.steps, check.searched) == (1366, 469)
+    # 1 358 steps label and 8 end at a failed lex post; the searched 253
+    # are 251 labelings and 2 failed lex posts, and the other 1 113 are answered
+    assert (check.steps, check.searched) == (1366, 253)
 
 
 @pytest.mark.parametrize("engine", [selector.run_selection, selector.run_baseline])
@@ -157,34 +163,178 @@ def test_a_bound_that_prunes_only_when_posted_is_selected(monkeypatch, engine, f
     assert _observables(got) == _observables(engine(ObjectScenario("binseq", 2), cands))
 
 
-def _posted(object_name, n, cand):
+def _posted(object_name, n, cand, bit=1):
+    """A fresh model with ``cand`` posted under owner bit ``bit``, and no
+    clause recorded yet."""
     model, featvars, xs = ObjectScenario(object_name, n).fresh(Counters())
     assert post_bound(model, cand, featvars, n) is not None
     (con,) = posted_bounds(model)
+    con.bit = bit
+    model.clauses.clear()
     return model, featvars, con
 
 
-def test_acted_counts_only_prunings_and_failures():
-    model, featvars, con = _posted("binseq", 4, catalog("binseq")[1])  # B-GMAX-LB
-    assert con.acted == 0
+def test_a_pruning_that_nothing_reads_leaves_no_clause():
+    model, featvars, con = _posted("binseq", 8, by_id("B-GMAX-LB"))
     n1, gmax = featvars[0].id, featvars[3].id
-    mark = model.mark()
-    assert model.assign(gmax, 4) and con.acted == 0  # its input N1 is still open
-    assert model.assign(n1, 4) and con.acted == 0  # Gmax = 4 >= 4 // 1: nothing to prune
-    model.retract_to(mark)
-    assert model.assign(n1, 4) and con.acted == 1  # prunes Gmax to >= 4
-    assert model.domain(featvars[3]) == (4,)
-    model.retract_to(mark)
-    assert model.assign(gmax, 1) and not model.assign(n1, 4)
-    assert con.acted == 2  # the same pruning empties Gmax
+    assert model.assign(n1, 4)  # Gmax >= 8 // (8 - 4 + 1): 0..8 becomes 1..8
+    assert model.dom(gmax) == tuple(range(1, 9))
+    assert model._lo_owners[gmax] == 1 and model._hi_owners[gmax] == 0
+    assert model.clauses == set()
+    model.read(gmax)  # as labeling Gmax would read its lower end
+    assert model.clauses == {1}
 
 
-def test_an_unmatched_guard_counts_as_acting():
+def test_an_unmatched_guard_leaves_its_own_bit():
     unmatched = BoundCandidate(
         "NOMATCH", "binseq", "GS", "upper", ("cases", (("==", "G", 7), 0)))
-    model, featvars, con = _posted("binseq", 4, unmatched)
+    model, featvars, con = _posted("binseq", 4, unmatched, bit=4)
     assert not model.assign(featvars[1].id, 1)
-    assert con.acted == 1
+    assert model.clauses == {4}
+
+
+def test_a_tight_later_bound_joins_the_owners_so_a_step_stays_answered_without_the_first(
+        monkeypatch):
+    """Two bounds with B-DS-UB1's rhs wake together; the first prunes DS
+    and the later one, finding DS's upper end equal to its rhs, joins its
+    owners.  So most steps searched under both are answered under the
+    later one alone, and each answer is a real search's."""
+    rhs = by_id("B-DS-UB1").rhs
+    first, later = (BoundCandidate(name, "binseq", "DS", "upper", rhs)
+                    for name in ("FIRST", "LATER"))
+    memo = StepMemo([first, later], canonical_tuples("binseq", 6))
+    searched, counts = [], []
+    monkeypatch.setattr(selector, "_search", lambda *args: searched.append(args) or _search(*args))
+    for cands in ([first, later], [later]):
+        model, featvars, xs = ObjectScenario("binseq", 6).fresh(Counters())
+        for cand in cands:
+            assert post_bound(model, cand, featvars, 6) is not None
+        searched.clear()
+        records = enumerate_all_solutions(model, featvars, xs, Counters(), memo)
+        counts.append(len(searched))
+        assert records == enumerate_all_solutions(model, featvars, xs, Counters())
+    assert len(records) == 24 and counts == [24, 5]
+    # only the steps where FIRST fixed DS, before LATER ran, are searched again
+    clauses = [clauses for stored in memo.steps.values() for _, clauses, _, _ in stored]
+    assert sum(0b01 in step for step in clauses) == 5
+    assert any(0b11 in step for step in clauses)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_scenarios(), st.data())
+def test_a_search_under_bounds_that_meet_every_clause_equals_the_stored_one(scenario, data):
+    """The clause rule below the selector: every step of an enumeration
+    under P is searched again under a Q within P that meets each clause the
+    step recorded, from the same start state, with the same outcome."""
+    object_name, n, cands = scenario
+
+    def posted(chosen):
+        model, featvars, xs = ObjectScenario(object_name, n).fresh(Counters())
+        for cand in chosen:
+            if post_bound(model, cand, featvars, n) is None:
+                return None
+        return model, featvars, xs
+
+    built = posted(cands)
+    assume(built is not None)  # PARTIAL can fail when posted
+    model, featvars, xs = built
+    memo = StepMemo(cands, canonical_tuples(object_name, n))
+    start = memo.loop(model).state
+    steps, prev = [], None
+    width = len(FEATURES[object_name])
+    while True:
+        model.clauses.clear()
+        res = _search(model, featvars, xs, prev)
+        steps.append((prev, tuple(model.clauses), res))
+        if res is None or res.finished:
+            break
+        prev = res.sol[:width]
+    bits = sorted({memo.bit[id(c)] for c in cands})
+    for prev, clauses, res in steps:
+        keep = {b for b in bits if data.draw(st.booleans())}
+        for clause in clauses:
+            if not any(b in keep for b in bits if b & clause):
+                keep.add(data.draw(st.sampled_from([b for b in bits if b & clause])))
+        built = posted([c for c in cands if memo.bit[id(c)] in keep])
+        if built is None or memo.loop(built[0]).state != start:
+            continue  # only a bound that prunes when posted, left out, moves the start
+        assert _search(*built, prev) == res
+
+
+# -- ownership is state ----------------------------------------------------------
+
+
+def _owned():
+    """binseq n=8 with the catalog posted and numbered by a step memo, then
+    N1=4 and G=2 fixed: catalog bounds own ends of the other features."""
+    model, featvars, xs = ObjectScenario("binseq", 8).fresh(Counters())
+    for cand in catalog("binseq"):
+        assert post_bound(model, cand, featvars, 8) is not None
+    StepMemo(catalog("binseq"), canonical_tuples("binseq", 8)).loop(model)
+    assert model.assign(featvars[0].id, 4) and model.assign(featvars[1].id, 2)
+    assert any(model._lo_owners) and any(model._hi_owners)
+    return model, featvars, xs
+
+
+class _PrunesThenRaises(Constraint):
+    kind = "prunes_then_raises"
+
+    def __init__(self, vid):
+        super().__init__((vid,))
+        self.vid = vid
+
+    def propagate(self, model):
+        model.prune_ge(self.vid, model.dom(self.vid)[0] + 1)
+        raise RuntimeError("after a pruning")
+
+
+def _search_from_first(model, featvars, xs):
+    first = labeling(model, featvars, xs).sol[:len(featvars)]
+    assert _search(model, featvars, xs, first) is not None
+
+
+def _post_and_retract(model, featvars, xs):
+    mark = model.mark()
+    assert post_lex_greater(model, featvars, (4, 2) + (0,) * 8) is not None
+    assert model.assign(featvars[6].id, 1)  # Dmin, so bounds on the gaps prune
+    model.retract_to(mark)
+
+
+def _failed_post(model, featvars, xs):
+    top = tuple([model.dom(v.id)[-1] for v in featvars])
+    assert post_lex_greater(model, featvars, top) is None
+
+
+def _raising_post(model, featvars, xs):
+    gmax = featvars[3].id
+    assert model._lo_owners[gmax]
+    with pytest.raises(RuntimeError):
+        model.post_constraint(_PrunesThenRaises(gmax))
+
+
+@pytest.mark.parametrize("action", [
+    lambda model, featvars, xs: labeling(model, featvars, xs),  # parks the prefix check
+    _search_from_first,
+    _post_and_retract,
+    _failed_post,
+    _raising_post,
+], ids=["labeling", "step", "post and retract", "failed post", "raising post"])
+def test_ownership_comes_back_exactly(monkeypatch, action):
+    """Each way a model is changed and restored brings every owner back
+    through the trail, after changing some of them."""
+    model, featvars, xs = _owned()
+    before = model_state(model)
+    undone = []  # the owner entries each undo pops (under ~vid)
+    undo = Model._undo_to
+
+    def counted(m, trail_len):
+        undone.extend([vid for vid, _ in m._trail[trail_len:] if vid < 0])
+        undo(m, trail_len)
+
+    monkeypatch.setattr(Model, "_undo_to", counted)
+    action(model, featvars, xs)
+    assert undone
+    assert model_state(model) == before
 
 
 # -- the equal-outcome rule and its gate ------------------------------------------

@@ -152,7 +152,7 @@ class _CopiesItsModel(Constraint):
 
 
 def test_a_model_with_a_posted_bound_cannot_be_copied():
-    """A posted bound keeps per-model state (its slot list and ``acted``),
+    """A posted bound keeps per-model state (its slot list and owner bit),
     so a copy that shared it would let one model's searches reach another."""
     model, featvars, _ = ObjectScenario("binseq", 6).fresh(Counters())
     assert post_bound(model, catalog("binseq")[0], featvars, 6) is not None
