@@ -34,7 +34,15 @@ one failure.  Neither skip moves a fixpoint, a failure or a count.
 :func:`labeling` is the kernel's one search, and it has one mode: it ends
 at its first solution or once it has proved that none remains, never
 earlier, so every count is a full one.  Nothing here enumerates every
-solution; the tests do that with an enumerator of their own.
+solution; the tests do that with an enumerator of their own.  A search
+may keep its path open (a ``resume.Path``, one trail mark per feature
+level) instead of restoring the model, and the next search from that
+path's solution resumes from it: ``Path.climb`` decides the lex jump off
+the solution from the path's own states, which is exact because the jump
+is domain-complete on boxes and fixpoints do not depend on order, and
+labeling goes on from the first level where the jump holds.  The count
+and solution are those of posting the jump at the root and searching
+from there.
 
 Each end of a domain has *owners*: the bits (``BoundConstraint.bit``) of
 the posted bounds each of which alone reproduces that end.  A bound that
@@ -68,9 +76,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvalidArgumentError
+
+if TYPE_CHECKING:
+    from .resume import Path
 
 # most entries a model's ``var_ids`` cache holds before it is emptied: the
 # library resolves three or four variable lists per model
@@ -279,14 +290,17 @@ class Model:
         lo_owners[vid] = lo
         hi_owners[vid] = hi
 
-    def disown(self) -> None:
+    def disown(self) -> bool:
         """Clear every owner, on the trail, so the ends as they stand record
-        no clause: a step memo compares start domains itself."""
+        no clause: a step memo compares start domains itself.  Whether any
+        owner was set."""
         lo, hi = self._lo_owners, self._hi_owners
-        if any(lo) or any(hi):
-            for vid in range(len(lo)):
-                if lo[vid] or hi[vid]:
-                    self._own(vid, 0, 0)
+        if not (any(lo) or any(hi)):
+            return False
+        for vid in range(len(lo)):
+            if lo[vid] or hi[vid]:
+                self._own(vid, 0, 0)
+        return True
 
     def _join(self, vid: int, bit: int, upper: bool) -> None:
         """A bound whose rhs equals an owned end of ``vid`` joins its owners."""
@@ -435,11 +449,15 @@ class Model:
 
     def attach(self, memo: LeafMemo) -> None:
         """Make ``memo``, whose owner's constraints are posted, the leaf
-        memo, and count the other posted constraints that keep it off."""
+        memo, count the other posted constraints that keep it off, and note
+        in ``memo.watched`` the features that an owner's constraint other
+        than its prefix check watches."""
         self.leaf_memo = memo
-        owned = memo.owned
+        owned, cons = memo.owned, self._constraints
         self._blockers = sum([cid not in owned and memo.blocked_by(con)
-                              for cid, con in enumerate(self._constraints)])
+                              for cid, con in enumerate(cons)])
+        seen = {vid for cid in owned if cid != memo.check for vid in cons[cid].watched}
+        memo.watched = tuple([vid in seen for vid in memo.featvars])
 
     def assign(self, vid: int, val: int) -> bool:
         """Fix a variable and propagate to fixpoint; False on failure.  A
@@ -625,6 +643,9 @@ class LeafMemo:
         self.table: dict[tuple[int, ...], tuple] = {}
         self.order = featvars + xs
         self.feats = frozenset(featvars)
+        # per feature: whether a constraint of the owner other than its check
+        # watches it (set by Model.attach); see resume.Path
+        self.watched: tuple[bool, ...] = ()
 
     def blocked_by(self, con: Constraint) -> bool:
         """Whether ``con``, posted by anyone but the owner, keeps the memo
@@ -644,7 +665,8 @@ class LeafMemo:
         return model._blockers == 0 and tuple(vids) == self.order
 
 
-def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
+def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef],
+             path: Path | None = None) -> LabelResult:
     """Find the lexicographically smallest solution of featvars ++ xs.
 
     Variables are fixed left to right, scanning each domain by increasing
@@ -653,12 +675,18 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
     model's leaf memo is used when it applies to this search, and gives the
     same count and solution as searching without it.  The model state is
     restored before returning.
+
+    With a ``path`` the search keeps its own path open instead: the model
+    stays where the solution was found, and a search with no solution
+    closes the path.  After ``Path.climb`` it resumes where the climb
+    left the model, and otherwise it searches from the root, where any
+    jump was posted since the path's base.
     """
     vids = model.var_ids((*featvars, *xs))
     if not vids:
         raise InvalidArgumentError("labeling needs at least one variable")
     last = len(vids)
-    doms, trail, inq = model._doms, model._trail, model._inq
+    doms, trail, inq, cons = model._doms, model._trail, model._inq, model._constraints
     lo_owners, hi_owners, clauses = model._lo_owners, model._hi_owners, model.clauses
     set_dom, drain, undo = model._set_dom, model._drain, model._undo_to
     base = len(trail)
@@ -667,6 +695,15 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
     if memo is not None and not memo.applies(model, vids):
         memo = None
     cut, prefixes = (len(memo.featvars), memo.prefixes) if memo is not None else (-1, ())
+    keep = 0  # the feature levels whose marks and trial reads the path keeps
+    marks: list = []
+    reads: list = []
+    mid = 0
+    if path is not None:
+        keep = len(path.fvids)
+        if vids[:keep] != path.fvids:
+            raise InvalidArgumentError("the path belongs to other feature variables")
+        marks, reads, mid = path.marks, path.reads, model.model_id
     # The queue is empty between searches, so no flag is set on entry.  The
     # memo's check is parked here and its flag cleared on every way out;
     # nothing queues a parked constraint, so no drain clears it.
@@ -698,8 +735,11 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
     # later features onto a prefix no feasible tuple extends succeeds; the
     # levels down to the first infeasible one then hold one value each, and
     # the prefix test there counts the one failure the check would have
-    # counted at the trial.
-    def dfs(k: int, prefix: tuple[int, ...] | None) -> bool:
+    # counted at the trial.  A resumed level tries ``vals``, the values
+    # above prev's, and ``wide`` says whether its domain under the jump
+    # holds more than one value.  On the way back from a solution, each
+    # feature level the path keeps records its mark and its trial's reads.
+    def dfs(k: int, prefix: tuple[int, ...] | None, vals=None, wide=False) -> bool:
         nonlocal nback, found
         if k == last:
             found = tuple([doms[v][0] for v in vids])
@@ -707,10 +747,12 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
         if k == cut and prefix is not None:
             return split(prefix)
         vid = vids[k]
-        d = doms[vid]
-        if lo_owners[vid] and len(d) > 1:  # the first value tried
-            clauses.add(lo_owners[vid])
-        for val in d:
+        if vals is None:
+            vals = doms[vid]
+            wide = len(vals) > 1
+            if wide and lo_owners[vid]:  # the first value tried
+                clauses.add(lo_owners[vid])
+        for val in vals:
             nxt = prefix
             if k < cut:
                 nxt = prefix + (val,)
@@ -718,23 +760,62 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> 
                     nback += 1  # the owner's prefix check would fail this trial
                     continue
             mk = len(trail)
-            set_dom(vid, (val,))
-            if drain():
+            if k < keep:  # the trial's reads go to its own set first
+                model.clauses = mine = set()
+                set_dom(vid, (val,))
+                ok = drain()
+                model.clauses = clauses
+                if mine:
+                    clauses.update(mine)
+            else:
+                set_dom(vid, (val,))
+                ok = drain()
+            if ok:
                 if dfs(k + 1, nxt):
+                    if k < keep:
+                        marks[k] = TrailMark(mid, mk, len(cons))
+                        reads[k] = mine
                     return True
             else:
                 nback += 1
             undo(mk)
-        if hi_owners[vid] and len(d) > 1:  # the last value tried
+        if wide and hi_owners[vid]:  # the last value tried
             clauses.add(hi_owners[vid])
         return False
 
     try:
-        dfs(0, ())
+        if path is None:
+            dfs(0, ())
+        elif path.plan is None:  # a new path, from the base and any jump posted since
+            root = set(clauses)  # the jump's reads: a step memo clears the log before a step
+            if dfs(0, ()):
+                marks[0] = path.base
+                reads[0] |= root
+        else:  # resumed where climb left the model, then up the path's levels
+            j, nback, vals, wide, pending = path.plan
+            path.plan = None
+            prev = path.sol
+            while True:
+                start = marks[j]
+                if vals and dfs(j, prev[:j], vals, wide):
+                    marks[j] = start
+                    reads[j] |= pending
+                    break
+                if j == 0:
+                    break
+                j -= 1
+                vals, wide, pending = path.above(j)
     finally:
+        model.clauses = clauses  # also when a trial's propagator raised
         if model._queue:  # only when a propagator raised
             model._clear_queue()
         if memo is not None:
             inq[memo.check] = False
-        undo(base)
+        if path is None:
+            undo(base)
+        elif found:
+            path.sol = found[:keep]
+            path.end = model.mark()
+        else:
+            path.close()
     return LabelResult(nback, not found, found)

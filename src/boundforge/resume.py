@@ -1,0 +1,218 @@
+"""Resuming a step loop's search from the path of the search before it.
+
+A step loop searches from one start state, each step from the solution the
+step before found, and a step is, by definition, the search after the lex
+jump ``featvars >lex prev`` posted at that start state (see ``selector``).
+:class:`Path` keeps the last search's path open, one trail mark per
+feature level, and :meth:`Path.climb` decides the next jump from the
+states the path holds, so that ``kernel.labeling`` resumes where the jump
+holds and makes no trial on prev's prefix again.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+
+from .errors import InternalInvariantError, InvalidArgumentError
+from .kernel import LexGreater, Model, TrailMark
+
+
+class Path:
+    """The path of a step loop's last search, kept open for the next step.
+
+    A step loop searches from one start state (``base``), each step from
+    the solution before it, and a step is the search after the jump
+    ``featvars >lex prev``.  When ``prev`` is the solution this path leads
+    to, :meth:`climb` decides the jump from the path's own states, and
+    :func:`kernel.labeling` resumes there: no trial on prev's prefix is made again.
+
+    ``marks[j]`` is the model's mark in the state U_j where the path
+    decided feature j, below any jump posted at that level; ``reads[j]``
+    holds the clauses of building U_j+1 from U_j: that jump's, then the
+    trial that fixed feature j.  ``sol`` is the path's feature values, or
+    None when no path is open and the model is at ``base``; ``end`` is the
+    mark the last search left the model at.  ``watched[j]`` is whether a
+    propagator of the object other than its prefix check watches feature
+    j (taken from the leaf memo's constraints): the jump is posted there.
+
+    Why the climb is exact.  The restart's state at the tie node prev[:j]
+    is the fixpoint of U_j plus the jump: both are fixpoints below the
+    same box, propagation order does not move a fixpoint, the path's own
+    jumps (each below prev) hold wherever the new one does, and
+    lex-greater against a constant is domain-complete on boxes (Frisch,
+    Hnich, Kiziltan, Miguel and Walsh, AIJ 2006).  At a level no such
+    propagator watches, the jump only drops feature j's values below
+    prev_j, and prev_j itself unless the suffix can still exceed prev;
+    while two values stay that wakes nothing that acts, since a bound
+    acts only once its inputs are fixed.  So, from the leaf up: a level
+    with no value above prev_j is inconsistent under the jump, since its
+    tie subtree is; one value left is the trial that fixes it, made with
+    the prefix check active, as at the restart's tie trial above it; a
+    watched level posts the jump.  The first level that holds is where
+    the restart's one tie failure happens, when prev_j survives there,
+    and its values above prev_j, then those of the levels above it, are
+    searched exactly as the restart searches them.  A parked prefix check
+    moves no count (see ``kernel``), so the count and solution are the
+    restart's.
+
+    Every constraint posted outside the object's is assumed to act only
+    once its inputs are fixed, as a bound does, or to be a jump.
+    """
+
+    def __init__(self, model: Model) -> None:
+        memo = model.leaf_memo
+        if memo is None:
+            raise InvalidArgumentError("a path needs a model with a leaf memo")
+        self.model = model
+        self.base = self.end = model.mark()
+        self.fvids = memo.featvars
+        self.watched = memo.watched
+        self.sol: tuple[int, ...] | None = None
+        self.marks: list[TrailMark] = [self.base] * len(self.fvids)
+        self.reads: list = [frozenset()] * len(self.fvids)
+        # set by climb for the labeling call after it: (level, tie failures
+        # counted, values to try there, whether the level's domain under the
+        # jump is wider than one value, reads for reads[level])
+        self.plan: tuple | None = None
+        self.lex: LexGreater | None = None
+
+    def close(self) -> None:
+        """Undo the path: the model goes back to ``base``."""
+        model = self.model
+        self.sol = self.plan = None
+        if model.mark() != self.base:
+            model.retract_to(self.base)
+        self.end = self.base
+
+    def _back(self, j: int) -> None:
+        """Take the model back to U_j: undo the trail, and retract what was
+        posted since (a jump posted at or below level j) only if any was."""
+        model, mark = self.model, self.marks[j]
+        if mark.ncons == len(model._constraints):
+            model._undo_to(mark.trail_len)  # the queue is empty between searches
+        else:
+            model.retract_to(mark)
+
+    def _posted(self, reads: set[int]) -> bool:
+        """Post the jump in the model's state, keeping its reads in
+        ``reads`` only."""
+        model = self.model
+        outer, model.clauses = model.clauses, reads
+        try:
+            return model.post_constraint(self.lex) is not None
+        finally:
+            model.clauses = outer
+
+    def _probe(self, j: int, prev: tuple[int, ...]):
+        """Level j's part of the climb, from U_j: (plan, own, top, why).
+        ``plan`` is where :func:`kernel.labeling` resumes, or None when the
+        level is inconsistent under the jump, and then ``own`` says whether
+        it is so on its own, not only because its tie subtree is.  ``top`` holds
+        the read of feature j's upper end, ``why`` the other reads: whether
+        prev_j survives the jump, and the jump's post or forced trial."""
+        model = self.model
+        vid, t = self.fvids[j], prev[j]
+        top: set[int] = set()
+        why: set[int] = set()
+        if self.watched[j]:
+            if not self._posted(why):
+                return None, True, top, why
+            d = model._doms[vid]
+            return (j, int(d[0] == t), d[bisect_right(d, t):], len(d) > 1, why), False, top, why
+        d = model._doms[vid]
+        owners = model._hi_owners[vid]
+        if owners and len(d) > 1:  # what lies above t
+            top.add(owners)
+        vals = d[bisect_right(d, t):]
+        outer, model.clauses = model.clauses, why
+        try:
+            survives = self.lex._suffix_can_exceed(model, j + 1)
+            if not vals:
+                return None, not survives, top, why
+            if survives or len(vals) > 1:
+                plan = (j, int(survives), vals, len(vals) + survives > 1, set())
+                return plan, False, top, why
+            # the jump fixes feature j: that trial, with the prefix check active
+            model.clauses = trial = set()
+            mk = len(model._trail)
+            try:
+                model._set_dom(vid, vals)
+                ok = model._drain()
+            finally:
+                if model._queue:  # only when a propagator raised
+                    model._clear_queue()
+            why |= trial
+            if not ok:
+                model._undo_to(mk)
+                return None, True, top, why
+            return (j, 0, vals, False, trial), False, top, why
+        finally:
+            model.clauses = outer
+
+    def climb(self, prev: tuple[int, ...]) -> bool:
+        """Decide the jump off ``prev``, the path's solution, from the path's
+        states: False when it fails, as its post at the root would; else the
+        model is left where :func:`kernel.labeling` resumes (see the class
+        docstring) and True.
+
+        The model's clauses gain the reads this step's outcome rests on.
+        Take the resume level r and, when prev_r survives there, f the
+        shallowest level below it whose probe failed on its own (no value
+        above prev_f with prev_f dropped, a failed forced trial or a failed
+        jump post); deeper levels only repeat that fact, and the levels in
+        between fail only because they hold nothing above prev's value.
+        Else f is r, and when no level holds, f is the shallowest level
+        that failed on its own.  The reads are then those of the path's
+        levels 0..f-1, which built the states the probes read, the upper
+        end of each probed level from r to f, and the other reads of the
+        probes of r and f."""
+        width = len(self.fvids)
+        self.lex = LexGreater(self.fvids, prev)
+        probes: list = [None] * width
+        f = plan = None
+        for j in range(width - 1, -1, -1):
+            self._back(j)
+            plan, own, top, why = self._probe(j, prev)
+            probes[j] = (top, why)
+            if plan is not None:
+                break
+            if own:
+                f = j
+        r = 0 if plan is None else plan[0]
+        if plan is not None and (f is None or not plan[1]):
+            f = r
+        clauses = self.model.clauses
+        for j in range(f):
+            clauses |= self.reads[j]
+        for j in range(r, f + 1):
+            top, why = probes[j]
+            clauses |= top
+            if j == f or (plan is not None and j == r):
+                clauses |= why
+        if plan is None:
+            self.close()
+            return False
+        self.plan = plan
+        return True
+
+    def above(self, j: int):
+        """Level j's values above prev_j under the jump, for a search that
+        resumed below it, and the rest of its plan: U_j, with the jump
+        posted when the level is watched.  prev_j survives there, since
+        the level below holds."""
+        model = self.model
+        self._back(j)
+        vid, t = self.fvids[j], self.sol[j]
+        reads: set[int] = set()
+        if self.watched[j]:
+            if not self._posted(reads):
+                raise InternalInvariantError("the jump failed above a level it holds at")
+            model.clauses |= reads
+            d = model._doms[vid]
+            return d[bisect_right(d, t):], len(d) > 1, reads
+        d = model._doms[vid]
+        vals = d[bisect_right(d, t):]
+        owners = model._hi_owners[vid]
+        if not vals and owners and len(d) > 1:  # nothing lies above t
+            model.clauses.add(owners)
+        return vals, bool(vals), reads

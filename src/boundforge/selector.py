@@ -32,11 +32,20 @@ every step the algorithm takes, searched or answered, so every count and
 record is the one a memo-free run gives.
 
 The steps come in two step loops, the enumeration and the drain.  Every
-step of one loop starts from the same model state, so what the memo reads
-of that state (the posted bounds and every domain) is taken once per loop
-(:meth:`StepMemo.loop`), and each step only checks that the state is
-still the loop's.  Each search still goes through ``labeling`` and each
-post through ``post_lex_greater`` or ``post_bound``, once.
+step of one loop starts, by definition, from the same model state, the
+loop's base, so what the memo reads of that state (the posted bounds and
+every domain) is taken once per loop (:class:`StepLoop`), and each step
+only checks that the model is where the step before left it.  A step
+that starts from the solution the loop's last search found does not post
+the lex jump at the base and descend that solution's prefix again: that
+search kept its path open (:class:`resume.Path`), and the step climbs it
+and resumes there, with the restart's count and solution, so record
+semantics are unchanged.  Every compute-phase step after the first does
+so; a drain step posts the jump at the base.  A loop takes the model back
+to where it found it when it ends, on every way out.  Each search still
+goes through ``labeling``, once, and each jump posted at the base and
+each bound post through ``post_lex_greater`` or ``post_bound``, once; a
+resumed step decides its jump before it calls ``labeling``.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ from .errors import (
 )
 from .kernel import Model, TrailMark, VarRef, labeling, post_lex_greater
 from .objects import canonical_tuples, check_model_size, posted_model
+from .resume import Path
 
 
 class SolutionRecord(NamedTuple):
@@ -147,50 +157,74 @@ def enumerate_all_solutions(
 ) -> list[SolutionRecord]:
     """Enumerate all feature solutions in ascending lex order.
 
-    Each step posts feature-vars >lex previous-solution, labels, and
-    retracts the lex constraint.  The terminal sentinel carries 0
+    Each step searches from the previous solution, as if it posted
+    feature-vars >lex previous-solution, labeled, and retracted the lex
+    constraint (see :func:`_search`).  The terminal sentinel carries 0
     backtracks when the lex posting itself failed, or the full exhaustion
     count when the last labeling proved no solution remains.  With a
     ``memo``, steps go through it and each record holds the memo's
-    canonical object for its tuple.
+    canonical object for its tuple.  The model is left as it was.
     """
     counters = counters if counters is not None else Counters()
     tuples = memo.tuples if memo is not None else {}
-    loop = memo.loop(model) if memo is not None else None
+    loop = StepLoop(model, memo, chained=True)
     records: list[SolutionRecord] = []
     prev: tuple[int, ...] | None = None
-    while True:
-        res = _step(model, featvars, xs, prev, counters, memo, loop)
-        if res is None or res.finished:
-            records.append(SolutionRecord(len(records), 0 if res is None else res.nback, ()))
-            return records
-        prev = res.sol[: len(featvars)]
-        prev = tuples.get(prev, prev)
-        records.append(SolutionRecord(len(records), res.nback, prev))
+    try:
+        while True:
+            res = _step(model, featvars, xs, prev, counters, memo, loop)
+            if res is None or res.finished:
+                records.append(SolutionRecord(len(records), 0 if res is None else res.nback, ()))
+                return records
+            prev = res.sol[: len(featvars)]
+            prev = tuples.get(prev, prev)
+            records.append(SolutionRecord(len(records), res.nback, prev))
+    finally:
+        loop.close()
 
 
 def _step(model, featvars, xs, prev, counters, memo, loop, expected=None):
     """One step of the algorithm, searched or answered by ``memo``, whose
-    ``loop`` (:meth:`StepMemo.loop`) holds what the steps of this loop share.
+    ``loop`` (:class:`StepLoop`) holds what the steps of this loop share.
+    A model whose trail or constraints changed since the step before
+    raises :class:`InternalInvariantError`.
 
     ``labelings`` counts every step whose lex post succeeds, whether it
     was searched here or answered from an earlier search.  ``expected`` is
     the stored count a drain step is compared with (see :class:`StepMemo`).
     """
-    res = _search(model, featvars, xs, prev) if memo is None else memo.step(
+    if model.mark() != loop.end():
+        raise InternalInvariantError("the model changed between two steps of one loop")
+    res = _search(model, featvars, xs, prev, loop.path) if memo is None else memo.step(
         model, featvars, xs, prev, loop, expected)
     if res is not None:
         counters.labelings += 1
     return res
 
 
-def _search(model, featvars, xs, prev):
+def _search(model, featvars, xs, prev, path=None):
     """Post featvars >lex prev (skipped when prev is None), label, retract.
 
     Returns the labeling result, or None when the lex posting failed (the
     failed post leaves the model unchanged).  The lex constraint is
     retracted also when the search raises.
+
+    With a ``path`` (:class:`resume.Path`) the step gives the same result
+    without the retraction: the search's path stays open for the next
+    step.  When ``prev`` is the path's own solution, the path climbs to
+    where the jump holds and the search resumes there; else the path is
+    closed and the jump posted at the root.  Either way a failed jump is
+    decided before ``labeling`` is called, and ``labeling`` is called once.
     """
+    if path is not None:
+        if prev is not None and prev == path.sol:
+            if not path.climb(prev):
+                return None
+        else:
+            path.close()
+            if prev is not None and post_lex_greater(model, featvars, prev) is None:
+                return None
+        return labeling(model, featvars, xs, path)
     mark = model.mark()
     if prev is not None and post_lex_greater(model, featvars, prev) is None:
         return None
@@ -200,13 +234,48 @@ def _search(model, featvars, xs, prev):
         model.retract_to(mark)
 
 
-class StepLoop(NamedTuple):
-    """What every step of one step loop reads from the model, taken once
-    when the loop starts (:meth:`StepMemo.loop`)."""
+class StepLoop:
+    """What every step of one step loop shares, taken once when the loop
+    starts: the posted bounds' bits in a step memo's posted sets and every
+    domain (``Model.snapshot()``) in the state each step starts from, and,
+    in a ``chained`` loop on a model with a leaf memo, the open path of the
+    loop's last search (:class:`resume.Path`).
 
-    mark: TrailMark  # the model's trail length and constraint count
-    posted: int  # the posted bounds' bits in the memo's posted sets
-    state: tuple[tuple[int, ...], ...]  # every domain, Model.snapshot()
+    The enumeration is chained: each of its steps starts from the solution
+    the step before found.  A drain is not: it keeps no path, since after
+    a searched drain step the next one is mostly answered by the step memo
+    or starts from another solution.
+
+    With a step memo, the loop gives each posted bound its bit and clears
+    every owner, on the trail.  :meth:`close` undoes that and the path,
+    so the model is left exactly as the loop found it."""
+
+    __slots__ = ("model", "start", "base", "posted", "state", "path")
+
+    def __init__(self, model: Model, memo: StepMemo | None = None, chained: bool = False):
+        self.model = model
+        self.start = self.base = model.mark()
+        posted = 0
+        if memo is not None:
+            bit = memo.bit
+            for con in posted_bounds(model):
+                con.bit = bit[id(con.bound)]
+                posted |= con.bit
+            if model.disown():
+                self.base = model.mark()
+        self.posted = posted
+        self.state = model.snapshot()
+        self.path = Path(model) if chained and model.leaf_memo is not None else None
+
+    def end(self) -> TrailMark:
+        """The mark the last step left the model at."""
+        path = self.path
+        return self.base if path is None else path.end
+
+    def close(self) -> None:
+        model, start = self.model, self.start
+        if len(model._trail) != start.trail_len or len(model._constraints) != start.ncons:
+            model.retract_to(start)
 
 
 class StepMemo:
@@ -237,8 +306,8 @@ class StepMemo:
     the same answer, and the two searches make the same trials, failures
     and leaf replays, so they reach the same count and solution.  A bound
     that pruned only when it was posted shows in the start domains, which
-    the domain check compares; :meth:`loop` clears every owner, so those
-    ends carry no clause.
+    the domain check compares; each :class:`StepLoop` clears every owner,
+    so those ends carry no clause.
 
     The equal-outcome rule drops the upper limit: an outcome whose count
     equals the ``expected`` count, the one the drain compares the step
@@ -253,12 +322,15 @@ class StepMemo:
     solution where it was, and the count cannot drop below ``expected``,
     which is that same transition's count with every candidate posted.
 
-    A step loop, the enumeration or one drain, takes its steps on a model
-    that is the same at the start of each: a step posts the lex constraint
-    and retracts it, and the loop posts nothing in between.  So the posted
-    bits and the start domains are taken once per loop (:meth:`loop`), and
-    each step checks in O(1) that the model still has the loop's trail
-    length and constraint count.
+    A step loop, the enumeration or one drain, takes its steps from one
+    start state, so the posted bits and the start domains are taken once
+    per loop (:class:`StepLoop`).  A step that resumes from the path of
+    the search before it (see the module docstring) reads the states of
+    that path, which earlier searches built; so its clauses also hold the
+    reads of the path's trials that built the states it read
+    (:meth:`resume.Path.climb`).  Any Q that meets them builds the same
+    states and makes the same climb, and the climb's outcome is that of
+    the restart under Q.
 
     One memo belongs to one run and one object size; it is never shared.
     """
@@ -272,27 +344,12 @@ class StepMemo:
         self.steps: dict[tuple[int, ...] | None, list] = {}
         self.sound = False  # every candidate known sound: the equal-outcome rule is on
 
-    def loop(self, model: Model) -> StepLoop:
-        """What the steps of a loop on ``model``, as it stands, share.  It
-        gives each posted bound its bit and clears every owner (on the
-        trail, so a retraction brings them back)."""
-        bit = self.bit
-        posted = 0
-        for con in posted_bounds(model):
-            con.bit = bit[id(con.bound)]
-            posted |= con.bit
-        model.disown()
-        return StepLoop(model.mark(), posted, model.snapshot())
-
     def step(self, model, featvars, xs, prev, loop: StepLoop, expected=None):
         """The outcome of the step from ``prev`` on ``model``, in the state
         ``loop`` was taken in, compared with ``expected`` by the drain: a
         stored one when the conditions above hold, else searched and
-        stored.  A model whose trail or constraints changed since raises
-        :class:`InternalInvariantError`."""
-        mark, posted, state = loop
-        if model.mark() != mark:
-            raise InternalInvariantError("the model changed between two steps of one loop")
+        stored."""
+        posted, state = loop.posted, loop.state
         entries = self.steps.setdefault(prev, [])
         for stored, clauses, stored_state, res in entries:
             if posted & ~stored and not (
@@ -306,7 +363,7 @@ class StepMemo:
                     return res
         clauses = model.clauses
         clauses.clear()
-        res = _search(model, featvars, xs, prev)
+        res = _search(model, featvars, xs, prev, loop.path)
         entries.append((posted, tuple(clauses), state, res))
         return res
 
@@ -413,17 +470,20 @@ def _drain(model, featvars, xs, sols, by_isol, counters, memo=None):
     (the sentinel for the last real record).  Each step searches to its
     full count unless the memo answers it.
     """
-    loop = memo.loop(model) if memo is not None else None
-    for i, (isol, _, sol) in enumerate(sols):
-        succ = by_isol.get(isol + 1)
-        if succ is None:
-            raise InternalInvariantError(f"no stored record with index {isol + 1}")
-        expected = succ.nback
-        res = _step(model, featvars, xs, sol, counters, memo, loop, expected)
-        observed = 0 if res is None else res.nback
-        if observed != expected:
-            return sols[i:]
-    return []
+    loop = StepLoop(model, memo)
+    try:
+        for i, (isol, _, sol) in enumerate(sols):
+            succ = by_isol.get(isol + 1)
+            if succ is None:
+                raise InternalInvariantError(f"no stored record with index {isol + 1}")
+            expected = succ.nback
+            res = _step(model, featvars, xs, sol, counters, memo, loop, expected)
+            observed = 0 if res is None else res.nback
+            if observed != expected:
+                return sols[i:]
+        return []
+    finally:
+        loop.close()
 
 
 # -- the recursive selection (shared by both engines) ---------------------------
@@ -478,6 +538,13 @@ def _select(engine, sols, bounds):
 # -- entry points ----------------------------------------------------------------
 
 
+# the records of the last run of each size: a run whose records equal them
+# (every order of one candidate list, say) returns this tuple, so the outcomes
+# a caller keeps hold one copy, as canonical_tuples does for each solution.
+# At most one entry per admitted size.
+_RECORDS: dict[tuple[str, int], tuple[SolutionRecord, ...]] = {}
+
+
 def _run(
     engine_cls, scenario: ObjectScenario, candidates: Sequence[BoundCandidate]
 ) -> SelectionOutcome:
@@ -491,7 +558,13 @@ def _run(
     start = time.monotonic()
     model, featvars, xs = scenario.fresh(counters)
     memo = StepMemo(candidates, canonical_tuples(scenario.object, scenario.n))
-    records = compute_all_solutions(model, featvars, xs, candidates, scenario.n, counters, memo)
+    records = tuple(compute_all_solutions(
+        model, featvars, xs, candidates, scenario.n, counters, memo))
+    size = (scenario.object, scenario.n)
+    if _RECORDS.get(size) == records:
+        records = _RECORDS[size]
+    else:
+        _RECORDS[size] = records
     drain = [r for r in records if r.sol]
     # every feasible tuple was found with every candidate posted, so no
     # candidate removes one: each is sound for this scenario
@@ -505,7 +578,7 @@ def _run(
         labelings=counters.labelings,
         wall_ms=int((time.monotonic() - start) * 1000),
     )
-    return SelectionOutcome(report, tuple(selected), tuple(records), counters)
+    return SelectionOutcome(report, tuple(selected), records, counters)
 
 
 def run_selection(

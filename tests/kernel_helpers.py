@@ -1,5 +1,6 @@
-"""Test-only constraint kinds, a tuple-spec posting front end and an
-exhaustive enumerator that shares no code with the kernel's search.
+"""Test-only constraint kinds, a tuple-spec posting front end, an
+exhaustive enumerator that shares no code with the kernel's search, and
+the plain restart enumeration the library's resumed steps must equal.
 
 Nothing in the library needs these; the kernel tests, the acceptance
 fixtures and a few cross-checks do.
@@ -7,10 +8,11 @@ fixtures and a few cross-checks do.
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import Callable, Sequence
 
-from boundforge.bounds import catalog
+from boundforge.bounds import catalog, posted_bounds
 from boundforge.errors import BoundforgeError
 from boundforge.kernel import (
     Constraint,
@@ -21,6 +23,7 @@ from boundforge.kernel import (
     labeling,
     post_lex_greater,
 )
+from boundforge.selector import SolutionRecord
 
 
 def sweep_slice():
@@ -53,14 +56,52 @@ def model_state(model: Model) -> tuple:
     )
 
 
-def memo_free(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef]) -> LabelResult:
+def memo_free(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef],
+              path=None) -> LabelResult:
     """``labeling`` of the model as it stands, with its leaf memo detached
     for the call (so no subtree is replayed and no prefix bulk-counted)."""
     memo, model.leaf_memo = model.leaf_memo, None
     try:
-        return labeling(model, featvars, xs)
+        return labeling(model, featvars, xs, path)
     finally:
         model.leaf_memo = memo
+
+
+def twin(model: Model, *others):
+    """A deep copy of ``model`` and of ``others`` (a path on it, say) that
+    changes apart from the model: its domains, owners, trail, flags and
+    posted bounds are copied, and what the model's copies share anyway
+    (every shareable constraint, the bounds' candidates and the leaf memo)
+    is shared."""
+    shared = {id(con): con for con in model._constraints if con.shareable}
+    shared.update({id(con.bound): con.bound for con in posted_bounds(model)})
+    if model.leaf_memo is not None:
+        shared[id(model.leaf_memo)] = model.leaf_memo
+    return copy.deepcopy((model, *others), shared)
+
+
+def restart_enumeration(model: Model, featvars: Sequence[VarRef],
+                        xs: Sequence[VarRef]) -> list[SolutionRecord]:
+    """The records of the full enumeration as the paper defines them, with
+    no path kept between steps: each step posts the jump off the last
+    solution with ``post_lex_greater``, labels and retracts it.  The model
+    is left as it was."""
+    records: list[SolutionRecord] = []
+    prev = None
+    while True:
+        mark = model.mark()
+        if prev is not None and post_lex_greater(model, featvars, prev) is None:
+            records.append(SolutionRecord(len(records), 0, ()))
+            return records
+        try:
+            res = labeling(model, featvars, xs)
+        finally:
+            model.retract_to(mark)
+        if res.finished:
+            records.append(SolutionRecord(len(records), res.nback, ()))
+            return records
+        prev = res.sol[: len(featvars)]
+        records.append(SolutionRecord(len(records), res.nback, prev))
 
 
 class UnsupportedConstraintError(BoundforgeError):

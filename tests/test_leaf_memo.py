@@ -17,7 +17,7 @@ from boundforge.kernel import Constraint, LabelResult, TrailMark, VarRef, labeli
 from boundforge.objects import feature_tuples, make_model, post_object
 from boundforge.selector import Counters, ObjectScenario, enumerate_all_solutions
 
-from kernel_helpers import memo_free, post, solve_all, sweep_slice
+from kernel_helpers import memo_free, post, solve_all, sweep_slice, twin
 from test_parking import _check_every_step
 
 BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
@@ -25,19 +25,26 @@ BINSEQ_WIDTH = len(objects.BINSEQ_FEATURES)
 
 class _CrossCheck:
     """Stands in for ``selector.labeling``: each call is compared with the
-    same call searched without the memo."""
+    same call searched without the memo.  A call that keeps a path open
+    leaves the model where its solution was found, so its reference runs
+    on a twin of the model and path taken before the call."""
 
     def __init__(self):
         self.calls = self.used = 0
         self.mismatches = []
 
-    def __call__(self, model, featvars, xs):
-        res = labeling(model, featvars, xs)
+    def __call__(self, model, featvars, xs, path=None):
         memo = model.leaf_memo
         vids = [v.id for v in list(featvars) + list(xs)]
-        self.calls += 1
         self.used += memo is not None and memo.applies(model, vids)
-        ref = memo_free(model, featvars, xs)
+        if path is None:
+            res = labeling(model, featvars, xs)
+            ref = memo_free(model, featvars, xs)
+        else:
+            other, other_path = twin(model, path)
+            res = labeling(model, featvars, xs, path)
+            ref = memo_free(other, featvars, xs, other_path)
+        self.calls += 1
         if res != ref:
             self.mismatches.append((res, ref))
         return res
@@ -63,9 +70,9 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
     check = _CrossCheck()
     monkeypatch.setattr(selector, "labeling", check)
     outcome = selector.run_selection(ObjectScenario("binseq", 10), catalog("binseq"))
-    # the step memo answers the other 1 107 steps without labeling
+    # the step memo answers the other 1 112 steps without labeling
     assert outcome.report.labelings == 1358
-    assert check.calls == 251
+    assert check.calls == 246
     assert check.used == check.calls
     assert check.mismatches == []
     table = _table("binseq", 10)
@@ -76,7 +83,9 @@ def test_catalog_order_binseq_10_selection_equals_the_memo_free_search(monkeypat
 def test_sweep_slice_equals_the_memo_free_search_on_both_engines(monkeypatch, engine):
     check = _CrossCheck()
     monkeypatch.setattr(selector, "labeling", check)
-    for object_name, n, cands in sweep_slice():
+    # the slice, and one larger size so that the calls stay above 1 000 now
+    # that the step memo answers more steps
+    for object_name, n, cands in [*sweep_slice(), ("binseq", 9, catalog("binseq"))]:
         engine(ObjectScenario(object_name, n), cands)
     assert check.calls > 1000
     assert check.used == check.calls
