@@ -16,7 +16,6 @@ solution can be lost.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -294,9 +293,9 @@ class BoundConstraint(Constraint):
     only the slots the rhs reads; the others are never read.  The list
     belongs to this constraint, so to one model.  ``bit`` is its owner bit
     (see ``kernel``), 0 until a step memo numbers the posted bounds: it
-    owns the target end it prunes, and joins the owners of an owned end
-    its rhs equals.  A call that fixes or wipes out the target records its
-    bit and the owners of the other end; an unmatched guard, its bit.
+    prunes the target as that end's owner, or joins the owners of an end
+    its rhs equals, and an unmatched guard records it.  It acts only once
+    its inputs are fixed, and declares so (``acts_when_fixed``).
 
     The last input is read first: labeling fixes it last, so a wake-up
     while it is open returns at the first test.  The ids it reads and
@@ -304,6 +303,7 @@ class BoundConstraint(Constraint):
     """
 
     kind = "bound"
+    acts_when_fixed = True
 
     def __init__(self, bound: BoundCandidate, featvar_ids: tuple[int, ...], n: int):
         # watched comes deduplicated from the placement, as Constraint makes it
@@ -329,46 +329,23 @@ class BoundConstraint(Constraint):
             if self.bit:
                 model.clauses.add(self.bit)
             return False
-        tid = self.target_id
+        tid, bit = self.target_id, self.bit
         d = doms[tid]
         if self.upper:
-            if d[-1] < rhs:
-                return True
+            if d[-1] > rhs:
+                return model.prune_le(tid, rhs, bit)
             if d[-1] == rhs:
-                if model._hi_owners[tid]:
-                    model._join(tid, self.bit, True)
-                return True
-            new = d[: bisect_right(d, rhs)]
-        else:
-            if d[0] > rhs:
-                return True
-            if d[0] == rhs:
-                if model._lo_owners[tid]:
-                    model._join(tid, self.bit, False)
-                return True
-            new = d[bisect_left(d, rhs):]
-        # this bound moves one end: it becomes that end's one owner
-        lo_owners, hi_owners = model._lo_owners, model._hi_owners
-        lo, hi, bit = lo_owners[tid], hi_owners[tid], self.bit
-        if len(new) <= 1:  # fixed or wiped out: this bound and the other end were read
-            if bit:
-                model.clauses.add(bit)
-            other = lo if self.upper else hi
-            if other and len(d) > 1:
-                model.clauses.add(other)
-        ok = model._set_dom(tid, new)
-        if new and (hi if self.upper else lo) != bit:
-            model._trail[-1] = (~tid, (d, lo, hi))  # the entry restores the owners too
-            if self.upper:
-                hi_owners[tid] = bit
-            else:
-                lo_owners[tid] = bit
-        return ok
+                model.join(tid, bit, True)
+        elif d[0] < rhs:
+            return model.prune_ge(tid, rhs, bit)
+        elif d[0] == rhs:
+            model.join(tid, bit, False)
+        return True
 
 
 def posted_bounds(model: Model) -> list[BoundConstraint]:
     """The bound constraints posted on ``model``, in posting order."""
-    return [con for con in model._constraints if type(con) is BoundConstraint]
+    return [con for con in model.constraints() if type(con) is BoundConstraint]
 
 
 def post_bound(

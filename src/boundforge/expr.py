@@ -155,7 +155,7 @@ def compile_expr(node: Expr, layout: Sequence[str]) -> Callable[[Sequence[int]],
         "_nomatch": partial(_no_case, tuple(layout)),
     }
     exec(f"def rhs(env):\n    return {body}\n", namespace)
-    return namespace["rhs"]
+    return namespace.pop("rhs")  # its globals must not hold it, or each is a reference cycle
 
 
 def parts(node: tuple) -> tuple[str, tuple]:

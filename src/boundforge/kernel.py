@@ -35,14 +35,10 @@ one failure.  Neither skip moves a fixpoint, a failure or a count.
 at its first solution or once it has proved that none remains, never
 earlier, so every count is a full one.  Nothing here enumerates every
 solution; the tests do that with an enumerator of their own.  A search
-may keep its path open (a ``resume.Path``, one trail mark per feature
-level) instead of restoring the model, and the next search from that
-path's solution resumes from it: ``Path.climb`` decides the lex jump off
-the solution from the path's own states, which is exact because the jump
-is domain-complete on boxes and fixpoints do not depend on order, and
-labeling goes on from the first level where the jump holds.  The count
-and solution are those of posting the jump at the root and searching
-from there.
+may keep its path open (a ``resume.Path``) instead of restoring the
+model, and the next search from that path's solution resumes where
+``Path.climb`` leaves it, with the count and solution of posting the lex
+jump at the root and searching from there.
 
 Each end of a domain has *owners*: the bits (``BoundConstraint.bit``) of
 the posted bounds each of which alone reproduces that end.  A bound that
@@ -65,6 +61,17 @@ the two owner lists are restored through the trail like the domains,
 and :meth:`Model.copy` copies them.  ``clauses`` is a log, not state:
 whoever reads it clears it first.
 
+Only this module knows how a model stores its trail, queue and owners.
+A propagator reads domains through ``model._doms`` inside ``propagate``
+(or ``dom``) and writes them only through ``prune_le``, ``prune_ge``
+(where a bound passes its bit as ``owner``), ``remove_value`` and
+``fix``; it records reads with ``read``, ``read_end`` or
+``clauses.add``, and a bound joins an owned end it equals with ``join``.
+One that replays a run's writes calls ``release`` first, then
+``writes_since`` and ``replay``.  A search or a climb over a path uses
+``mark``, ``back_to``, ``retract_to``, ``post_constraint``, ``trial`` and
+``constraints``, and may swap ``clauses`` for a set of its own.
+
 A search pays once per model, not once per call, for what does not change
 between calls: :meth:`Model.var_ids` keeps the ids of each tuple of
 handles it resolved, and the model counts, as constraints are posted and
@@ -78,7 +85,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .errors import InvalidArgumentError
+from .errors import InternalInvariantError, InvalidArgumentError
 
 if TYPE_CHECKING:
     from .resume import Path
@@ -125,11 +132,15 @@ class Constraint:
     after a successful one prunes nothing, so its own prunings do not
     re-schedule it.  A kind that sets ``shareable`` keeps no per-model
     state, so :meth:`Model.copy` may hand one object to several models.
+    A kind that sets ``acts_when_fixed`` promises that ``propagate``
+    prunes, fails and reads nothing while a variable it watches is
+    unfixed (see ``resume.Path``).
     """
 
     kind = "constraint"
     idempotent = False
     shareable = False
+    acts_when_fixed = False
 
     def __init__(self, watched: Sequence[int]):
         self.watched = tuple(dict.fromkeys(watched))
@@ -237,10 +248,24 @@ class Model:
         """Immutable copy of every domain, for restoration checks."""
         return tuple(self._doms)
 
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The posted constraints; a constraint's id is its index."""
+        return tuple(self._constraints)
+
     # -- trail -------------------------------------------------------------
 
     def mark(self) -> TrailMark:
         return TrailMark(self.model_id, len(self._trail), len(self._constraints))
+
+    def back_to(self, mark: TrailMark) -> None:
+        """:meth:`retract_to` between searches: when nothing was posted since
+        ``mark``, only the trail is undone (the queue is empty then)."""
+        model_id, trail_len, ncons = mark
+        if model_id == self.model_id and ncons == len(self._constraints) \
+                and trail_len <= len(self._trail):
+            self._undo_to(trail_len)
+        else:
+            self.retract_to(mark)
 
     def retract_to(self, mark: TrailMark) -> None:
         """Undo every pruning, owner change and constraint posted after ``mark``."""
@@ -280,8 +305,8 @@ class Model:
     # -- ownership (see the module docstring) --------------------------------
     #
     # A trail entry under ~vid restores vid's domain and both owners.  A
-    # bound's pruning turns the entry ``_set_dom`` just pushed into one, so
-    # it costs no second entry.
+    # change that moves owners turns the entry ``_set_dom`` just pushed into
+    # one, so it costs no second entry.
 
     def _own(self, vid: int, lo: int, hi: int) -> None:
         """Set the owners of both ends of ``vid``, on the trail."""
@@ -302,14 +327,16 @@ class Model:
                 self._own(vid, 0, 0)
         return True
 
-    def _join(self, vid: int, bit: int, upper: bool) -> None:
-        """A bound whose rhs equals an owned end of ``vid`` joins its owners."""
+    def join(self, vid: int, owner: int, upper: bool) -> None:
+        """A bound whose rhs equals the upper (or lower) end of ``vid`` joins
+        that end's owners, when it has any and ``vid`` is not fixed."""
         lo, hi = self._lo_owners[vid], self._hi_owners[vid]
         if len(self._doms[vid]) > 1:
-            if upper and hi | bit != hi:
-                self._own(vid, lo, hi | bit)
-            elif not upper and lo | bit != lo:
-                self._own(vid, lo | bit, hi)
+            if upper:
+                if hi and hi | owner != hi:
+                    self._own(vid, lo, hi | owner)
+            elif lo and lo | owner != lo:
+                self._own(vid, lo | owner, hi)
 
     def read(self, vid: int) -> None:
         """Record a read of both ends of ``vid``: the owners of each, when
@@ -321,23 +348,43 @@ class Model:
             if hi:
                 self.clauses.add(hi)
 
+    def read_end(self, vid: int, upper: bool, into: set[int]) -> None:
+        """Record a read of the upper (or lower) end of ``vid`` in ``into``."""
+        owners = (self._hi_owners if upper else self._lo_owners)[vid]
+        if owners and len(self._doms[vid]) > 1:
+            into.add(owners)
+
+    def release(self, vid: int) -> None:
+        """Read both ends of ``vid`` and clear their owners, so the writes
+        that follow push no owner entry (see :meth:`writes_since`)."""
+        if self._lo_owners[vid] or self._hi_owners[vid]:
+            self.read(vid)
+            self._own(vid, 0, 0)
+
     def _narrowed(self, vid: int, old: tuple[int, ...], new: tuple[int, ...],
-                  keep_lo: bool, keep_hi: bool) -> None:
-        """Owner upkeep of a propagator's change of ``vid`` from ``old`` to
-        ``new``, called only when an end of ``vid`` has owners.  ``keep_lo``
-        and ``keep_hi`` name the ends the change leaves where they were (for
-        a wipe-out: the end that stood against it).  A moved end loses its
-        owners; when the change fixes or wipes out an unfixed variable, the
-        ends it kept are read."""
-        lo, hi = self._lo_owners[vid], self._hi_owners[vid]
-        if len(new) <= 1 and len(old) > 1:
+                  keep_lo: bool, keep_hi: bool, owner: int = 0) -> bool:
+        """Change ``vid`` from ``old`` to ``new``; a moved end gets ``owner``
+        (a pruning bound's bit, or 0) as its one owner, and ``keep_lo`` and
+        ``keep_hi`` name the ends left where they were (for a wipe-out: the
+        one that stood against it).  A change that fixes or wipes out ``vid``
+        reads ``owner`` and the kept ends of an unfixed ``old``."""
+        lo_owners, hi_owners = self._lo_owners, self._hi_owners
+        lo, hi = lo_owners[vid], hi_owners[vid]
+        if len(new) <= 1:
             clauses = self.clauses
-            if keep_lo and lo:
-                clauses.add(lo)
-            if keep_hi and hi:
-                clauses.add(hi)
-        if new and (lo and not keep_lo or hi and not keep_hi):
-            self._own(vid, lo if keep_lo else 0, hi if keep_hi else 0)
+            if owner:
+                clauses.add(owner)
+            if len(old) > 1:
+                if keep_lo and lo:
+                    clauses.add(lo)
+                if keep_hi and hi:
+                    clauses.add(hi)
+        ok = self._set_dom(vid, new)
+        new_lo, new_hi = lo if keep_lo else owner, hi if keep_hi else owner
+        if new and (new_lo != lo or new_hi != hi):
+            self._trail[-1] = (~vid, (old, lo, hi))
+            lo_owners[vid], hi_owners[vid] = new_lo, new_hi
+        return ok
 
     # -- pruning helpers (used by propagators) ------------------------------
 
@@ -358,24 +405,25 @@ class Model:
         return True
 
     # Each helper keeps the owners of the ends it moves up to date; the
-    # check that either end has owners is all it pays when none has.
+    # check that either end has owners is all it pays when none has.  A
+    # pruning bound passes its bit as ``owner`` to ``prune_le``/``prune_ge``.
 
-    def prune_le(self, vid: int, ub: int) -> bool:
+    def prune_le(self, vid: int, ub: int, owner: int = 0) -> bool:
         d = self._doms[vid]
         if d and d[-1] <= ub:
             return True
         new = d[: bisect_right(d, ub)]
-        if self._lo_owners[vid] or self._hi_owners[vid]:
-            self._narrowed(vid, d, new, True, False)
+        if owner or self._lo_owners[vid] or self._hi_owners[vid]:
+            return self._narrowed(vid, d, new, True, False, owner)
         return self._set_dom(vid, new)
 
-    def prune_ge(self, vid: int, lb: int) -> bool:
+    def prune_ge(self, vid: int, lb: int, owner: int = 0) -> bool:
         d = self._doms[vid]
         if d and d[0] >= lb:
             return True
         new = d[bisect_left(d, lb):]
-        if self._lo_owners[vid] or self._hi_owners[vid]:
-            self._narrowed(vid, d, new, False, True)
+        if owner or self._lo_owners[vid] or self._hi_owners[vid]:
+            return self._narrowed(vid, d, new, False, True, owner)
         return self._set_dom(vid, new)
 
     def remove_value(self, vid: int, val: int) -> bool:
@@ -385,7 +433,7 @@ class Model:
             return True
         new = d[:i] + d[i + 1:]
         if self._lo_owners[vid] or self._hi_owners[vid]:
-            self._narrowed(vid, d, new, i > 0, i < len(d) - 1)
+            return self._narrowed(vid, d, new, i > 0, i < len(d) - 1)
         return self._set_dom(vid, new)
 
     def fix(self, vid: int, val: int) -> bool:
@@ -396,8 +444,29 @@ class Model:
         new = (val,) if i < len(d) and d[i] == val else ()
         if self._lo_owners[vid] or self._hi_owners[vid]:
             # kept: an end equal to val, or, for a wipe-out, the whole domain
-            self._narrowed(vid, d, new, not new or d[0] == val, not new or d[-1] == val)
+            return self._narrowed(vid, d, new, not new or d[0] == val, not new or d[-1] == val)
         return self._set_dom(vid, new)
+
+    def writes_since(self, mark: TrailMark) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The (vid, new domain) writes made since ``mark``, in order, for a
+        propagator whose run is a pure function of the domains it reads to
+        :meth:`replay` in an equal state.  Writes that moved owners are refused."""
+        doms = self._doms
+        later: dict[int, tuple[int, ...]] = {}
+        writes = []
+        for vid, old in reversed(self._trail[mark.trail_len:]):
+            if vid < 0:
+                raise InternalInvariantError("an owner changed in writes to be replayed")
+            writes.append((vid, later.get(vid, doms[vid])))
+            later[vid] = old
+        writes.reverse()
+        return tuple(writes)
+
+    def replay(self, writes: Sequence[tuple[int, tuple[int, ...]]]) -> bool:
+        """Make ``writes`` again, leaving the same trail, queue and flags as
+        the run that made them; False at the one that wipes a domain out."""
+        set_dom = self._set_dom
+        return all(set_dom(vid, new) for vid, new in writes)
 
     # -- posting and propagation --------------------------------------------
 
@@ -449,22 +518,25 @@ class Model:
 
     def attach(self, memo: LeafMemo) -> None:
         """Make ``memo``, whose owner's constraints are posted, the leaf
-        memo, count the other posted constraints that keep it off, and note
-        in ``memo.watched`` the features that an owner's constraint other
-        than its prefix check watches."""
+        memo, and count the other posted constraints that keep it off."""
         self.leaf_memo = memo
-        owned, cons = memo.owned, self._constraints
+        owned = memo.owned
         self._blockers = sum([cid not in owned and memo.blocked_by(con)
-                              for cid, con in enumerate(cons)])
-        seen = {vid for cid in owned if cid != memo.check for vid in cons[cid].watched}
-        memo.watched = tuple([vid in seen for vid in memo.featvars])
+                              for cid, con in enumerate(self._constraints)])
 
     def assign(self, vid: int, val: int) -> bool:
         """Fix a variable and propagate to fixpoint; False on failure.  A
         propagator that raises leaves the queue empty and every flag off,
         so nothing it left queued runs on a later call."""
-        if not self.fix(vid, val):
-            return False
+        return self.fix(vid, val) and self._propagate()
+
+    def trial(self, vid: int, val: int) -> bool:
+        """:meth:`assign` as a search's decision: ``val`` lies in the domain,
+        and fixing it changes no owner and reads nothing."""
+        self._set_dom(vid, (val,))
+        return self._propagate()
+
+    def _propagate(self) -> bool:
         try:
             return self._drain()
         finally:
@@ -549,17 +621,14 @@ class LexGreater(Constraint):
         self.tup = tuple(tup)
         super().__init__(self.xs)
 
-    def _suffix_can_exceed(self, model: Model, j: int) -> bool:
+    def suffix_can_exceed(self, model: Model, j: int) -> bool:
         doms = model._doms
         for p in range(j, len(self.xs)):
             vid = self.xs[p]
             d = doms[vid]
             if d[-1] > self.tup[p]:
                 return True
-            if len(d) > 1:  # the upper end, at or below the tuple's value, was read
-                owners = model._hi_owners[vid]
-                if owners:
-                    model.clauses.add(owners)
+            model.read_end(vid, True, model.clauses)  # at or below the tuple's value
             if self.tup[p] not in d:
                 return False
         return False
@@ -580,12 +649,10 @@ class LexGreater(Constraint):
                 if d[-1] > t:
                     break
             elif d[-1] > t:  # the lower end, at or above t, was read
-                owners = model._lo_owners[vid]
-                if owners and len(d) > 1:
-                    model.clauses.add(owners)
+                model.read_end(vid, False, model.clauses)
                 break
             i += 1  # d is (t,): its ends were read when it was fixed
-        if d[0] == t and not self._suffix_can_exceed(model, i + 1):
+        if d[0] == t and not self.suffix_can_exceed(model, i + 1):
             if not model.remove_value(vid, t):
                 return False
         return True
@@ -625,15 +692,8 @@ class LeafMemo:
     the one that fails the prefix.
     """
 
-    def __init__(
-        self,
-        featvars: tuple[int, ...],
-        xs: tuple[int, ...],
-        inner: tuple[int, ...],
-        owned: range,
-        check: int,
-        prefixes: tuple[frozenset, ...],
-    ) -> None:
+    def __init__(self, featvars: tuple[int, ...], xs: tuple[int, ...], inner: tuple[int, ...],
+                 owned: range, check: int, prefixes: tuple[frozenset, ...]) -> None:
         self.featvars = featvars
         self.xs = xs
         self.inner = inner
@@ -643,9 +703,6 @@ class LeafMemo:
         self.table: dict[tuple[int, ...], tuple] = {}
         self.order = featvars + xs
         self.feats = frozenset(featvars)
-        # per feature: whether a constraint of the owner other than its check
-        # watches it (set by Model.attach); see resume.Path
-        self.watched: tuple[bool, ...] = ()
 
     def blocked_by(self, con: Constraint) -> bool:
         """Whether ``con``, posted by anyone but the owner, keeps the memo
@@ -760,16 +817,13 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef],
                     nback += 1  # the owner's prefix check would fail this trial
                     continue
             mk = len(trail)
-            if k < keep:  # the trial's reads go to its own set first
-                model.clauses = mine = set()
-                set_dom(vid, (val,))
-                ok = drain()
+            # on a kept level the trial's reads go to its own set first
+            model.clauses = mine = set() if k < keep else clauses
+            set_dom(vid, (val,))
+            ok = drain()
+            if mine is not clauses:
                 model.clauses = clauses
-                if mine:
-                    clauses.update(mine)
-            else:
-                set_dom(vid, (val,))
-                ok = drain()
+                clauses.update(mine)
             if ok:
                 if dfs(k + 1, nxt):
                     if k < keep:
@@ -806,6 +860,7 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef],
                 j -= 1
                 vals, wide, pending = path.above(j)
     finally:
+        dfs = split = None  # they refer to each other: free them on return
         model.clauses = clauses  # also when a trial's propagator raised
         if model._queue:  # only when a propagator raised
             model._clear_queue()

@@ -369,26 +369,24 @@ class OccurrenceChannel(Constraint):
     would therefore prune nothing and could not fail.
 
     ``memo`` replays earlier runs (the subproblem equivalence of Chu,
-    Garcia de la Banda and Stuckey, CPAIOR 2010).  It maps P's domain to
+    Garcia de la Banda and Stuckey, CPAIOR 2010).  A call first reads both
+    ends of P and clears their owners (``Model.release``), so no write it
+    runs or replays moves an owned end.  The memo maps P's domain to
     one run: its state (the domains of ``watched``, in order), the writes
     it made to them ((vid, new domain), in order, up to and including a
-    wipe-out) and its S bracket, or None when it failed.  A call in that
-    state replays the writes through ``Model._set_dom`` and prunes S from
-    the bracket.  The run reads nothing but the watched domains, so in an
-    equal state it makes the same writes, and the same ``_set_dom`` calls
-    leave the same trail, queue and flags.  S is in neither the state nor
-    the writes: the run never reads it, and each call prunes S's own
-    domain.  Any other call runs the channel, and is stored only when P's
-    domain has no entry.  Every copy of a partition template shares its
-    channel, so there is one memo per n, exact for every model.  The
-    library's propagators prune P only at its ends, so P's domain is an
+    wipe-out) and its S bracket, or None when it failed.  The model
+    records the writes (``Model.writes_since``), and a call in that state
+    replays them (``Model.replay``) and prunes S from the bracket.  The run
+    reads nothing but the watched domains, so in an equal state it makes
+    the same writes, which leave the same trail, queue and flags.  S is in
+    neither the state nor the writes: the run never reads it, and each call
+    prunes S's own domain.  Any other call runs the channel, and is stored
+    only when P's domain has no entry.  Every copy of a partition template
+    shares its channel, so there is one memo per n, exact for every model.
+    The library's propagators prune P only at its ends, so P's domain is an
     interval and the memo holds at most n(n+1)/2 entries.  ``smax`` keeps
     the exact S maximum of each occurrence box the channel has run on, a
     pure function of the box, so it too is exact for every model.
-
-    A call reads both ends of P and clears their owners first (see
-    ``kernel``), so the writes it runs or replays move no owned end and
-    leave the same trail.
     """
 
     kind = "occurrence_channel"
@@ -407,33 +405,27 @@ class OccurrenceChannel(Constraint):
         self._state = itemgetter(*self.watched)  # the watched domains, P last
 
     def propagate(self, model: Model) -> bool:
-        p = self.p
-        if model._lo_owners[p] or model._hi_owners[p]:  # see the class docstring
-            model.read(p)
-            model._own(p, 0, 0)
+        model.release(self.p)  # see the class docstring
         doms = model._doms
         state = self._state(doms)
         key = state[-1]
         hit = self.memo.get(key)
         if hit is not None and hit[0] == state:
             _, writes, bracket = hit
-            set_dom = model._set_dom
-            for vid, new in writes:
-                if not set_dom(vid, new):
-                    return False
+            if not model.replay(writes):
+                return False
         else:
-            trail = model._trail
-            start = len(trail)
-            bracket = self._run(model)
+            start = model.mark()
+            bracket = self._run(model, doms)
             if hit is None:
-                self.memo.setdefault(key, (state, _writes(trail[start:], doms), bracket))
+                self.memo.setdefault(key, (state, model.writes_since(start), bracket))
         if bracket is None:
             return False
         return model.prune_ge(self.s, bracket[0]) and model.prune_le(self.s, bracket[1])
 
-    def _run(self, model: Model) -> tuple[int, int] | None:
-        """Prune every watched variable; the S bracket, or None on failure."""
-        doms = model._doms
+    def _run(self, model: Model, doms: list) -> tuple[int, int] | None:
+        """Prune every watched variable, whose domains ``doms`` holds; the S
+        bracket, or None on failure."""
         n = len(self.xs)
         fixed = [0] * (n + 1)
         possible = [0] * (n + 1)
@@ -489,19 +481,6 @@ class OccurrenceChannel(Constraint):
                 self.smax.clear()
             smax = self.smax[key] = _max_sum_squares_in_box(lbs, ubs, n)
         return _min_sum_squares_in_box(lbs, ubs, n), smax
-
-
-def _writes(entries: list, doms: list) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The (vid, new domain) writes that appended ``entries`` to the trail,
-    in order: each new domain is the old one of the next entry for its
-    variable, or its domain now."""
-    later: dict[int, tuple[int, ...]] = {}
-    writes = []
-    for vid, old in reversed(entries):
-        writes.append((vid, later.get(vid, doms[vid])))
-        later[vid] = old
-    writes.reverse()
-    return tuple(writes)
 
 
 # most occurrence boxes whose S maximum one channel keeps: a cold
@@ -604,7 +583,7 @@ def post_object(
             return None
     model.attach(LeafMemo(
         fvids, xvids, inner,
-        range(mark.ncons, len(model._constraints)),
+        range(mark.ncons, model.mark().ncons),
         mark.ncons + steps.index(check), prefixes,
     ))
     return cid

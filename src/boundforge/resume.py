@@ -31,20 +31,18 @@ class Path:
     holds the clauses of building U_j+1 from U_j: that jump's, then the
     trial that fixed feature j.  ``sol`` is the path's feature values, or
     None when no path is open and the model is at ``base``; ``end`` is the
-    mark the last search left the model at.  ``watched[j]`` is whether a
-    propagator of the object other than its prefix check watches feature
-    j (taken from the leaf memo's constraints): the jump is posted there.
+    mark the last search left the model at.  ``watched[j]`` is whether
+    feature j is watched (see below): the jump is posted there.
 
     Why the climb is exact.  The restart's state at the tie node prev[:j]
     is the fixpoint of U_j plus the jump: both are fixpoints below the
     same box, propagation order does not move a fixpoint, the path's own
     jumps (each below prev) hold wherever the new one does, and
     lex-greater against a constant is domain-complete on boxes (Frisch,
-    Hnich, Kiziltan, Miguel and Walsh, AIJ 2006).  At a level no such
-    propagator watches, the jump only drops feature j's values below
-    prev_j, and prev_j itself unless the suffix can still exceed prev;
-    while two values stay that wakes nothing that acts, since a bound
-    acts only once its inputs are fixed.  So, from the leaf up: a level
+    Hnich, Kiziltan, Miguel and Walsh, AIJ 2006).  At a level that is
+    not watched, the jump only drops feature j's values below prev_j, and
+    prev_j itself unless the suffix can still exceed prev; while two
+    values stay that wakes nothing that acts.  So, from the leaf up: a level
     with no value above prev_j is inconsistent under the jump, since its
     tie subtree is; one value left is the trial that fixes it, made with
     the prefix check active, as at the restart's tie trial above it; a
@@ -55,8 +53,13 @@ class Path:
     moves no count (see ``kernel``), so the count and solution are the
     restart's.
 
-    Every constraint posted outside the object's is assumed to act only
-    once its inputs are fixed, as a bound does, or to be a jump.
+    The rule that makes "wakes nothing that acts" hold is checked, when
+    the path is made, on the constraints posted then: feature j is
+    watched when one of them watches it, other than the object's prefix
+    check (it never prunes, and a search tests the prefixes itself) and
+    other than a kind that declares ``acts_when_fixed`` (it acts on
+    nothing while feature j is open, as a bound does).  The jumps the step
+    loop posts later do not count: each is off a solution below prev.
     """
 
     def __init__(self, model: Model) -> None:
@@ -66,7 +69,9 @@ class Path:
         self.model = model
         self.base = self.end = model.mark()
         self.fvids = memo.featvars
-        self.watched = memo.watched
+        seen = {vid for cid, con in enumerate(model.constraints())
+                if cid != memo.check and not con.acts_when_fixed for vid in con.watched}
+        self.watched = tuple([vid in seen for vid in self.fvids])
         self.sol: tuple[int, ...] | None = None
         self.marks: list[TrailMark] = [self.base] * len(self.fvids)
         self.reads: list = [frozenset()] * len(self.fvids)
@@ -84,18 +89,8 @@ class Path:
             model.retract_to(self.base)
         self.end = self.base
 
-    def _back(self, j: int) -> None:
-        """Take the model back to U_j: undo the trail, and retract what was
-        posted since (a jump posted at or below level j) only if any was."""
-        model, mark = self.model, self.marks[j]
-        if mark.ncons == len(model._constraints):
-            model._undo_to(mark.trail_len)  # the queue is empty between searches
-        else:
-            model.retract_to(mark)
-
     def _posted(self, reads: set[int]) -> bool:
-        """Post the jump in the model's state, keeping its reads in
-        ``reads`` only."""
+        """Post the jump, keeping its reads in ``reads`` only."""
         model = self.model
         outer, model.clauses = model.clauses, reads
         try:
@@ -117,16 +112,14 @@ class Path:
         if self.watched[j]:
             if not self._posted(why):
                 return None, True, top, why
-            d = model._doms[vid]
+            d = model.dom(vid)
             return (j, int(d[0] == t), d[bisect_right(d, t):], len(d) > 1, why), False, top, why
-        d = model._doms[vid]
-        owners = model._hi_owners[vid]
-        if owners and len(d) > 1:  # what lies above t
-            top.add(owners)
+        d = model.dom(vid)
+        model.read_end(vid, True, top)  # what lies above t
         vals = d[bisect_right(d, t):]
         outer, model.clauses = model.clauses, why
         try:
-            survives = self.lex._suffix_can_exceed(model, j + 1)
+            survives = self.lex.suffix_can_exceed(model, j + 1)
             if not vals:
                 return None, not survives, top, why
             if survives or len(vals) > 1:
@@ -134,16 +127,11 @@ class Path:
                 return plan, False, top, why
             # the jump fixes feature j: that trial, with the prefix check active
             model.clauses = trial = set()
-            mk = len(model._trail)
-            try:
-                model._set_dom(vid, vals)
-                ok = model._drain()
-            finally:
-                if model._queue:  # only when a propagator raised
-                    model._clear_queue()
+            mk = model.mark()
+            ok = model.trial(vid, vals[0])
             why |= trial
             if not ok:
-                model._undo_to(mk)
+                model.back_to(mk)
                 return None, True, top, why
             return (j, 0, vals, False, trial), False, top, why
         finally:
@@ -171,7 +159,7 @@ class Path:
         probes: list = [None] * width
         f = plan = None
         for j in range(width - 1, -1, -1):
-            self._back(j)
+            self.model.back_to(self.marks[j])
             plan, own, top, why = self._probe(j, prev)
             probes[j] = (top, why)
             if plan is not None:
@@ -201,18 +189,17 @@ class Path:
         posted when the level is watched.  prev_j survives there, since
         the level below holds."""
         model = self.model
-        self._back(j)
+        model.back_to(self.marks[j])
         vid, t = self.fvids[j], self.sol[j]
         reads: set[int] = set()
         if self.watched[j]:
             if not self._posted(reads):
                 raise InternalInvariantError("the jump failed above a level it holds at")
             model.clauses |= reads
-            d = model._doms[vid]
+            d = model.dom(vid)
             return d[bisect_right(d, t):], len(d) > 1, reads
-        d = model._doms[vid]
+        d = model.dom(vid)
         vals = d[bisect_right(d, t):]
-        owners = model._hi_owners[vid]
-        if not vals and owners and len(d) > 1:  # nothing lies above t
-            model.clauses.add(owners)
+        if not vals:  # nothing lies above t
+            model.read_end(vid, True, model.clauses)
         return vals, bool(vals), reads

@@ -274,7 +274,7 @@ class StepLoop:
 
     def close(self) -> None:
         model, start = self.model, self.start
-        if len(model._trail) != start.trail_len or len(model._constraints) != start.ncons:
+        if model.mark() != start:
             model.retract_to(start)
 
 

@@ -154,6 +154,20 @@ class GeConst(Constraint):
         return model.prune_ge(self.a, self.c)
 
 
+class LeVars(Constraint):
+    """a <= b, bounds-consistent."""
+
+    kind = "le"
+
+    def __init__(self, a: int, b: int):
+        super().__init__((a, b))
+        self.a, self.b = a, b
+
+    def propagate(self, model: Model) -> bool:
+        doms = model._doms
+        return model.prune_le(self.a, doms[self.b][-1]) and model.prune_ge(self.b, doms[self.a][0])
+
+
 class Check(Constraint):
     """Predicate over a scope, checked only once every scope variable is fixed."""
 

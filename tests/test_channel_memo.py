@@ -48,9 +48,9 @@ class _Counted(OccurrenceChannel):
 
     runs = 0
 
-    def _run(self, model):
+    def _run(self, model, doms):
         self.runs += 1
-        return super()._run(model)
+        return super()._run(model, doms)
 
 
 def _channel(model):

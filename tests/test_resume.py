@@ -11,15 +11,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundforge import objects, selector
 from boundforge.bounds import catalog, decoy, post_bound
-from boundforge.kernel import Constraint
+from boundforge.kernel import Constraint, SumEq, post_lex_greater
 from boundforge.resume import Path
 from boundforge.objects import FEATURES, canonical_tuples
 from boundforge.selector import Counters, ObjectScenario, StepMemo, enumerate_all_solutions
 
-from kernel_helpers import model_state, post, restart_enumeration
+from kernel_helpers import LeVars, model_state, post, restart_enumeration
 
 
 def _draw(object_name, n, rng):
@@ -61,13 +63,69 @@ def test_every_record_equals_the_plain_restart(object_name, n, cold):
         assert enumerate_all_solutions(model, featvars, xs) == got
 
 
+def _ids(featvars, object_name, *names):
+    return [featvars[FEATURES[object_name].index(name)].id for name in names]
+
+
 def test_the_jump_is_posted_where_an_object_propagator_watches_the_feature():
     """N1 is watched by the sum of the bits and P by the occurrence channel,
     so the climb posts the jump there; every other feature is read only by
-    the prefix check and the ground checker's pins."""
+    the prefix check, the ground checker's pins and the posted bounds,
+    which act only once their inputs are fixed.  A foreign constraint that
+    can act on open features widens the set by the features it watches."""
     for object_name, watched in (("binseq", {"N1"}), ("partition", {"P"})):
-        model = ObjectScenario(object_name, 4).fresh(Counters())[0]
+        model, featvars, _ = ObjectScenario(object_name, 4).fresh(Counters())
         assert Path(model).watched == tuple(f in watched for f in FEATURES[object_name])
+        for cand in catalog(object_name):
+            assert post_bound(model, cand, featvars, 4) is not None
+        assert Path(model).watched == tuple(f in watched for f in FEATURES[object_name])
+    model, featvars, _ = ObjectScenario("binseq", 7).fresh(Counters())
+    range_d, ds, gs = _ids(featvars, "binseq", "rangeD", "DS", "GS")
+    assert model.post_constraint(SumEq((range_d, ds), gs)) is not None
+    widened = {"N1", "rangeD", "DS", "GS"}
+    assert Path(model).watched == tuple(f in widened for f in FEATURES["binseq"])
+
+
+def test_a_foreign_sum_over_three_features_keeps_the_restarts_count():
+    """rangeD + DS = GS at binseq n=7 acts on open features the object's
+    propagators do not watch; a climb that did not post the jump there
+    gave 682 for the final record."""
+    model, featvars, xs = ObjectScenario("binseq", 7).fresh(Counters())
+    range_d, ds, gs = _ids(featvars, "binseq", "rangeD", "DS", "GS")
+    assert model.post_constraint(SumEq((range_d, ds), gs)) is not None
+    expected = restart_enumeration(model, featvars, xs)
+    assert expected[-1].nback == 681
+    assert enumerate_all_solutions(model, featvars, xs) == expected
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=st.data(), object_name=st.sampled_from(sorted(FEATURES)))
+def test_foreign_feature_constraints_keep_every_record_the_restarts(data, object_name):
+    """Random catalog subsets with random sums, lex jumps and x <= y over
+    the features posted too: the library's enumeration, with and without a
+    step memo, gives the plain restart's records."""
+    n = data.draw(st.integers(4, 7) if object_name == "binseq" else st.integers(5, 8))
+    cands = data.draw(st.lists(st.sampled_from(catalog(object_name)), max_size=6))
+    model, featvars, xs = ObjectScenario(object_name, n).fresh(Counters())
+    for cand in cands:
+        assert post_bound(model, cand, featvars, n) is not None
+    width = len(featvars)
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(["sum", "lex", "le"]))
+        picked = data.draw(st.permutations(range(width)))
+        ids = [featvars[i].id for i in picked]
+        if kind == "sum":
+            model.post_constraint(SumEq(ids[:2], ids[2]))
+        elif kind == "le":
+            model.post_constraint(LeVars(ids[0], ids[1]))
+        else:
+            size = data.draw(st.integers(1, 3))
+            tup = [data.draw(st.sampled_from(model.dom(vid))) for vid in ids[:size]]
+            post_lex_greater(model, [featvars[i] for i in picked[:size]], tup)
+    expected = restart_enumeration(model, featvars, xs)
+    assert enumerate_all_solutions(model, featvars, xs) == expected
+    memo = StepMemo(cands, canonical_tuples(object_name, n))
+    assert enumerate_all_solutions(model, featvars, xs, Counters(), memo) == expected
 
 
 # -- the loops leave the model as they found it ---------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -372,3 +373,19 @@ def test_each_search_and_post_goes_through_its_selector_name(monkeypatch, engine
     # every post but the object posts is a bound post
     objects_posted = sum(k for (tag, _), k in outcome.counters.by_tag.items() if tag == "ctr")
     assert calls["post_bound"] == outcome.report.posts - objects_posted
+
+
+def test_a_warm_selection_leaves_no_reference_cycle():
+    """Each labeling call frees its nested search functions, which refer to
+    each other, on return, and a candidate's compiled rhs is not held by
+    its own globals: with the cyclic collector off, a warm catalog-order
+    selection with a new decoy leaves it nothing to collect."""
+    scenario = ObjectScenario("binseq", 10)
+    selector.run_selection(scenario, catalog("binseq") + [decoy("binseq", "GS", 10)])
+    gc.collect()
+    gc.disable()
+    try:
+        selector.run_selection(scenario, catalog("binseq") + [decoy("binseq", "GS", 10)])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

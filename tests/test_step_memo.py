@@ -208,6 +208,18 @@ def test_an_unmatched_guard_leaves_its_own_bit():
     assert model.clauses == {4}
 
 
+def test_a_bound_that_wipes_out_its_fixed_target_leaves_its_own_bit():
+    """Gmax is fixed to 1 when N1 = 8 asks for Gmax >= 8 // (8 - 8 + 1):
+    a fixed target has no end to read, so the failure rests on the
+    bound's own bit alone."""
+    model, featvars, con = _posted("binseq", 8, by_id("B-GMAX-LB"), bit=2)
+    n1, gmax = featvars[0].id, featvars[3].id
+    assert model.assign(gmax, 1)
+    assert model.clauses == set()
+    assert not model.assign(n1, 8)
+    assert model.clauses == {2}
+
+
 def test_a_tight_later_bound_joins_the_owners_so_a_step_stays_answered_without_the_first(
         monkeypatch):
     """Two bounds with B-DS-UB1's rhs wake together; the first prunes DS
