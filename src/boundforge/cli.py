@@ -23,7 +23,8 @@ from .bounds import BoundCandidate
 from .errors import InvalidArgumentError
 from .objects import FEATURES, check_size
 
-# documented tractable ceilings; BOUNDFORGE_MAX_N overrides both
+# documented tractable ceilings; BOUNDFORGE_MAX_N overrides both, and no
+# library ceiling (objects.MAX_N, objects.MODEL_MAX_N)
 _VERIFY_CAP = {"partition": 12, "binseq": 16}
 _MODEL_CAP = {"partition": 8, "binseq": 10}
 _VERIFY_DEFAULT_RANGE = {"partition": (1, 10), "binseq": (1, 14)}

@@ -315,18 +315,6 @@ class Model:
         lo_owners[vid] = lo
         hi_owners[vid] = hi
 
-    def disown(self) -> bool:
-        """Clear every owner, on the trail, so the ends as they stand record
-        no clause: a step memo compares start domains itself.  Whether any
-        owner was set."""
-        lo, hi = self._lo_owners, self._hi_owners
-        if not (any(lo) or any(hi)):
-            return False
-        for vid in range(len(lo)):
-            if lo[vid] or hi[vid]:
-                self._own(vid, 0, 0)
-        return True
-
     def join(self, vid: int, owner: int, upper: bool) -> None:
         """A bound whose rhs equals the upper (or lower) end of ``vid`` joins
         that end's owners, when it has any and ``vid`` is not fixed."""

@@ -38,6 +38,12 @@ FEATURES = {"partition": PARTITION_FEATURES, "binseq": BINSEQ_FEATURES}
 # n=50
 MAX_N = {"partition": 50, "binseq": 20}
 
+# largest n a model is built for: the largest whose cold selection of the
+# full catalog ends within 30 s (Python 3.11 on a shared 2-core host:
+# binseq n=15 in 25 s, n=16 in about 97 s; partition n=14 in 17-30 s,
+# n=15 in 153 s)
+MODEL_MAX_N = {"partition": 14, "binseq": 15}
+
 
 def check_size(object_name: str, n: int) -> None:
     """Refuse an unknown object, an n that is not an ``int`` (``bool``
@@ -66,16 +72,21 @@ def check_size(object_name: str, n: int) -> None:
 
 
 def check_model_size(object_name: str, n: int) -> None:
-    """Refuse an unknown object, or an n outside 1..``MAX_N``: the one check
-    for a model of the object.
+    """Refuse what :func:`check_size` refuses, then an n outside
+    1..``MODEL_MAX_N``: the one check for a model of the object.
 
     :func:`initial_domains` calls it, so :func:`make_model` and
-    ``bounds.decoy`` do, and so does ``selector.ObjectScenario`` when it
-    is built: a scenario that no model can serve fails there.
+    ``bounds.decoy`` do, as do :func:`posted_model`, :func:`forget` and
+    ``selector.ObjectScenario`` when it is built: a scenario that no model
+    can serve fails there, before any model is built.  The CLI's
+    ``BOUNDFORGE_MAX_N`` lifts only the CLI's own caps, not this one.
     """
     check_size(object_name, n)
     if n < 1:
         raise InvalidArgumentError(f"{object_name} model needs n >= 1")
+    ceiling = MODEL_MAX_N[object_name]
+    if n > ceiling:
+        raise InvalidArgumentError(f"{object_name} n={n} exceeds the model ceiling {ceiling}")
 
 
 def _record(name: str, features: tuple[str, ...]) -> type:

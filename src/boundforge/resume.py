@@ -29,10 +29,11 @@ class Path:
     ``marks[j]`` is the model's mark in the state U_j where the path
     decided feature j, below any jump posted at that level; ``reads[j]``
     holds the clauses of building U_j+1 from U_j: that jump's, then the
-    trial that fixed feature j.  ``sol`` is the path's feature values, or
-    None when no path is open and the model is at ``base``; ``end`` is the
-    mark the last search left the model at.  ``watched[j]`` is whether
-    feature j is watched (see below): the jump is posted there.
+    trial that fixed feature j.  A resumed step records them all, with
+    the reads of every level it probed.  ``sol`` is the path's feature
+    values, or None when no path is open and the model is at ``base``;
+    ``end`` is the mark the last search left the model at.  ``watched[j]``
+    is whether feature j is watched (see below): the jump is posted there.
 
     Why the climb is exact.  The restart's state at the tie node prev[:j]
     is the fixpoint of U_j plus the jump: both are fixpoints below the
@@ -99,41 +100,38 @@ class Path:
             model.clauses = outer
 
     def _probe(self, j: int, prev: tuple[int, ...]):
-        """Level j's part of the climb, from U_j: (plan, own, top, why).
-        ``plan`` is where :func:`kernel.labeling` resumes, or None when the
-        level is inconsistent under the jump, and then ``own`` says whether
-        it is so on its own, not only because its tie subtree is.  ``top`` holds
-        the read of feature j's upper end, ``why`` the other reads: whether
-        prev_j survives the jump, and the jump's post or forced trial."""
+        """Level j's part of the climb, from U_j: (plan, reads).  ``plan``
+        is where :func:`kernel.labeling` resumes, or None when the level is
+        inconsistent under the jump; ``reads`` holds what the probe read:
+        the jump's post, or feature j's upper end, whether prev_j survives
+        the jump and the forced trial."""
         model = self.model
         vid, t = self.fvids[j], prev[j]
-        top: set[int] = set()
-        why: set[int] = set()
+        reads: set[int] = set()
         if self.watched[j]:
-            if not self._posted(why):
-                return None, True, top, why
+            if not self._posted(reads):
+                return None, reads
             d = model.dom(vid)
-            return (j, int(d[0] == t), d[bisect_right(d, t):], len(d) > 1, why), False, top, why
+            return (j, int(d[0] == t), d[bisect_right(d, t):], len(d) > 1, reads), reads
         d = model.dom(vid)
-        model.read_end(vid, True, top)  # what lies above t
+        model.read_end(vid, True, reads)  # what lies above t
         vals = d[bisect_right(d, t):]
-        outer, model.clauses = model.clauses, why
+        outer, model.clauses = model.clauses, reads
         try:
             survives = self.lex.suffix_can_exceed(model, j + 1)
             if not vals:
-                return None, not survives, top, why
+                return None, reads
             if survives or len(vals) > 1:
-                plan = (j, int(survives), vals, len(vals) + survives > 1, set())
-                return plan, False, top, why
+                return (j, int(survives), vals, len(vals) + survives > 1, set()), reads
             # the jump fixes feature j: that trial, with the prefix check active
             model.clauses = trial = set()
             mk = model.mark()
             ok = model.trial(vid, vals[0])
-            why |= trial
+            reads |= trial
             if not ok:
                 model.back_to(mk)
-                return None, True, top, why
-            return (j, 0, vals, False, trial), False, top, why
+                return None, reads
+            return (j, 0, vals, False, trial), reads
         finally:
             model.clauses = outer
 
@@ -143,45 +141,24 @@ class Path:
         model is left where :func:`kernel.labeling` resumes (see the class
         docstring) and True.
 
-        The model's clauses gain the reads this step's outcome rests on.
-        Take the resume level r and, when prev_r survives there, f the
-        shallowest level below it whose probe failed on its own (no value
-        above prev_f with prev_f dropped, a failed forced trial or a failed
-        jump post); deeper levels only repeat that fact, and the levels in
-        between fail only because they hold nothing above prev's value.
-        Else f is r, and when no level holds, f is the shallowest level
-        that failed on its own.  The reads are then those of the path's
-        levels 0..f-1, which built the states the probes read, the upper
-        end of each probed level from r to f, and the other reads of the
-        probes of r and f."""
-        width = len(self.fvids)
+        The model's clauses gain the reads of every level of the path, which
+        built the states the probes read, and of every level probed.  That
+        holds every read the step's outcome rests on, and an extra clause
+        only narrows what a step memo answers."""
+        model = self.model
         self.lex = LexGreater(self.fvids, prev)
-        probes: list = [None] * width
-        f = plan = None
-        for j in range(width - 1, -1, -1):
-            self.model.back_to(self.marks[j])
-            plan, own, top, why = self._probe(j, prev)
-            probes[j] = (top, why)
+        clauses = model.clauses
+        for reads in self.reads:
+            clauses |= reads
+        for j in range(len(self.fvids) - 1, -1, -1):
+            model.back_to(self.marks[j])
+            plan, reads = self._probe(j, prev)
+            clauses |= reads
             if plan is not None:
-                break
-            if own:
-                f = j
-        r = 0 if plan is None else plan[0]
-        if plan is not None and (f is None or not plan[1]):
-            f = r
-        clauses = self.model.clauses
-        for j in range(f):
-            clauses |= self.reads[j]
-        for j in range(r, f + 1):
-            top, why = probes[j]
-            clauses |= top
-            if j == f or (plan is not None and j == r):
-                clauses |= why
-        if plan is None:
-            self.close()
-            return False
-        self.plan = plan
-        return True
+                self.plan = plan
+                return True
+        self.close()
+        return False
 
     def above(self, j: int):
         """Level j's values above prev_j under the jump, for a search that

@@ -246,23 +246,21 @@ class StepLoop:
     a searched drain step the next one is mostly answered by the step memo
     or starts from another solution.
 
-    With a step memo, the loop gives each posted bound its bit and clears
-    every owner, on the trail.  :meth:`close` undoes that and the path,
-    so the model is left exactly as the loop found it."""
+    With a step memo, the loop gives each posted bound its bit.  The owners
+    the ends already have stand (see :class:`StepMemo`).  :meth:`close`
+    undoes the path, so the model is left exactly as the loop found it."""
 
-    __slots__ = ("model", "start", "base", "posted", "state", "path")
+    __slots__ = ("model", "start", "posted", "state", "path")
 
     def __init__(self, model: Model, memo: StepMemo | None = None, chained: bool = False):
         self.model = model
-        self.start = self.base = model.mark()
+        self.start = model.mark()
         posted = 0
         if memo is not None:
             bit = memo.bit
             for con in posted_bounds(model):
                 con.bit = bit[id(con.bound)]
                 posted |= con.bit
-            if model.disown():
-                self.base = model.mark()
         self.posted = posted
         self.state = model.snapshot()
         self.path = Path(model) if chained and model.leaf_memo is not None else None
@@ -270,7 +268,7 @@ class StepLoop:
     def end(self) -> TrailMark:
         """The mark the last step left the model at."""
         path = self.path
-        return self.base if path is None else path.end
+        return self.start if path is None else path.end
 
     def close(self) -> None:
         model, start = self.model, self.start
@@ -306,8 +304,12 @@ class StepMemo:
     the same answer, and the two searches make the same trials, failures
     and leaf replays, so they reach the same count and solution.  A bound
     that pruned only when it was posted shows in the start domains, which
-    the domain check compares; each :class:`StepLoop` clears every owner,
-    so those ends carry no clause.
+    the domain check compares.  Owners cannot stand in for that check: a
+    post that fixes a variable, as ROOT (``rangeM <= 0``) does at partition
+    n=2, reads its owner before any step, and a read of a fixed variable
+    records nothing, so no clause would keep a step without it from being
+    answered.  The owners an end has when a loop starts may stand: reading
+    it only adds a clause, and an extra clause only narrows what is answered.
 
     The equal-outcome rule drops the upper limit: an outcome whose count
     equals the ``expected`` count, the one the drain compares the step
@@ -327,7 +329,7 @@ class StepMemo:
     per loop (:class:`StepLoop`).  A step that resumes from the path of
     the search before it (see the module docstring) reads the states of
     that path, which earlier searches built; so its clauses also hold the
-    reads of the path's trials that built the states it read
+    reads of every level of the path and of every level its climb probed
     (:meth:`resume.Path.climb`).  Any Q that meets them builds the same
     states and makes the same climb, and the climb's outcome is that of
     the restart under Q.

@@ -11,6 +11,7 @@ import pytest
 
 from boundforge import bounds, oracle, selector
 from boundforge.cli import main
+from boundforge.kernel import Model
 
 
 def run(capsys, argv):
@@ -265,6 +266,21 @@ def test_max_n_above_the_enumeration_ceiling_exits_2(monkeypatch, capsys):
     code, out, err = run(capsys, ["verify", "--object", "binseq", "--n", "20..21"])
     assert (code, out) == (2, "")
     assert err == "error: binseq n=21 exceeds the enumeration ceiling 20\n"
+
+
+def test_max_n_above_the_model_ceiling_exits_2(monkeypatch, capsys):
+    """``BOUNDFORGE_MAX_N`` lifts the CLI's caps only: a model-backed
+    command above the library's model ceiling exits 2 before any model is
+    built, while ``verify``, which builds none, runs there."""
+    monkeypatch.setenv("BOUNDFORGE_MAX_N", "16")
+    models = Model._next_id
+    for verb in ("select", "compare", "solutions"):
+        code, out, err = run(capsys, [verb, "--object", "binseq", "--n", "16"])
+        assert (code, out) == (2, "")
+        assert err == "error: binseq n=16 exceeds the model ceiling 15\n"
+    assert Model._next_id == models
+    code, _, _ = run(capsys, ["verify", "--bound", "B-GS-UB1", "--n", "16"])
+    assert code == 0
 
 
 def test_out_writes_file(tmp_path, capsys):

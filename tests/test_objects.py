@@ -474,6 +474,22 @@ def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceili
     assert objects.canonical_tuples.cache_info().currsize == cached
 
 
+@pytest.mark.parametrize("object_name", sorted(objects.MODEL_MAX_N))
+@pytest.mark.parametrize("entry_point", [
+    "ObjectScenario", "decoy", "forget", "initial_domains", "make_model", "posted_model"])
+def test_every_model_entry_point_refuses_n_above_the_model_ceiling(entry_point, object_name):
+    """A cold selection there does not end in practice; the tuple tables
+    and the oracle, which build no model, still admit it."""
+    assert objects.MODEL_MAX_N == {"partition": 14, "binseq": 15}
+    n = objects.MODEL_MAX_N[object_name] + 1
+    models = kernel.Model._next_id
+    with pytest.raises(InvalidArgumentError, match=f"{object_name} n={n} exceeds the model ceiling"):
+        _ENTRY_POINTS[entry_point](object_name, n)
+    assert kernel.Model._next_id == models
+    ObjectScenario(object_name, n - 1)
+    objects.check_size(object_name, n)
+
+
 @pytest.mark.parametrize("n", [5.0, True], ids=["float", "bool"])
 @pytest.mark.parametrize("build", [
     lambda n: ObjectScenario("partition", n),

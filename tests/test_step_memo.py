@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boundforge import oracle, selector
@@ -54,7 +54,7 @@ class _CrossCheck:
     """Stands in for ``StepMemo.step``: every step, answered or searched, is
     compared with a real restart of the same posted set from the same start
     domains.  The restarts run on a twin of the model taken at each loop's
-    first step, when the model is at the loop's base (later steps may find
+    first step, when the model is where the loop started (later steps may find
     the path of the search before them open), and a restart leaves the
     twin there.  The bits and domains the loop took once are checked to be
     the twin's."""
@@ -71,7 +71,7 @@ class _CrossCheck:
 
         def checked(memo, model, featvars, xs, prev, loop, expected=None):
             if loop is not self.loop:
-                assert model.mark() == loop.base
+                assert model.mark() == loop.start
                 (start,) = twin(model)
                 assert loop.state == start.snapshot()
                 posted = 0
@@ -79,7 +79,6 @@ class _CrossCheck:
                     assert con.bit == memo.bit[id(con.bound)]
                     posted |= con.bit
                 assert loop.posted == posted
-                assert not any(start._lo_owners) and not any(start._hi_owners)
                 self.loop, self.start = loop, start
             assert model.mark() == loop.end()
             res = step(memo, model, featvars, xs, prev, loop, expected)
@@ -149,6 +148,9 @@ def _scenarios(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_scenarios(), st.sampled_from(["run_selection", "run_baseline"]))
+# ROOT fixes rangeM when it is posted, and no clause holds that read: only
+# the start-domain check keeps the steps without ROOT from being answered
+@example(("partition", 2, [_root("partition")]), "run_selection")
 def test_selection_equals_the_memo_free_run(scenario, engine):
     object_name, n, cands = scenario
     run = getattr(selector, engine)
