@@ -69,8 +69,8 @@ A propagator reads domains through ``model._doms`` inside ``propagate``
 ``clauses.add``, and a bound joins an owned end it equals with ``join``.
 One that replays a run's writes calls ``release`` first, then
 ``writes_since`` and ``replay``.  A search or a climb over a path uses
-``mark``, ``back_to``, ``retract_to``, ``post_constraint``, ``trial`` and
-``constraints``, and may swap ``clauses`` for a set of its own.
+``mark``, ``retract_to`` (the one undo), ``post_constraint``, ``assign``
+and ``constraints``, and may swap ``clauses`` for a set of its own.
 
 A search pays once per model, not once per call, for what does not change
 between calls: :meth:`Model.var_ids` keeps the ids of each tuple of
@@ -256,16 +256,6 @@ class Model:
 
     def mark(self) -> TrailMark:
         return TrailMark(self.model_id, len(self._trail), len(self._constraints))
-
-    def back_to(self, mark: TrailMark) -> None:
-        """:meth:`retract_to` between searches: when nothing was posted since
-        ``mark``, only the trail is undone (the queue is empty then)."""
-        model_id, trail_len, ncons = mark
-        if model_id == self.model_id and ncons == len(self._constraints) \
-                and trail_len <= len(self._trail):
-            self._undo_to(trail_len)
-        else:
-            self.retract_to(mark)
 
     def retract_to(self, mark: TrailMark) -> None:
         """Undo every pruning, owner change and constraint posted after ``mark``."""
@@ -516,17 +506,8 @@ class Model:
         """Fix a variable and propagate to fixpoint; False on failure.  A
         propagator that raises leaves the queue empty and every flag off,
         so nothing it left queued runs on a later call."""
-        return self.fix(vid, val) and self._propagate()
-
-    def trial(self, vid: int, val: int) -> bool:
-        """:meth:`assign` as a search's decision: ``val`` lies in the domain,
-        and fixing it changes no owner and reads nothing."""
-        self._set_dom(vid, (val,))
-        return self._propagate()
-
-    def _propagate(self) -> bool:
         try:
-            return self._drain()
+            return self.fix(vid, val) and self._drain()
         finally:
             if self._queue:  # only when a propagator raised
                 self._clear_queue()
@@ -725,7 +706,10 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef],
     stays where the solution was found, and a search with no solution
     closes the path.  After ``Path.climb`` it resumes where the climb
     left the model, and otherwise it searches from the root, where any
-    jump was posted since the path's base.
+    jump was posted since the path's base.  A resumed search that
+    exhausts a level goes up the path: ``Path.probe`` gives each level
+    above its values over prev's, or None at a level with none, which
+    the search passes; the probe's reads join the search's own.
     """
     vids = model.var_ids((*featvars, *xs))
     if not vids:
@@ -834,19 +818,23 @@ def labeling(model: Model, featvars: Sequence[VarRef], xs: Sequence[VarRef],
                 marks[0] = path.base
                 reads[0] |= root
         else:  # resumed where climb left the model, then up the path's levels
-            j, nback, vals, wide, pending = path.plan
-            path.plan = None
+            plan, path.plan = path.plan, None
+            j, nback = plan[:2]
             prev = path.sol
             while True:
-                start = marks[j]
-                if vals and dfs(j, prev[:j], vals, wide):
-                    marks[j] = start
-                    reads[j] |= pending
-                    break
+                if plan is not None:
+                    _, _, vals, wide, pending = plan
+                    start = marks[j]
+                    if vals and dfs(j, prev[:j], vals, wide):
+                        marks[j] = start
+                        reads[j] |= pending
+                        break
+                elif path.watched[j]:
+                    raise InternalInvariantError("the jump failed above a level it holds at")
                 if j == 0:
                     break
                 j -= 1
-                vals, wide, pending = path.above(j)
+                plan = path.probe(j)
     finally:
         dfs = split = None  # they refer to each other: free them on return
         model.clauses = clauses  # also when a trial's propagator raised

@@ -76,9 +76,9 @@ def check_model_size(object_name: str, n: int) -> None:
     1..``MODEL_MAX_N``: the one check for a model of the object.
 
     :func:`initial_domains` calls it, so :func:`make_model` and
-    ``bounds.decoy`` do, as do :func:`posted_model`, :func:`forget` and
-    ``selector.ObjectScenario`` when it is built: a scenario that no model
-    can serve fails there, before any model is built.  The CLI's
+    ``bounds.decoy`` do, as do :func:`post_object`, :func:`posted_model`,
+    :func:`forget` and ``selector.ObjectScenario`` when it is built: a
+    scenario that no model can serve fails there, before any model is built.  The CLI's
     ``BOUNDFORGE_MAX_N`` lifts only the CLI's own caps, not this one.
     """
     check_size(object_name, n)
@@ -561,7 +561,8 @@ def post_object(
     sequence variables' domains were at post time.
     """
     n = len(xs)
-    prefixes = _prefix_sets(object_name, n)  # refuses the object or n before any new var
+    check_model_size(object_name, n)  # refuses the object or n before any new var
+    prefixes = _prefix_sets(object_name, n)
     width = len(FEATURES[object_name])
     if len(featvars) != width:
         raise InvalidArgumentError(f"{object_name} takes {width} feature variables")

@@ -4,16 +4,17 @@ A step loop searches from one start state, each step from the solution the
 step before found, and a step is, by definition, the search after the lex
 jump ``featvars >lex prev`` posted at that start state (see ``selector``).
 :class:`Path` keeps the last search's path open, one trail mark per
-feature level, and :meth:`Path.climb` decides the next jump from the
-states the path holds, so that ``kernel.labeling`` resumes where the jump
-holds and makes no trial on prev's prefix again.
+feature level.  :meth:`Path.probe` is its one level rule: :meth:`Path.climb`
+probes from the leaf up to decide the next jump from the states the path
+holds, and ``kernel.labeling`` probes on its way up the path, so the
+search resumes where the jump holds and makes no trial on prev's prefix again.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .errors import InternalInvariantError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .kernel import LexGreater, Model, TrailMark
 
 
@@ -54,6 +55,14 @@ class Path:
     moves no count (see ``kernel``), so the count and solution are the
     restart's.
 
+    The way up.  Once a resumed level's values are searched, ``labeling``
+    probes the level above it the same way.  prev_j survives there, since
+    the level below holds, so an unwatched level makes no trial, and None
+    there means that no value lies above prev_j: the search goes up again.
+    A watched level's jump holds for the same reason, so None there is an
+    internal error.  The probe's reads, feature j's upper end and the
+    suffix the jump tests, can only add clauses.
+
     The rule that makes "wakes nothing that acts" hold is checked, when
     the path is made, on the constraints posted then: feature j is
     watched when one of them watches it, other than the object's prefix
@@ -76,9 +85,8 @@ class Path:
         self.sol: tuple[int, ...] | None = None
         self.marks: list[TrailMark] = [self.base] * len(self.fvids)
         self.reads: list = [frozenset()] * len(self.fvids)
-        # set by climb for the labeling call after it: (level, tie failures
-        # counted, values to try there, whether the level's domain under the
-        # jump is wider than one value, reads for reads[level])
+        # set by climb for the labeling call after it: the plan (see probe)
+        # of the level where the jump first holds
         self.plan: tuple | None = None
         self.lex: LexGreater | None = None
 
@@ -90,50 +98,41 @@ class Path:
             model.retract_to(self.base)
         self.end = self.base
 
-    def _posted(self, reads: set[int]) -> bool:
-        """Post the jump, keeping its reads in ``reads`` only."""
-        model = self.model
-        outer, model.clauses = model.clauses, reads
-        try:
-            return model.post_constraint(self.lex) is not None
-        finally:
-            model.clauses = outer
+    def probe(self, j: int) -> tuple | None:
+        """Level j under the jump, from U_j, which it restores first: the
+        plan :func:`kernel.labeling` resumes there with, or None when the
+        level holds nothing above prev_j.  A plan is (j, tie failures
+        counted, values to try, whether the level's domain under the jump
+        is wider than one value, reads for ``reads[j]``).
 
-    def _probe(self, j: int, prev: tuple[int, ...]):
-        """Level j's part of the climb, from U_j: (plan, reads).  ``plan``
-        is where :func:`kernel.labeling` resumes, or None when the level is
-        inconsistent under the jump; ``reads`` holds what the probe read:
-        the jump's post, or feature j's upper end, whether prev_j survives
-        the jump and the forced trial."""
-        model = self.model
-        vid, t = self.fvids[j], prev[j]
-        reads: set[int] = set()
-        if self.watched[j]:
-            if not self._posted(reads):
-                return None, reads
+        Every read goes to the model's clauses: the jump's post, or feature
+        j's upper end, whether prev_j survives the jump and the forced
+        trial.  The post's and the trial's build U_j+1, so the plan keeps
+        them too, in a set of their own."""
+        model, lex = self.model, self.lex
+        model.retract_to(self.marks[j])
+        vid, t = self.fvids[j], lex.tup[j]
+        clauses, watched = model.clauses, self.watched[j]
+        if not watched:
             d = model.dom(vid)
-            return (j, int(d[0] == t), d[bisect_right(d, t):], len(d) > 1, reads), reads
-        d = model.dom(vid)
-        model.read_end(vid, True, reads)  # what lies above t
-        vals = d[bisect_right(d, t):]
-        outer, model.clauses = model.clauses, reads
-        try:
-            survives = self.lex.suffix_can_exceed(model, j + 1)
+            model.read_end(vid, True, clauses)  # what lies above t
+            vals = d[bisect_right(d, t):]
+            survives = lex.suffix_can_exceed(model, j + 1)
             if not vals:
-                return None, reads
+                return None
             if survives or len(vals) > 1:
-                return (j, int(survives), vals, len(vals) + survives > 1, set()), reads
-            # the jump fixes feature j: that trial, with the prefix check active
-            model.clauses = trial = set()
-            mk = model.mark()
-            ok = model.trial(vid, vals[0])
-            reads |= trial
-            if not ok:
-                model.back_to(mk)
-                return None, reads
-            return (j, 0, vals, False, trial), reads
+                return j, int(survives), vals, len(vals) + survives > 1, set()
+        # post the jump, or make the trial it forces, with the prefix check active
+        model.clauses = reads = set()
+        try:
+            ok = model.post_constraint(lex) is not None if watched else model.assign(vid, vals[0])
         finally:
-            model.clauses = outer
+            model.clauses = clauses
+        clauses |= reads
+        if not ok:
+            return None
+        d = model.dom(vid)
+        return j, int(d[0] == t), d[bisect_right(d, t):], len(d) > 1, reads
 
     def climb(self, prev: tuple[int, ...]) -> bool:
         """Decide the jump off ``prev``, the path's solution, from the path's
@@ -145,38 +144,13 @@ class Path:
         built the states the probes read, and of every level probed.  That
         holds every read the step's outcome rests on, and an extra clause
         only narrows what a step memo answers."""
-        model = self.model
         self.lex = LexGreater(self.fvids, prev)
-        clauses = model.clauses
+        clauses = self.model.clauses
         for reads in self.reads:
             clauses |= reads
         for j in range(len(self.fvids) - 1, -1, -1):
-            model.back_to(self.marks[j])
-            plan, reads = self._probe(j, prev)
-            clauses |= reads
-            if plan is not None:
-                self.plan = plan
+            self.plan = self.probe(j)
+            if self.plan is not None:
                 return True
         self.close()
         return False
-
-    def above(self, j: int):
-        """Level j's values above prev_j under the jump, for a search that
-        resumed below it, and the rest of its plan: U_j, with the jump
-        posted when the level is watched.  prev_j survives there, since
-        the level below holds."""
-        model = self.model
-        model.back_to(self.marks[j])
-        vid, t = self.fvids[j], self.sol[j]
-        reads: set[int] = set()
-        if self.watched[j]:
-            if not self._posted(reads):
-                raise InternalInvariantError("the jump failed above a level it holds at")
-            model.clauses |= reads
-            d = model.dom(vid)
-            return d[bisect_right(d, t):], len(d) > 1, reads
-        d = model.dom(vid)
-        vals = d[bisect_right(d, t):]
-        if not vals:  # nothing lies above t
-            model.read_end(vid, True, model.clauses)
-        return vals, bool(vals), reads

@@ -40,12 +40,14 @@ that starts from the solution the loop's last search found does not post
 the lex jump at the base and descend that solution's prefix again: that
 search kept its path open (:class:`resume.Path`), and the step climbs it
 and resumes there, with the restart's count and solution, so record
-semantics are unchanged.  Every compute-phase step after the first does
-so; a drain step posts the jump at the base.  A loop takes the model back
-to where it found it when it ends, on every way out.  Each search still
-goes through ``labeling``, once, and each jump posted at the base and
-each bound post through ``post_lex_greater`` or ``post_bound``, once; a
-resumed step decides its jump before it calls ``labeling``.
+semantics are unchanged.  Every enumeration step after the first does
+so when the enumeration's feature variables are the leaf memo's own, as
+in the compute phase; any other step posts the jump at the base.  A loop
+takes the model back to where it found it when it ends, on every way
+out.  Each search still goes through ``labeling``, once, and each jump
+posted at the base and each bound post through ``post_lex_greater`` or
+``post_bound``, once; a resumed step decides its jump before it calls
+``labeling``.
 """
 
 from __future__ import annotations
@@ -163,11 +165,15 @@ def enumerate_all_solutions(
     backtracks when the lex posting itself failed, or the full exhaustion
     count when the last labeling proved no solution remains.  With a
     ``memo``, steps go through it and each record holds the memo's
-    canonical object for its tuple.  The model is left as it was.
+    canonical object for its tuple.  The model is left as it was.  Only
+    an enumeration over the leaf memo's own ``featvars`` is chained
+    (see :class:`StepLoop`); any other restarts every step.
     """
     counters = counters if counters is not None else Counters()
     tuples = memo.tuples if memo is not None else {}
-    loop = StepLoop(model, memo, chained=True)
+    leaf = model.leaf_memo
+    chained = leaf is not None and model.var_ids(featvars) == leaf.featvars
+    loop = StepLoop(model, memo, chained)
     records: list[SolutionRecord] = []
     prev: tuple[int, ...] | None = None
     try:
@@ -238,8 +244,8 @@ class StepLoop:
     """What every step of one step loop shares, taken once when the loop
     starts: the posted bounds' bits in a step memo's posted sets and every
     domain (``Model.snapshot()``) in the state each step starts from, and,
-    in a ``chained`` loop on a model with a leaf memo, the open path of the
-    loop's last search (:class:`resume.Path`).
+    in a ``chained`` loop, the open path of the loop's last search
+    (:class:`resume.Path`), which needs a model with a leaf memo.
 
     The enumeration is chained: each of its steps starts from the solution
     the step before found.  A drain is not: it keeps no path, since after
@@ -263,7 +269,7 @@ class StepLoop:
                 posted |= con.bit
         self.posted = posted
         self.state = model.snapshot()
-        self.path = Path(model) if chained and model.leaf_memo is not None else None
+        self.path = Path(model) if chained else None
 
     def end(self) -> TrailMark:
         """The mark the last step left the model at."""
@@ -329,10 +335,10 @@ class StepMemo:
     per loop (:class:`StepLoop`).  A step that resumes from the path of
     the search before it (see the module docstring) reads the states of
     that path, which earlier searches built; so its clauses also hold the
-    reads of every level of the path and of every level its climb probed
-    (:meth:`resume.Path.climb`).  Any Q that meets them builds the same
-    states and makes the same climb, and the climb's outcome is that of
-    the restart under Q.
+    reads of every level of the path and of every level probed, by its
+    climb or on its search's way up (:meth:`resume.Path.probe`).  Any Q
+    that meets them builds the same states and makes the same climb, and
+    the climb's outcome is that of the restart under Q.
 
     One memo belongs to one run and one object size; it is never shared.
     """

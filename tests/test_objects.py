@@ -476,7 +476,8 @@ def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceili
 
 @pytest.mark.parametrize("object_name", sorted(objects.MODEL_MAX_N))
 @pytest.mark.parametrize("entry_point", [
-    "ObjectScenario", "decoy", "forget", "initial_domains", "make_model", "posted_model"])
+    "ObjectScenario", "decoy", "forget", "initial_domains", "make_model", "post_object",
+    "posted_model"])
 def test_every_model_entry_point_refuses_n_above_the_model_ceiling(entry_point, object_name):
     """A cold selection there does not end in practice; the tuple tables
     and the oracle, which build no model, still admit it."""

@@ -128,6 +128,20 @@ def test_foreign_feature_constraints_keep_every_record_the_restarts(data, object
     assert enumerate_all_solutions(model, featvars, xs, Counters(), memo) == expected
 
 
+@pytest.mark.parametrize("object_name, n, order", [
+    ("binseq", 3, "reversed"), ("partition", 4, "reversed"),
+    ("binseq", 4, "prefix"), ("partition", 5, "prefix")])
+def test_a_feature_list_other_than_the_memos_gives_the_restarts_records(object_name, n, order):
+    """An enumeration over the features reversed, or over the first two,
+    is not chained: every step restarts, and its records are the plain
+    restart's."""
+    model, featvars, xs = ObjectScenario(object_name, n).fresh(Counters())
+    featvars = featvars[::-1] if order == "reversed" else featvars[:2]
+    expected = restart_enumeration(model, featvars, xs)
+    assert len(expected) > 2
+    assert enumerate_all_solutions(model, featvars, xs) == expected
+
+
 # -- the loops leave the model as they found it ---------------------------------
 
 
