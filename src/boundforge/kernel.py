@@ -238,9 +238,6 @@ class Model:
             self._ids[key] = ids
         return ids
 
-    def domain(self, v: VarRef) -> tuple[int, ...]:
-        return self._doms[self.var_ids((v,))[0]]
-
     def dom(self, vid: int) -> tuple[int, ...]:
         return self._doms[vid]
 

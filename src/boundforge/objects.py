@@ -633,7 +633,9 @@ def posted_model(object_name: str, n: int) -> tuple[Model, list[VarRef], list[Va
 
 def forget(object_name: str, n: int) -> None:
     """Start this size cold: drop its template, and with it the leaf table
-    and the channel memo its copies share.  Copies taken before keep theirs."""
+    and the channel memo its copies share.  Copies taken before keep theirs.
+    The next run gets a new template, so it takes no kept selection run,
+    and its step memo starts empty too (see ``selector._run``)."""
     check_model_size(object_name, n)  # an equal float or bool must not drop an int's entry
     _TEMPLATES.pop((object_name, n), None)
 

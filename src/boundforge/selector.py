@@ -31,6 +31,10 @@ search of it is answered from that search.  ``labelings`` still counts
 every step the algorithm takes, searched or answered, so every count and
 record is the one a memo-free run gives.
 
+The last run that returned normally is kept, and a run that repeats it
+(the second engine of one ``compare``, say) takes its memo and records
+instead of running a compute phase (see :func:`_run`).
+
 The steps come in two step loops, the enumeration and the drain.  Every
 step of one loop starts, by definition, from the same model state, the
 loop's base, so what the memo reads of that state (the posted bounds and
@@ -52,6 +56,7 @@ posted at the base and each bound post through ``post_lex_greater`` or
 
 from __future__ import annotations
 
+import operator
 import time
 from collections import Counter
 from typing import Mapping, NamedTuple, Sequence
@@ -340,13 +345,17 @@ class StepMemo:
     that meets them builds the same states and makes the same climb, and
     the climb's outcome is that of the restart under Q.
 
-    One memo belongs to one run and one object size; it is never shared.
+    One memo belongs to one object size and one candidate list, and to
+    one run at a time.  A run that repeats the last run takes its memo
+    (see :func:`_run`), and nothing above depends on which run stored an
+    entry, so an entry answers every run that meets its conditions.
     """
 
     def __init__(self, candidates: Sequence[BoundCandidate], tuples: Mapping):
         bits: dict[BoundCandidate, int] = {}
         # by identity, so no step hashes a candidate; ``candidates`` outlives
-        # the memo, so no identity is reused while it is in use
+        # the memo (a kept run holds them with it), so no identity is reused
+        # while it is in use
         self.bit = {id(c): bits.setdefault(c, 1 << len(bits)) for c in candidates}
         self.tuples = tuples  # canonical feature tuples, see enumerate_all_solutions
         self.steps: dict[tuple[int, ...] | None, list] = {}
@@ -552,11 +561,28 @@ def _select(engine, sols, bounds):
 # At most one entry per admitted size.
 _RECORDS: dict[tuple[str, int], tuple[SolutionRecord, ...]] = {}
 
+# the last run that returned normally, under the one key "run" (see _run): its
+# key, the size's template (its leaf memo) and the candidates, held so the ids
+# in the memo's bits stay valid, then its step memo, records and compute-phase
+# posts, labelings and by_tag
+_KEPT: dict[str, tuple] = {}
+
 
 def _run(
     engine_cls, scenario: ObjectScenario, candidates: Sequence[BoundCandidate]
 ) -> SelectionOutcome:
-    """The one selection driver; ``engine_cls`` decides how trials are posted."""
+    """The one selection driver; ``engine_cls`` decides how trials are posted.
+
+    A run that repeats the last run that returned normally, on the same
+    size's template and the same candidate objects in the same order (say,
+    the baseline after the incremental run of one ``compare``), takes that
+    run's step memo and records: it adds the stored compute-phase counts
+    instead of running the compute phase, and its drains find every step
+    the earlier run searched answered (see :class:`StepMemo`).  It still
+    builds its own models and posts its own bounds.  Any other run drops
+    the kept run before its compute phase, and a run that raises keeps
+    nothing, so at most one step memo outlives its run.
+    """
     for cand in candidates:
         if cand.object != scenario.object:
             raise InvalidArgumentError(
@@ -565,27 +591,39 @@ def _run(
     counters = Counters()
     start = time.monotonic()
     model, featvars, xs = scenario.fresh(counters)
-    memo = StepMemo(candidates, canonical_tuples(scenario.object, scenario.n))
-    records = tuple(compute_all_solutions(
-        model, featvars, xs, candidates, scenario.n, counters, memo))
-    size = (scenario.object, scenario.n)
-    if _RECORDS.get(size) == records:
-        records = _RECORDS[size]
-    else:
-        _RECORDS[size] = records
+    leaf, cands = model.leaf_memo, tuple(candidates)
+    kept = _KEPT.pop("run", None)  # one atomic take: no two runs share a memo
+    if not (kept is not None and kept[0] is leaf and len(kept[1]) == len(cands)
+            and all(map(operator.is_, kept[1], cands))):
+        kept = None  # dropped before the compute phase: two memos never live at once
+        memo = StepMemo(cands, canonical_tuples(scenario.object, scenario.n))
+        phase = Counters()
+        records = tuple(compute_all_solutions(
+            model, featvars, xs, cands, scenario.n, phase, memo))
+        size = (scenario.object, scenario.n)
+        if _RECORDS.get(size) == records:
+            records = _RECORDS[size]
+        else:
+            _RECORDS[size] = records
+        # every feasible tuple was found with every candidate posted, so no
+        # candidate removes one: each is sound for this scenario
+        memo.sound = sum(1 for r in records if r.sol) == len(memo.tuples)
+        kept = (leaf, cands, memo, records, phase.posts, phase.labelings, phase.by_tag)
+    _, _, memo, records, posts, labelings, by_tag = kept
+    counters.posts += posts
+    counters.labelings += labelings
+    counters.by_tag.update(by_tag)
     drain = [r for r in records if r.sol]
-    # every feasible tuple was found with every candidate posted, so no
-    # candidate removes one: each is sound for this scenario
-    memo.sound = len(drain) == len(memo.tuples)
     by_isol = {r.isol: r for r in records}
     engine = engine_cls(scenario, model, featvars, xs, drain, by_isol, counters, memo)
-    selected = _select(engine, drain, list(candidates))
+    selected = _select(engine, drain, list(cands))
     report = SelectionReport(
         selected=tuple(c.id for c in selected),
         posts=counters.posts,
         labelings=counters.labelings,
         wall_ms=int((time.monotonic() - start) * 1000),
     )
+    _KEPT["run"] = kept
     return SelectionOutcome(report, tuple(selected), records, counters)
 
 

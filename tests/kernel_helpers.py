@@ -12,7 +12,7 @@ import copy
 import random
 from typing import Callable, Sequence
 
-from boundforge.bounds import catalog, posted_bounds
+from boundforge.bounds import BoundCandidate, catalog, posted_bounds
 from boundforge.errors import BoundforgeError
 from boundforge.kernel import (
     Constraint,
@@ -36,6 +36,18 @@ def sweep_slice():
             random.Random(n).shuffle(shuffled)
             yield object_name, n, cat
             yield object_name, n, shuffled[: len(cat) // 2]
+
+
+def distinct(cands: Sequence[BoundCandidate]) -> list[BoundCandidate]:
+    """Equal but distinct copies of ``cands``, in order: a run on them takes
+    no kept run (see ``selector._run``), so its searches are its own."""
+    return [BoundCandidate(c.id, c.object, c.target, c.direction, c.rhs) for c in cands]
+
+
+def domain(model: Model, v: VarRef) -> tuple[int, ...]:
+    """The domain of ``v``, which must be a variable of ``model``."""
+    (vid,) = model.var_ids((v,))
+    return model.dom(vid)
 
 
 def model_state(model: Model) -> tuple:

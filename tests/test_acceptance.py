@@ -29,7 +29,7 @@ from boundforge.selector import (
     split_mid,
 )
 
-from kernel_helpers import post, solve_all
+from kernel_helpers import distinct, domain, post, solve_all
 
 PARTITION_AUDIT_N = 10
 BINSEQ_AUDIT_N = 14
@@ -179,7 +179,9 @@ def sweep() -> list[SweepResult]:
     for label, object_name, n, cands in _scenarios():
         scenario = ObjectScenario(object_name, n)
         inc = run_selection(scenario, cands)
-        base = run_baseline(scenario, cands)
+        # equal but distinct candidates: the baseline takes no kept run, so
+        # the two engines search on their own
+        base = run_baseline(scenario, distinct(cands))
         results.append(SweepResult(label, scenario, tuple(cands), inc, base))
     print(f"\n[sweep: {len(results)} scenarios in {time.monotonic() - start:.1f}s]")
     return results
@@ -251,7 +253,7 @@ def test_criterion_8_kernel_fixtures():
     # lexicographic jump fixtures
     m = Model()
     a = m.new_var(0, 1)
-    ok = ok and post_lex_greater(m, [a], [0]) is not None and m.domain(a) == (1,)
+    ok = ok and post_lex_greater(m, [a], [0]) is not None and domain(m, a) == (1,)
     m = Model()
     a = m.new_var(0, 1)
     ok = ok and post_lex_greater(m, [a], [1]) is None

@@ -31,7 +31,7 @@ from boundforge.objects import (
 )
 from boundforge.selector import Counters, ObjectScenario
 
-from kernel_helpers import model_state
+from kernel_helpers import domain, model_state
 
 CATALOG_IDS = [
     "P-S-UB", "P-RANGE-UB1", "P-RANGE-UB2",
@@ -136,16 +136,16 @@ def test_a_bound_prunes_only_once_its_inputs_are_fixed():
     g, gmax = featvars[1].id, featvars[3].id
     assert post_bound(model, by_id("B-N1-UB"), featvars, 6) is not None
     assert model.fix(g, 1) and model._drain()
-    assert model.domain(featvars[0]) == tuple(range(7))  # Gmax is open
+    assert domain(model, featvars[0]) == tuple(range(7))  # Gmax is open
     assert model.fix(gmax, 2) and model._drain()
-    assert model.domain(featvars[0]) == (0, 1, 2)
+    assert domain(model, featvars[0]) == (0, 1, 2)
 
     model, featvars, xs = make_model("binseq", 6)
     assert post_bound(model, by_id("B-N1-UB"), featvars, 6) is not None
     assert model.fix(gmax, 2) and model._drain()
-    assert model.domain(featvars[0]) == tuple(range(7))  # G is open
+    assert domain(model, featvars[0]) == tuple(range(7))  # G is open
     assert model.fix(g, 1) and model._drain()
-    assert model.domain(featvars[0]) == (0, 1, 2)
+    assert domain(model, featvars[0]) == (0, 1, 2)
 
 
 def test_post_bound_prunes_on_fixed_inputs():
@@ -155,21 +155,21 @@ def test_post_bound_prunes_on_fixed_inputs():
     # DS >= Dmax^2 once Dmax is fixed to 3
     assert model.assign(names["Dmax"].id, 3)
     assert post_bound(model, by_id("B-DS-LB3"), featvars, n) is not None
-    assert model.domain(names["DS"]) == tuple(range(9, 17))
+    assert domain(model, names["DS"]) == tuple(range(9, 17))
 
     model, featvars, xs = make_model("binseq", 6)
     names = dict(zip(("N1", "G", "Gmin", "Gmax", "rangeG", "GS", "Dmin", "Dmax", "rangeD", "DS"), featvars))
     assert model.assign(names["G"].id, 0)
     assert model.assign(names["Gmax"].id, 0)
     assert post_bound(model, by_id("B-N1-UB"), featvars, 6) is not None
-    assert model.domain(names["N1"]) == (0,)
+    assert domain(model, names["N1"]) == (0,)
 
     model, featvars, xs = make_model("partition", 5)
     names = dict(zip(("P", "Mmin", "Mmax", "rangeM", "S"), featvars))
     assert model.assign(names["P"].id, 2)
     assert model.assign(names["Mmin"].id, 2)
     assert post_bound(model, by_id("P-RANGE-UB1"), featvars, 5) is not None
-    assert model.domain(names["rangeM"]) == (0, 1)
+    assert domain(model, names["rangeM"]) == (0, 1)
 
 
 def test_unmatched_guard_is_catalog_error_on_eval_and_failure_on_post():

@@ -9,16 +9,16 @@ import pytest
 from boundforge.errors import InvalidArgumentError
 from boundforge.kernel import Constraint, LabelResult, Model, SumEq, labeling, post_lex_greater
 
-from kernel_helpers import UnsupportedConstraintError, model_state, post, solve_all
+from kernel_helpers import UnsupportedConstraintError, domain, model_state, post, solve_all
 from test_parking import _Boom
 
 
 def test_new_var_ranges():
     m = Model()
-    assert m.domain(m.new_var(0, 1)) == (0, 1)
+    assert domain(m, m.new_var(0, 1)) == (0, 1)
     fixed = m.new_var(3, 3)
-    assert m.domain(fixed) == (3,)
-    assert len(m.domain(m.new_var(1, 8))) == 8
+    assert domain(m, fixed) == (3,)
+    assert len(domain(m, m.new_var(1, 8))) == 8
 
 
 def test_new_var_empty_range_rejected():
@@ -47,7 +47,7 @@ def test_post_le_const_prunes_interval():
     m = Model()
     a = m.new_var(1, 3)
     assert post(m, ("le_const", a, 2)) is not None
-    assert m.domain(a) == (1, 2)
+    assert domain(m, a) == (1, 2)
 
 
 def test_post_unknown_kind_rejected():
@@ -61,7 +61,7 @@ def test_lex_greater_single_var_prunes():
     m = Model()
     a = m.new_var(0, 1)
     assert post_lex_greater(m, [a], [0]) is not None
-    assert m.domain(a) == (1,)
+    assert domain(m, a) == (1,)
 
 
 def test_lex_greater_fails_on_box_maximum():
@@ -116,7 +116,7 @@ def test_retract_restores_across_two_posts():
     mark = m.mark()
     assert post(m, ("ge_const", b, 2)) is not None
     assert post(m, ("le_const", b, 2)) is not None
-    assert m.domain(b) == (2,)
+    assert domain(m, b) == (2,)
     m.retract_to(mark)
     assert m.snapshot() == before
 
@@ -348,7 +348,7 @@ def test_sum_eq_reads_the_ends_of_its_total_that_it_leaves():
     assert post(m, ("sum_eq", xs, total)) is not None
     m.clauses.clear()
     assert m.assign(xs[0].id, 1)
-    assert m.domain(total) == (1, 2, 3)
+    assert domain(m, total) == (1, 2, 3)
     assert (m._lo_owners[total.id], m._hi_owners[total.id]) == (0, 4)
     assert m.clauses == {4}
 
@@ -358,7 +358,7 @@ def test_lex_greater_reads_the_lower_end_it_stops_at_and_the_suffix_upper_ends()
     tie value and b cannot exceed 2, so 1 leaves a."""
     m, (a, b) = _owned([(1, 3), (0, 2)], [(8, 0), (0, 16)])
     assert post_lex_greater(m, [a, b], (1, 2)) is not None
-    assert m.domain(a) == (2, 3) and m._lo_owners[a.id] == 0
+    assert domain(m, a) == (2, 3) and m._lo_owners[a.id] == 0
     assert m.clauses == {8, 16}
 
 

@@ -30,7 +30,7 @@ from boundforge.selector import (
     run_selection,
 )
 
-from kernel_helpers import solve_all
+from kernel_helpers import domain, solve_all
 
 
 def test_partition_features_examples():
@@ -164,15 +164,15 @@ def test_initial_domains_match_documented_boxes():
     boxes = objects.initial_domains("binseq", n)
     for name, var in zip(objects.BINSEQ_FEATURES, featvars):
         lo, hi = boxes[name]
-        assert model.domain(var) == tuple(range(lo, hi + 1))
-    assert all(model.domain(x) == (0, 1) for x in xs)
+        assert domain(model, var) == tuple(range(lo, hi + 1))
+    assert all(domain(model, x) == (0, 1) for x in xs)
 
     model, featvars, xs = make_model("partition", n)
     boxes = objects.initial_domains("partition", n)
     for name, var in zip(objects.PARTITION_FEATURES, featvars):
         lo, hi = boxes[name]
-        assert model.domain(var) == tuple(range(lo, hi + 1))
-    assert all(model.domain(x) == tuple(range(1, n + 1)) for x in xs)
+        assert domain(model, var) == tuple(range(lo, hi + 1))
+    assert all(domain(model, x) == tuple(range(1, n + 1)) for x in xs)
 
 
 def test_occurrence_channel_fails_when_p_closure_leaves_too_few_slots():

@@ -16,7 +16,7 @@ from boundforge.kernel import Constraint, Model, labeling, post_lex_greater
 from boundforge.objects import FEATURES
 from boundforge.selector import Counters, ObjectScenario
 
-from kernel_helpers import memo_free, model_state, post
+from kernel_helpers import domain, memo_free, model_state, post
 from test_metamorphic import _tightened
 
 
@@ -91,7 +91,7 @@ def test_a_jump_that_fixes_the_last_feature_onto_an_infeasible_prefix():
     inq = model._inq
     inq[memo.check] = True  # parked, as labeling parks it
     assert model.assign(featvars[8].id, 0)
-    assert model.domain(featvars[9]) == (1,)
+    assert domain(model, featvars[9]) == (1,)
     inq[memo.check] = False
     model.retract_to(mark)
     for var, val in zip(featvars[:8], prev):

@@ -4,18 +4,22 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from boundforge import bounds, selector
+from boundforge import bounds, objects, selector
 from boundforge.bounds import BoundCandidate, catalog, decoy, post_bound
 from boundforge.errors import CatalogError, InternalInvariantError, InvalidArgumentError
 from boundforge.kernel import LabelResult, Model
-from boundforge.objects import MAX_N, canonical_tuples, feature_tuples
+from boundforge.objects import FEATURES, MAX_N, canonical_tuples, feature_tuples
 from boundforge.selector import (
     Counters,
     ObjectScenario,
     SolutionRecord,
+    StepMemo,
     compute_all_solutions,
     enumerate_all_solutions,
     run_baseline,
@@ -24,8 +28,9 @@ from boundforge.selector import (
     _drain,
 )
 
-from kernel_helpers import model_state, post, sweep_slice
+from kernel_helpers import distinct, model_state, post, sweep_slice
 from test_parking import _Boom
+from test_step_memo import _observables
 
 
 def test_split_mid_fixtures():
@@ -181,7 +186,9 @@ def test_incremental_equals_baseline_with_shuffles(obj, n):
         if seed is not None:
             random.Random(seed).shuffle(cands)
         inc = run_selection(sc, cands)
-        base = run_baseline(sc, cands)
+        # equal but distinct candidates: the baseline takes no kept run, so
+        # the two engines search on their own
+        base = run_baseline(sc, distinct(cands))
         assert inc.report.selected == base.report.selected
 
 
@@ -343,11 +350,14 @@ def test_canonical_tuples_refuse_what_the_tuple_tables_refuse():
     assert canonical_tuples.cache_info().currsize == before
 
 
-@pytest.mark.parametrize("engine, expected", [
-    (run_selection, {"labeling": 246, "post_lex_greater": 87, "post_bound": 119}),
-    (run_baseline, {"labeling": 246, "post_lex_greater": 87, "post_bound": 768}),
+@pytest.mark.parametrize("first, engine, expected", [
+    (None, run_selection, {"labeling": 246, "post_lex_greater": 87, "post_bound": 119}),
+    (None, run_baseline, {"labeling": 246, "post_lex_greater": 87, "post_bound": 768}),
+    # the baseline after its incremental run takes that run's records and
+    # step memo: it makes no compute phase, and every step it takes is answered
+    (run_selection, run_baseline, {"labeling": 0, "post_lex_greater": 0, "post_bound": 751}),
 ])
-def test_each_search_and_post_goes_through_its_selector_name(monkeypatch, engine, expected):
+def test_each_search_and_post_goes_through_its_selector_name(monkeypatch, first, engine, expected):
     """A traced benchmark run counts kernel work only through
     ``selector.labeling``, ``selector.post_lex_greater`` and
     ``selector.post_bound``, so a selection calls each once per search or
@@ -355,7 +365,11 @@ def test_each_search_and_post_goes_through_its_selector_name(monkeypatch, engine
     that resumes from the path of the search before it posts no jump at the
     root: its climb decides the jump (``resume.Path.climb``) before its one
     ``labeling`` call, so only steps that start a path call
-    ``post_lex_greater``."""
+    ``post_lex_greater``.  A run that takes the kept run adds that run's
+    compute-phase posts without making them."""
+    scenario, cands = ObjectScenario("binseq", 10), distinct(catalog("binseq"))
+    if first is not None:
+        first(scenario, cands)
     calls = dict.fromkeys(expected, 0)
 
     def counting(name):
@@ -368,11 +382,149 @@ def test_each_search_and_post_goes_through_its_selector_name(monkeypatch, engine
 
     for name in expected:
         monkeypatch.setattr(selector, name, counting(name))
-    outcome = engine(ObjectScenario("binseq", 10), catalog("binseq"))
+    outcome = engine(scenario, cands)
     assert calls == expected
-    # every post but the object posts is a bound post
-    objects_posted = sum(k for (tag, _), k in outcome.counters.by_tag.items() if tag == "ctr")
-    assert calls["post_bound"] == outcome.report.posts - objects_posted
+    # every post but the object posts is a bound post, and a run that takes
+    # the kept run makes no compute-phase post of its own
+    by_tag = outcome.counters.by_tag
+    objects_posted = sum(k for (tag, _), k in by_tag.items() if tag == "ctr")
+    replayed = sum(k for (tag, _), k in by_tag.items() if tag == "compute") if first else 0
+    assert calls["post_bound"] == outcome.report.posts - objects_posted - replayed
+
+
+# -- the kept run ------------------------------------------------------------------
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The number of ``selector.labeling`` calls so far, as ``searches()``."""
+    calls = [0]
+    labeling = selector.labeling
+
+    def counted(*args):
+        calls[0] += 1
+        return labeling(*args)
+
+    monkeypatch.setattr(selector, "labeling", counted)
+    return lambda: calls[0]
+
+
+@pytest.mark.parametrize("object_name, n", [("binseq", 7), ("partition", 6)])
+def test_a_run_that_takes_the_kept_run_gives_the_outcome_of_one_that_does_not(
+        searches, object_name, n):
+    """In both orders of the engines, over shuffles, repeats and decoys:
+    the second run of a pair searches nothing, and gives what the same
+    engine gives on equal but distinct candidates, which it searches."""
+    cat = catalog(object_name)
+    lists = [cat, cat + cat[:3], cat + [decoy(object_name, f, n) for f in FEATURES[object_name][:2]]]
+    for seed in range(3):
+        lists.append(random.Random(seed).sample(cat, len(cat)))
+    sc = ObjectScenario(object_name, n)
+    for cands in lists:
+        for first, second in ((run_selection, run_baseline), (run_baseline, run_selection)):
+            first(sc, cands)
+            before = searches()
+            taken = second(sc, cands)
+            assert searches() == before
+            own = second(sc, distinct(cands))
+            assert searches() > before
+            assert _observables(taken) == _observables(own)
+
+
+def test_a_run_that_repeats_less_than_the_last_run_searches_again(searches):
+    """Each run below follows a catalog-order binseq n=6 selection, and
+    searches every step a run on fresh candidates searches."""
+    sc, cat = ObjectScenario("binseq", 6), catalog("binseq")
+    other = ObjectScenario("partition", 5)
+    cases = [
+        (lambda: None, sc, cat[::-1]),
+        (lambda: None, sc, distinct(cat[:1]) + cat[1:]),
+        (lambda: None, ObjectScenario("binseq", 7), cat),
+        (lambda: run_baseline(other, catalog("partition")), sc, cat),
+        (lambda: objects.forget("binseq", 6), sc, cat),
+    ]
+    for between, scenario, cands in cases:
+        run_selection(sc, cat)
+        between()
+        before = searches()
+        run_baseline(scenario, cands)
+        searched = searches() - before
+        before = searches()
+        run_baseline(scenario, distinct(cands))
+        assert searched == searches() - before > 0
+    run_selection(sc, cat)
+    before = searches()
+    run_baseline(sc, cat)
+    assert searches() == before
+
+
+def test_a_run_that_raises_keeps_nothing(monkeypatch, searches):
+    """A run cut by an error in its last search, in a drain, keeps no run,
+    so the next run on its candidates searches as a fresh run does."""
+    sc, cat = ObjectScenario("binseq", 6), catalog("binseq")
+    before = searches()
+    run_selection(sc, distinct(cat))
+    last = searches() - before
+    labeling, calls = selector.labeling, [0]
+
+    def cut(*args):
+        calls[0] += 1
+        if calls[0] == last:
+            raise RuntimeError("cut")
+        return labeling(*args)
+
+    monkeypatch.setattr(selector, "labeling", cut)
+    with pytest.raises(RuntimeError):
+        run_selection(sc, cat)
+    monkeypatch.setattr(selector, "labeling", labeling)
+    before = searches()
+    run_baseline(sc, cat)
+    searched = searches() - before
+    before = searches()
+    run_baseline(sc, distinct(cat))
+    assert searched == searches() - before > 0
+
+
+def test_threads_that_take_the_kept_run_select_as_one_thread_does():
+    """A run takes the kept run in one ``dict.pop``, so no two threads
+    share a step memo: threaded pairs of engines on shared lists, where
+    each run may take the kept run of whichever finished last, give what
+    runs on their own candidates give."""
+    sc, cat = ObjectScenario("binseq", 6), catalog("binseq")
+    jobs = [(engine, cands) for cands in (cat, cat[::-1], cat[1:], cat[:-1]) * 2
+            for engine in (run_selection, run_baseline)]
+    expected = [_observables(engine(sc, distinct(cands))) for engine, cands in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(engine, sc, cands) for engine, cands in jobs]
+            results = [_observables(future.result(timeout=120)) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+
+
+def test_at_most_one_step_memo_outlives_its_run(monkeypatch):
+    """Over sizes and both engines, each baseline taking its incremental
+    run's memo, only the last run's memo is left once they return, and a
+    run that builds a memo has dropped the kept one before it does."""
+    made = []
+    init = StepMemo.__init__
+
+    def recorded(memo, *args):
+        gc.collect()
+        assert all(ref() is None for ref in made)
+        init(memo, *args)
+        made.append(weakref.ref(memo))
+
+    monkeypatch.setattr(StepMemo, "__init__", recorded)
+    for object_name, n, cands in sweep_slice():
+        for engine in (run_selection, run_baseline):
+            engine(ObjectScenario(object_name, n), cands)
+    gc.collect()
+    assert len(made) == 24
+    assert [ref() for ref in made if ref() is not None] == [made[-1]()]
 
 
 def test_a_warm_selection_leaves_no_reference_cycle():

@@ -28,7 +28,7 @@ from boundforge.selector import (
     enumerate_all_solutions,
 )
 
-from kernel_helpers import model_state, post, sweep_slice, twin
+from kernel_helpers import distinct, model_state, post, sweep_slice, twin
 from test_expr import _OPERATORS, _node
 from test_metamorphic import _tightened
 
@@ -36,6 +36,9 @@ _search = selector._search
 
 
 def _without_step_memo(mp):
+    """Every step searched.  A run that takes the kept run makes no compute
+    phase (see ``selector._run``), so a memo-free reference run is given
+    equal but distinct candidates (``distinct``)."""
     mp.setattr(StepMemo, "step", lambda memo, model, featvars, xs, prev, loop, expected=None:
                _search(model, featvars, xs, prev))
 
@@ -155,16 +158,16 @@ def test_selection_equals_the_memo_free_run(scenario, engine):
     object_name, n, cands = scenario
     run = getattr(selector, engine)
 
-    def outcome():
+    def outcome(cands):
         try:
             return _observables(run(ObjectScenario(object_name, n), cands))
         except CatalogSoundnessError as exc:  # PARTIAL can fail when posted
             return str(exc)
 
-    got = outcome()
+    got = outcome(cands)
     with pytest.MonkeyPatch.context() as mp:
         _without_step_memo(mp)
-        assert outcome() == got
+        assert outcome(distinct(cands)) == got
 
 
 @pytest.mark.parametrize("engine", [selector.run_selection, selector.run_baseline])
@@ -177,7 +180,7 @@ def test_a_bound_that_prunes_only_when_posted_is_selected(monkeypatch, engine, f
     got = engine(ObjectScenario("binseq", 2), cands)
     assert "ROOT" in got.report.selected
     _without_step_memo(monkeypatch)
-    assert _observables(got) == _observables(engine(ObjectScenario("binseq", 2), cands))
+    assert _observables(got) == _observables(engine(ObjectScenario("binseq", 2), distinct(cands)))
 
 
 def _posted(object_name, n, cand, bit=1):
@@ -370,7 +373,8 @@ def test_ownership_comes_back_exactly(monkeypatch, action):
 
 
 def _gate_of(object_name, n, cands, engine=selector.run_selection):
-    """Whether the run's step memo had the equal-outcome rule on."""
+    """Whether the step memo of a run on equal but distinct candidates, which
+    makes its own, had the equal-outcome rule on."""
     made = []
 
     class Recorded(StepMemo):
@@ -380,7 +384,7 @@ def _gate_of(object_name, n, cands, engine=selector.run_selection):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(selector, "StepMemo", Recorded)
-        engine(ObjectScenario(object_name, n), cands)
+        engine(ObjectScenario(object_name, n), distinct(cands))
     (memo,) = made
     return memo.sound
 
@@ -410,10 +414,10 @@ def test_an_unsound_candidate_list_keeps_the_equal_outcome_rule_off(engine):
     assert not _gate_of("binseq", 7, cands, engine)
     with pytest.MonkeyPatch.context() as mp:
         _without_step_memo(mp)
-        assert _observables(engine(scenario, cands)) == _observables(got)
+        assert _observables(engine(scenario, distinct(cands))) == _observables(got)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(selector, "StepMemo", _Ungated)
-        ungated = engine(scenario, cands)
+        ungated = engine(scenario, distinct(cands))
     assert ungated.report.labelings != got.report.labelings
 
 

@@ -26,7 +26,7 @@ from boundforge.selector import (
     run_selection,
 )
 
-from kernel_helpers import memo_free, model_state, post, sweep_slice
+from kernel_helpers import distinct, memo_free, model_state, post, sweep_slice
 
 SIZES = sorted({(object_name, n) for object_name, n, _ in sweep_slice()})
 
@@ -93,7 +93,7 @@ def test_searches_on_copies_leave_every_shared_constraint_as_it_was(object_name,
         assert post_bound(b, cand, bfeat, n) is not None
     enumerate_all_solutions(b, bfeat, bxs)
     run_selection(scenario, catalog(object_name))
-    run_baseline(scenario, catalog(object_name))
+    run_baseline(scenario, distinct(catalog(object_name)))  # searches on its own
     assert [_contents(con) for con in shared] == before
     assert all(map(operator.is_, scenario.fresh(Counters())[0]._constraints, shared))
 
