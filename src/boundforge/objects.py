@@ -18,8 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInvariantError, InvalidArgumentError
 from .kernel import Constraint, LeafMemo, Model, SumEq, VarRef
@@ -247,19 +246,6 @@ def feature_tuples(object_name: str, n: int) -> tuple[tuple[int, ...], ...]:
             head = (n1, g, gmin, gmax, gmax - gmin, gs)
             tuples.update([head + tail for tail in tails[:bisect_right(totals, n - n1)]])
     return tuple(sorted(tuples))
-
-
-@lru_cache(maxsize=None, typed=True)
-def canonical_tuples(object_name: str, n: int) -> Mapping[tuple[int, ...], tuple[int, ...]]:
-    """Each feasible feature tuple of the object at this n, mapped to itself.
-
-    A holder of many equal tuples (the selection records of every run in
-    the process) can keep this one object per tuple.  It holds exactly
-    ``len(feature_tuples(object_name, n))`` entries, is read-only, and an
-    object or n the tuple tables refuse is refused before anything is
-    cached.
-    """
-    return MappingProxyType({t: t for t in feature_tuples(object_name, n)})
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -633,9 +619,11 @@ def posted_model(object_name: str, n: int) -> tuple[Model, list[VarRef], list[Va
 
 def forget(object_name: str, n: int) -> None:
     """Start this size cold: drop its template, and with it the leaf table
-    and the channel memo its copies share.  Copies taken before keep theirs.
-    The next run gets a new template, so it takes no kept selection run,
-    and its step memo starts empty too (see ``selector._run``)."""
+    and the channel memo its copies share.  Copies taken before keep theirs;
+    the kept selection run holds the template's leaf memo only weakly, so it
+    keeps none of them.  The next run gets a new template, so it takes no
+    kept selection run, and its step memo starts empty too (see
+    ``selector._run``)."""
     check_model_size(object_name, n)  # an equal float or bool must not drop an int's entry
     _TEMPLATES.pop((object_name, n), None)
 

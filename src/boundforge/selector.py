@@ -33,7 +33,8 @@ record is the one a memo-free run gives.
 
 The last run that returned normally is kept, and a run that repeats it
 (the second engine of one ``compare``, say) takes its memo and records
-instead of running a compute phase (see :func:`_run`).
+instead of running a compute phase; any other run whose records equal
+the kept ones returns the kept tuple of them (see :func:`_run`).
 
 The steps come in two step loops, the enumeration and the drain.  Every
 step of one loop starts, by definition, from the same model state, the
@@ -58,8 +59,9 @@ from __future__ import annotations
 
 import operator
 import time
+import weakref
 from collections import Counter
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import BoundCandidate, post_bound, posted_bounds
 from .errors import (
@@ -69,7 +71,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .kernel import Model, TrailMark, VarRef, labeling, post_lex_greater
-from .objects import canonical_tuples, check_model_size, posted_model
+from .objects import check_model_size, feature_tuples, posted_model
 from .resume import Path
 
 
@@ -169,13 +171,11 @@ def enumerate_all_solutions(
     constraint (see :func:`_search`).  The terminal sentinel carries 0
     backtracks when the lex posting itself failed, or the full exhaustion
     count when the last labeling proved no solution remains.  With a
-    ``memo``, steps go through it and each record holds the memo's
-    canonical object for its tuple.  The model is left as it was.  Only
+    ``memo``, steps go through it.  The model is left as it was.  Only
     an enumeration over the leaf memo's own ``featvars`` is chained
     (see :class:`StepLoop`); any other restarts every step.
     """
     counters = counters if counters is not None else Counters()
-    tuples = memo.tuples if memo is not None else {}
     leaf = model.leaf_memo
     chained = leaf is not None and model.var_ids(featvars) == leaf.featvars
     loop = StepLoop(model, memo, chained)
@@ -188,7 +188,6 @@ def enumerate_all_solutions(
                 records.append(SolutionRecord(len(records), 0 if res is None else res.nback, ()))
                 return records
             prev = res.sol[: len(featvars)]
-            prev = tuples.get(prev, prev)
             records.append(SolutionRecord(len(records), res.nback, prev))
     finally:
         loop.close()
@@ -327,9 +326,10 @@ class StepMemo:
     with, answers a step that posts more bounds, given equal start domains
     and every stored clause met.  It is on only once ``sound`` is set,
     which ``_run`` does when the compute phase found every feasible tuple
-    with every candidate posted, so no candidate removes one.  The stored
-    clauses hold only bits of the stored set, so the part of Q within it
-    meets them too and gets the stored outcome.  More bounds can only
+    (``objects.feature_tuples``) with every candidate posted, so no
+    candidate removes one.  The stored clauses hold only bits of the
+    stored set, so the part of Q within it meets them too and gets the
+    stored outcome.  More bounds can only
     lower a count (a trial they fail heads a subtree without solutions,
     where the fewer bounds fail at least once), they leave the next
     solution where it was, and the count cannot drop below ``expected``,
@@ -345,19 +345,19 @@ class StepMemo:
     that meets them builds the same states and makes the same climb, and
     the climb's outcome is that of the restart under Q.
 
-    One memo belongs to one object size and one candidate list, and to
-    one run at a time.  A run that repeats the last run takes its memo
-    (see :func:`_run`), and nothing above depends on which run stored an
-    entry, so an entry answers every run that meets its conditions.
+    One memo belongs to one object size and one candidate list, the one
+    it is built from, and to one run at a time.  A run that repeats the
+    last run takes its memo (see :func:`_run`), and nothing above depends
+    on which run stored an entry, so an entry answers every run that meets
+    its conditions.
     """
 
-    def __init__(self, candidates: Sequence[BoundCandidate], tuples: Mapping):
+    def __init__(self, candidates: Sequence[BoundCandidate]):
         bits: dict[BoundCandidate, int] = {}
         # by identity, so no step hashes a candidate; ``candidates`` outlives
         # the memo (a kept run holds them with it), so no identity is reused
         # while it is in use
         self.bit = {id(c): bits.setdefault(c, 1 << len(bits)) for c in candidates}
-        self.tuples = tuples  # canonical feature tuples, see enumerate_all_solutions
         self.steps: dict[tuple[int, ...] | None, list] = {}
         self.sound = False  # every candidate known sound: the equal-outcome rule is on
 
@@ -555,16 +555,11 @@ def _select(engine, sols, bounds):
 # -- entry points ----------------------------------------------------------------
 
 
-# the records of the last run of each size: a run whose records equal them
-# (every order of one candidate list, say) returns this tuple, so the outcomes
-# a caller keeps hold one copy, as canonical_tuples does for each solution.
-# At most one entry per admitted size.
-_RECORDS: dict[tuple[str, int], tuple[SolutionRecord, ...]] = {}
-
 # the last run that returned normally, under the one key "run" (see _run): its
-# key, the size's template (its leaf memo) and the candidates, held so the ids
-# in the memo's bits stay valid, then its step memo, records and compute-phase
-# posts, labelings and by_tag
+# key, a weak reference to the size's template's leaf memo (so objects.forget
+# frees the template's tables) and the candidates, held so the ids in the
+# memo's bits stay valid, then its step memo, records and compute-phase posts,
+# labelings and by_tag
 _KEPT: dict[str, tuple] = {}
 
 
@@ -581,9 +576,13 @@ def _run(
     the earlier run searched answered (see :class:`StepMemo`).  It still
     builds its own models and posts its own bounds.  Any other run drops
     the kept run before its compute phase, and a run that raises keeps
-    nothing, so at most one step memo outlives its run.
+    nothing, so at most one step memo outlives its run.  A run whose
+    compute phase gives records equal to the dropped run's (every order of
+    one candidate list, say) returns that run's tuple of them, so the
+    outcomes a caller keeps hold one copy.
     """
-    for cand in candidates:
+    cands = tuple(candidates)
+    for cand in cands:
         if cand.object != scenario.object:
             raise InvalidArgumentError(
                 f"candidate {cand.id} targets {cand.object}, scenario is {scenario.object}"
@@ -591,24 +590,24 @@ def _run(
     counters = Counters()
     start = time.monotonic()
     model, featvars, xs = scenario.fresh(counters)
-    leaf, cands = model.leaf_memo, tuple(candidates)
+    leaf = model.leaf_memo
     kept = _KEPT.pop("run", None)  # one atomic take: no two runs share a memo
-    if not (kept is not None and kept[0] is leaf and len(kept[1]) == len(cands)
+    if not (kept is not None and kept[0]() is leaf and len(kept[1]) == len(cands)
             and all(map(operator.is_, kept[1], cands))):
+        last = kept and kept[3]
         kept = None  # dropped before the compute phase: two memos never live at once
-        memo = StepMemo(cands, canonical_tuples(scenario.object, scenario.n))
+        memo = StepMemo(cands)
         phase = Counters()
         records = tuple(compute_all_solutions(
             model, featvars, xs, cands, scenario.n, phase, memo))
-        size = (scenario.object, scenario.n)
-        if _RECORDS.get(size) == records:
-            records = _RECORDS[size]
-        else:
-            _RECORDS[size] = records
+        if records == last:
+            records = last
         # every feasible tuple was found with every candidate posted, so no
         # candidate removes one: each is sound for this scenario
-        memo.sound = sum(1 for r in records if r.sol) == len(memo.tuples)
-        kept = (leaf, cands, memo, records, phase.posts, phase.labelings, phase.by_tag)
+        memo.sound = sum(1 for r in records if r.sol) == len(
+            feature_tuples(scenario.object, scenario.n))
+        kept = (weakref.ref(leaf), cands, memo, records, phase.posts, phase.labelings,
+                phase.by_tag)
     _, _, memo, records, posts, labelings, by_tag = kept
     counters.posts += posts
     counters.labelings += labelings

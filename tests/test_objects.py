@@ -452,7 +452,6 @@ _ENTRY_POINTS = {
         _BARE, object_name, _BARE_FEATVARS[: len(_features(object_name))], _BARE_XS[:n]),
     "feature_tuples": objects.feature_tuples,
     "initial_domains": objects.initial_domains,
-    "canonical_tuples": objects.canonical_tuples,
     "ObjectScenario": ObjectScenario,
     "posted_model": objects.posted_model,
     "forget": objects.forget,
@@ -466,12 +465,12 @@ def test_every_object_entry_point_refuses_an_unknown_object_or_n_above_the_ceili
     entry_point, object_name, n
 ):
     models, variables = kernel.Model._next_id, len(_BARE.snapshot())
-    cached = objects.canonical_tuples.cache_info().currsize
+    cached = objects.feature_tuples.cache_info().currsize
     with pytest.raises(InvalidArgumentError):
         _ENTRY_POINTS[entry_point](object_name, n)
     assert kernel.Model._next_id == models
     assert len(_BARE.snapshot()) == variables
-    assert objects.canonical_tuples.cache_info().currsize == cached
+    assert objects.feature_tuples.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("object_name", sorted(objects.MODEL_MAX_N))
@@ -498,13 +497,12 @@ def test_every_model_entry_point_refuses_n_above_the_model_ceiling(entry_point, 
     lambda n: objects.posted_model("binseq", n),
     lambda n: objects.forget("binseq", n),
     lambda n: oracle.audit(decoy("binseq", "N1", 3), n),
-    lambda n: objects.canonical_tuples("binseq", n),
     lambda n: objects._prefix_sets("partition", n),
     lambda n: feature_tuples("partition", n),
     lambda n: feature_tuples("binseq", n),
     oracle.enum_partitions,
     oracle.enum_binseqs,
-], ids=["ObjectScenario", "make_model", "posted_model", "forget", "oracle.audit", "canonical_tuples", "_prefix_sets",
+], ids=["ObjectScenario", "make_model", "posted_model", "forget", "oracle.audit", "_prefix_sets",
         "feature_tuples-partition", "feature_tuples-binseq", "enum_partitions", "enum_binseqs"])
 def test_a_non_integer_n_is_refused_even_with_its_int_cached(build, n):
     """5.0 == 5 and True == 1 hash alike, so a warm table of the int would

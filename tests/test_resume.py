@@ -18,7 +18,7 @@ from boundforge import objects, selector
 from boundforge.bounds import catalog, decoy, post_bound
 from boundforge.kernel import Constraint, SumEq, post_lex_greater
 from boundforge.resume import Path
-from boundforge.objects import FEATURES, canonical_tuples
+from boundforge.objects import FEATURES
 from boundforge.selector import Counters, ObjectScenario, StepMemo, enumerate_all_solutions
 
 from kernel_helpers import LeVars, model_state, post, restart_enumeration
@@ -55,7 +55,7 @@ def test_every_record_equals_the_plain_restart(object_name, n, cold):
         model, featvars, xs = ObjectScenario(object_name, n).fresh(Counters())
         for cand in cands:
             assert post_bound(model, cand, featvars, n) is not None
-        memo = StepMemo(cands, canonical_tuples(object_name, n))
+        memo = StepMemo(cands)
         got = enumerate_all_solutions(model, featvars, xs, Counters(), memo)
         assert got == restart_enumeration(model, featvars, xs)
         assert enumerate_all_solutions(model, featvars, xs) == got
@@ -124,7 +124,7 @@ def test_foreign_feature_constraints_keep_every_record_the_restarts(data, object
             post_lex_greater(model, [featvars[i] for i in picked[:size]], tup)
     expected = restart_enumeration(model, featvars, xs)
     assert enumerate_all_solutions(model, featvars, xs) == expected
-    memo = StepMemo(cands, canonical_tuples(object_name, n))
+    memo = StepMemo(cands)
     assert enumerate_all_solutions(model, featvars, xs, Counters(), memo) == expected
 
 
@@ -156,7 +156,7 @@ def test_the_enumeration_leaves_the_model_as_it_found_it():
     cands = catalog("binseq")
     model, featvars, xs = _posted_model(cands)
     before = model_state(model)
-    memo = StepMemo(cands, canonical_tuples("binseq", 6))
+    memo = StepMemo(cands)
     records = enumerate_all_solutions(model, featvars, xs, Counters(), memo)
     assert len(records) > 20 and model_state(model) == before
 
@@ -170,7 +170,7 @@ def test_a_drain_that_returns_at_a_mismatch_leaves_the_model_as_it_found_it():
     drain = [r for r in records if r.sol]
     by_isol = {r.isol: r for r in records}
     model, featvars, xs = _posted_model([c for c in cands if c.id != "B-GS-LB1"])
-    memo = StepMemo(cands, canonical_tuples("binseq", 6))
+    memo = StepMemo(cands)
     before = model_state(model)
     remaining = selector._drain(model, featvars, xs, drain, by_isol, Counters(), memo)
     assert remaining == drain[15:]
@@ -199,7 +199,7 @@ def test_a_propagator_that_raises_mid_loop_leaves_the_model_as_it_found_it():
     model, featvars, xs = _posted_model(cands)
     assert model.post_constraint(_RaisesOn(featvars[0].id, 4)) is not None  # N1 = 4
     before = model_state(model)
-    memo = StepMemo(cands, canonical_tuples("binseq", 6))
+    memo = StepMemo(cands)
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         step = StepMemo.step

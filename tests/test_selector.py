@@ -14,7 +14,7 @@ from boundforge import bounds, objects, selector
 from boundforge.bounds import BoundCandidate, catalog, decoy, post_bound
 from boundforge.errors import CatalogError, InternalInvariantError, InvalidArgumentError
 from boundforge.kernel import LabelResult, Model
-from boundforge.objects import FEATURES, MAX_N, canonical_tuples, feature_tuples
+from boundforge.objects import FEATURES
 from boundforge.selector import (
     Counters,
     ObjectScenario,
@@ -318,36 +318,32 @@ def test_scenarios_are_immutable_values():
         a.n = 7
 
 
-def test_records_of_separate_runs_share_one_tuple_per_feature_tuple():
-    table = canonical_tuples("binseq", 6)
-    assert len(table) == len(feature_tuples("binseq", 6))
-    first = run_selection(ObjectScenario("binseq", 6), catalog("binseq"))
-    second = run_baseline(ObjectScenario("binseq", 6), list(reversed(catalog("binseq"))))
-    sols = {r.sol: r.sol for r in first.records if r.sol}
-    assert len(sols) == len(first.records) - 1
-    for rec in second.records:
-        if rec.sol:
-            assert rec.sol is sols[rec.sol] is table[rec.sol]
+@pytest.mark.parametrize("engine", [run_selection, run_baseline])
+def test_a_generator_of_candidates_selects_as_its_list_does(engine):
+    """The candidates are taken once, so a generator's are both checked and
+    selected, and one that yields another object's bound is refused."""
+    sc = ObjectScenario("binseq", 5)
+    expected = _observables(engine(sc, distinct(catalog("binseq"))))
+    assert _observables(engine(sc, (c for c in catalog("binseq")))) == expected
+    foreign = catalog("binseq") + catalog("partition")[:1]
+    with pytest.raises(InvalidArgumentError, match="targets partition"):
+        engine(sc, (c for c in foreign))
 
 
 def test_runs_with_equal_records_share_one_tuple_of_them():
-    """Every order of one candidate list, on either engine, gives equal
-    records, and each run returns the last run's tuple of them; a run with
-    other records keeps its own and becomes the last."""
-    first = run_selection(ObjectScenario("binseq", 6), catalog("binseq"))
-    second = run_baseline(ObjectScenario("binseq", 6), list(reversed(catalog("binseq"))))
-    assert second.records is first.records
-    other = run_selection(ObjectScenario("binseq", 6), catalog("binseq")[:3])
+    """As ``select-deep`` runs them, the catalog, a shuffle of it and the
+    catalog again on the incremental engine, then the reversed catalog on
+    the baseline, give equal records, and each run returns the tuple of
+    them the run before kept; a run with other records keeps its own and
+    becomes the last."""
+    sc, cat = ObjectScenario("binseq", 6), catalog("binseq")
+    first = run_selection(sc, cat)
+    for engine, cands in ((run_selection, random.Random(5).sample(cat, len(cat))),
+                          (run_selection, cat), (run_baseline, cat[::-1])):
+        assert engine(sc, cands).records is first.records
+    other = run_selection(sc, cat[:3])
     assert other.records != first.records
-    assert run_baseline(ObjectScenario("binseq", 6), catalog("binseq")[:3]).records is other.records
-
-
-def test_canonical_tuples_refuse_what_the_tuple_tables_refuse():
-    before = canonical_tuples.cache_info().currsize
-    for object_name, n in (("binseq", MAX_N["binseq"] + 1), ("partition", 0), ("triangle", 3)):
-        with pytest.raises(InvalidArgumentError):
-            canonical_tuples(object_name, n)
-    assert canonical_tuples.cache_info().currsize == before
+    assert run_baseline(sc, cat[:3]).records is other.records
 
 
 @pytest.mark.parametrize("first, engine, expected", [

@@ -19,7 +19,7 @@ from boundforge.bounds import BoundCandidate, by_id, catalog, decoy, post_bound,
 from boundforge.errors import CatalogError, CatalogSoundnessError, InternalInvariantError
 from boundforge.expr import NoCaseMatched
 from boundforge.kernel import Constraint, Model, labeling, post_lex_greater
-from boundforge.objects import FEATURES, canonical_tuples, feature_tuples
+from boundforge.objects import FEATURES, feature_tuples
 from boundforge.selector import (
     Counters,
     ObjectScenario,
@@ -234,7 +234,7 @@ def test_a_tight_later_bound_joins_the_owners_so_a_step_stays_answered_without_t
     rhs = by_id("B-DS-UB1").rhs
     first, later = (BoundCandidate(name, "binseq", "DS", "upper", rhs)
                     for name in ("FIRST", "LATER"))
-    memo = StepMemo([first, later], canonical_tuples("binseq", 6))
+    memo = StepMemo([first, later])
     searched, counts = [], []
     monkeypatch.setattr(selector, "_search", lambda *args: searched.append(args) or _search(*args))
     for cands in ([first, later], [later]):
@@ -270,7 +270,7 @@ def test_a_search_under_bounds_that_meet_every_clause_equals_the_stored_one(scen
     built = posted(cands)
     assume(built is not None)  # PARTIAL can fail when posted
     model, featvars, xs = built
-    memo = StepMemo(cands, canonical_tuples(object_name, n))
+    memo = StepMemo(cands)
     start = StepLoop(model, memo).state
     steps, prev = [], None
     width = len(FEATURES[object_name])
@@ -302,7 +302,7 @@ def _owned():
     model, featvars, xs = ObjectScenario("binseq", 8).fresh(Counters())
     for cand in catalog("binseq"):
         assert post_bound(model, cand, featvars, 8) is not None
-    StepLoop(model, StepMemo(catalog("binseq"), canonical_tuples("binseq", 8)))
+    StepLoop(model, StepMemo(catalog("binseq")))
     assert model.assign(featvars[0].id, 4) and model.assign(featvars[1].id, 2)
     assert any(model._lo_owners) and any(model._hi_owners)
     return model, featvars, xs
@@ -565,7 +565,7 @@ def test_a_model_that_changes_between_two_steps_of_a_loop_raises(monkeypatch, ki
         return res
 
     monkeypatch.setattr(selector, "_search", growing)
-    memo = StepMemo(cands, canonical_tuples("binseq", 4))
+    memo = StepMemo(cands)
     with pytest.raises(InternalInvariantError, match="changed between two steps"):
         if loop == "enumeration":
             enumerate_all_solutions(model, featvars, xs, Counters(), memo)

@@ -9,7 +9,9 @@ copy or the template.
 from __future__ import annotations
 
 import copy
+import gc
 import operator
+import weakref
 
 import pytest
 
@@ -140,6 +142,17 @@ def test_forget_starts_the_size_cold_and_leaves_earlier_copies_their_memos(objec
     enumerate_all_solutions(new, nfeat, nxs)
     assert old.leaf_memo.table is table and (table, channels) == saved
     assert labeling(old, featvars, xs) == memo_free(old, featvars, xs)
+
+
+def test_forget_frees_the_leaf_table_of_the_kept_selection_run():
+    """The kept selection run holds its template's leaf memo weakly, so the
+    table goes with the template when its size is forgotten."""
+    run_selection(ObjectScenario("binseq", 8), catalog("binseq"))
+    leaf = weakref.ref(objects.posted_model("binseq", 8)[0].leaf_memo)
+    assert leaf().table
+    objects.forget("binseq", 8)
+    gc.collect()
+    assert leaf() is None
 
 
 class _CopiesItsModel(Constraint):
