@@ -321,13 +321,21 @@ def test_scenarios_are_immutable_values():
 @pytest.mark.parametrize("engine", [run_selection, run_baseline])
 def test_a_generator_of_candidates_selects_as_its_list_does(engine):
     """The candidates are taken once, so a generator's are both checked and
-    selected, and one that yields another object's bound is refused."""
+    selected."""
     sc = ObjectScenario("binseq", 5)
     expected = _observables(engine(sc, distinct(catalog("binseq"))))
     assert _observables(engine(sc, (c for c in catalog("binseq")))) == expected
+
+
+@pytest.mark.parametrize("engine", [run_selection, run_baseline])
+def test_a_generator_that_yields_another_objects_bound_is_refused(engine):
+    """The check reads the same candidates the run would select, and
+    refuses before any model is built."""
     foreign = catalog("binseq") + catalog("partition")[:1]
+    models = Model._next_id
     with pytest.raises(InvalidArgumentError, match="targets partition"):
-        engine(sc, (c for c in foreign))
+        engine(ObjectScenario("binseq", 5), (c for c in foreign))
+    assert Model._next_id == models
 
 
 def test_runs_with_equal_records_share_one_tuple_of_them():
@@ -344,6 +352,16 @@ def test_runs_with_equal_records_share_one_tuple_of_them():
     other = run_selection(sc, cat[:3])
     assert other.records != first.records
     assert run_baseline(sc, cat[:3]).records is other.records
+
+
+def test_a_run_of_another_size_in_between_gives_equal_records_not_the_same_object():
+    """Only the last run's records are kept, so a run of another size
+    between two equal runs leaves the second its own tuple of them."""
+    sc, cat = ObjectScenario("binseq", 6), catalog("binseq")
+    first = run_selection(sc, cat)
+    run_selection(ObjectScenario("binseq", 5), cat)
+    again = run_baseline(sc, cat[::-1])
+    assert again.records == first.records and again.records is not first.records
 
 
 @pytest.mark.parametrize("first, engine, expected", [
@@ -452,6 +470,25 @@ def test_a_run_that_repeats_less_than_the_last_run_searches_again(searches):
     before = searches()
     run_baseline(sc, cat)
     assert searches() == before
+
+
+@pytest.mark.parametrize("object_name", ["binseq", "partition"])
+def test_a_run_after_forget_searches_again_and_returns_the_kept_records(searches, object_name):
+    """The kept run's reference to a forgotten template is dead, so it
+    never matches the new template: the next run searches as a run on
+    fresh candidates does, and still returns the kept tuple of its equal
+    records."""
+    sc, cat = ObjectScenario(object_name, 6), catalog(object_name)
+    first = run_selection(sc, cat)
+    objects.forget(object_name, 6)
+    gc.collect()
+    before = searches()
+    again = run_baseline(sc, cat)
+    searched = searches() - before
+    assert again.records is first.records
+    before = searches()
+    run_baseline(sc, distinct(cat))
+    assert searched == searches() - before > 0
 
 
 def test_a_run_that_raises_keeps_nothing(monkeypatch, searches):
